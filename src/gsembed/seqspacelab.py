@@ -7,10 +7,13 @@ A finite section keeps blocks j = 0..L of the diagonal embedding
 
 i.e. vectors x = (x_0, ..., x_L) with x_j of dimension M_j, source norm
 || (beta_j ||x_j||_p1)_j ||_q1 and target norm || (||x_j||_p2)_j ||_q2.
-Everything here is numeric (floats, numpy for the search and svd paths) and
-cross-checks the exact sequence-space formulas: the closed operator norm,
-the exact nuclear norm of the diagonal, and two-sided entropy bounds that
-are sound rather than asymptotically sharp.
+Everything here is numeric and cross-checks the exact sequence-space
+formulas: the closed operator norm, the exact nuclear norm of the diagonal,
+and two-sided entropy bounds that are sound rather than asymptotically
+sharp.  The norm search runs on Python floats, since its blocks are small
+and numpy's per-call overhead would be its whole cost; numpy serves only
+the seeded start vectors, the svd oracle, the rate fit's polyfit and the
+cover radius.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .embanalyzer import INF, EmbeddingProblem, ExtReal, ext, recip, tong
 
 __all__ = [
     "FiniteSection",
+    "SectionRangeError",
     "finite_section",
     "embedding_norm_closed",
     "embedding_norm_search",
@@ -72,12 +76,28 @@ class FiniteSection:
         return sum(self.M)
 
 
+class SectionRangeError(ValueError):
+    """A weight or block size of a finite section leaves the float range."""
+
+    def __init__(self, name: str, level: int, log2, outcome: str):
+        super().__init__(f"{name} at level {level} is 2^({log2}), which "
+                         f"{outcome} as a float; use fewer levels")
+
+
+def _pow2(log2, name: str, level: int) -> float:
+    try:
+        return 2.0 ** float(log2)
+    except OverflowError:
+        raise SectionRangeError(name, level, log2, "overflows") from None
+
+
 def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0) -> FiniteSection:
     """Section of an embedding problem with blocks j = 0..levels.
 
     beta_j = sigma_j / tau_j * 2^(-j dim (1/p1 - 1/p2)) absorbs both weights
     and the block-size mismatch of the integrability change; block sizes are
-    M_j = round(density * 2^(j dim)).
+    M_j = round(density * 2^(j dim)).  Raises SectionRangeError when a
+    weight or block size at some level leaves the float range.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
@@ -88,10 +108,14 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
     beta, M, gamma = [], [], []
     for j in range(levels + 1):
         lg = log2_value(problem.sigma, j) - log2_value(problem.tau, j) - j * gap
-        beta.append(2.0 ** float(lg))
-        M.append(max(1, round(density * 2.0 ** (j * d))))
+        b = _pow2(lg, "block weight beta_j", j)
+        if b == 0.0:
+            raise SectionRangeError("block weight beta_j", j, lg,
+                                    "underflows to 0")
+        beta.append(b)
+        M.append(max(1, round(density * _pow2(j * d, "block size 2^(j dim)", j))))
         lg_g = log2_value(problem.tau, j) - j * d * float(recip(problem.p2))
-        gamma.append(2.0 ** float(lg_g))
+        gamma.append(_pow2(lg_g, "conjugation weight gamma_j", j))
     meta = {
         "source_weight": render(problem.sigma),
         "target_weight": render(problem.tau),
@@ -127,20 +151,29 @@ def embedding_norm_closed(section: FiniteSection) -> float:
     return float(sum(g ** r for g in gains)) ** (1.0 / r)
 
 
-def _norm(vec: np.ndarray, p: ExtReal) -> float:
+def _lp_norm(p: ExtReal):
+    """The ell_p norm of a list of non-negative floats, with the exponent
+    converted once rather than on every call."""
     if p == INF:
-        return float(np.max(np.abs(vec))) if vec.size else 0.0
-    return float(np.sum(np.abs(vec) ** float(p)) ** (1.0 / float(p)))
+        return max
+    fp = float(p)
+    inv = 1.0 / fp
 
+    def norm(v: list) -> float:
+        try:
+            total = sum([x ** fp for x in v])
+            if 0.0 < total < math.inf:
+                return total ** inv
+        except OverflowError:
+            pass
+        # zero, or the powers left the float range: rescale by the largest
+        # entry, which costs a second pass but only in these cases
+        top = max(v)
+        if top == 0.0:
+            return 0.0
+        return top * sum([(x / top) ** fp for x in v]) ** inv
 
-def _ratio(section: FiniteSection, blocks: Sequence[np.ndarray]) -> float:
-    src = np.array([section.beta[j] * _norm(blocks[j], section.p1)
-                    for j in range(len(blocks))])
-    tgt = np.array([_norm(blocks[j], section.p2) for j in range(len(blocks))])
-    s = _norm(src, section.q1)
-    if s == 0.0:
-        return 0.0
-    return _norm(tgt, section.q2) / s
+    return norm
 
 
 def embedding_norm_search(section: FiniteSection, seed: int = 0,
@@ -151,29 +184,40 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
     per-block extremal shape, Hoelder-coupled multi-block weights) and
     polishes with random-restart multiplicative coordinate ascent.  Serves
     as an independent check of embedding_norm_closed from below.
+
+    The ascent caches every block's source norm beta_j ||x_j||_p1 and target
+    norm ||x_j||_p2, so a trial move on an entry of block j costs
+    O(M_j + nblocks) float operations: block j's two norms, then the two
+    outer aggregates.  Each block norm is recomputed from the entries rather
+    than updated by differences, so the returned value is a ratio that some
+    vector attains.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
     nblocks = len(section.M)
+    beta = section.beta
+    inner1, inner2 = _lp_norm(section.p1), _lp_norm(section.p2)
+    outer1, outer2 = _lp_norm(section.q1), _lp_norm(section.q2)
 
-    def shape(j: int) -> np.ndarray:
-        # extremal block vector: spike when the inner index grows, flat when
-        # it shrinks (Hoelder equality)
-        M = section.M[j]
-        if recip(section.p2) > recip(section.p1):
-            return np.ones(M)
-        v = np.zeros(M)
-        v[0] = 1.0
-        return v
+    def ratio(src: list, tgt: list) -> float:
+        s = outer1(src)
+        return outer2(tgt) / s if s != 0.0 else 0.0
+
+    def block_norms(blocks: list) -> tuple:
+        return ([beta[j] * inner1(x) for j, x in enumerate(blocks)],
+                [inner2(x) for x in blocks])
+
+    # extremal block vector: flat when the inner index shrinks (Hoelder
+    # equality), spike when it grows
+    flat = recip(section.p2) > recip(section.p1)
+    shapes = [[1.0] * m if flat else [1.0] + [0.0] * (m - 1)
+              for m in section.M]
 
     best = 0.0
-    shapes = [shape(j) for j in range(nblocks)]
-    gains = [_block_gain(section, j) for j in range(nblocks)]
-
     # single-block candidates
     for j in range(nblocks):
-        blocks = [np.zeros(section.M[i]) for i in range(nblocks)]
+        blocks = [[0.0] * m for m in section.M]
         blocks[j] = shapes[j]
-        best = max(best, _ratio(section, blocks))
+        best = max(best, ratio(*block_norms(blocks)))
 
     # coupled weights matter when the outer index shrinks; with unit-p1
     # block shapes the optimal source amplitudes follow a Hoelder pattern
@@ -181,38 +225,48 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
     if gap > 0:
         r = 1.0 / float(gap)
         w_exp = 0.0 if section.q1 == INF else r / float(section.q1)
-        weights = [(g ** w_exp if g > 0 else 0.0) for g in gains]
+        gains = [_block_gain(section, j) for j in range(nblocks)]
+        # the ratio is scale-invariant, so the weights g^w_exp are taken
+        # relative to the largest gain, which keeps the powers in range
+        top = max(gains)
         blocks = []
-        for j in range(nblocks):
-            s = shapes[j] / max(_norm(shapes[j], section.p1), 1e-300)
-            blocks.append(weights[j] / section.beta[j] * s)
-        best = max(best, _ratio(section, blocks))
+        for j, shape in enumerate(shapes):
+            w = (gains[j] / top) ** w_exp / beta[j]
+            unit = max(inner1(shape), 1e-300)
+            blocks.append([w * (v / unit) for v in shape])
+        best = max(best, ratio(*block_norms(blocks)))
 
-    def ascend(blocks) -> float:
-        local = _ratio(section, blocks)
+    def ascend(blocks: list) -> float:
+        # _lp_norm takes no absolute values: entries stay positive, since
+        # they start positive and are only multiplied by positive factors
+        src, tgt = block_norms(blocks)
+        local = ratio(src, tgt)
         step = 0.5
         sweeps = 0
         while step > 1e-4 and sweeps < iters:
             sweeps += 1
             improved = False
-            for j in range(nblocks):
-                for i in range(section.M[j]):
+            for j, x in enumerate(blocks):
+                bj = beta[j]
+                for i in range(len(x)):
                     for f in (1.0 + step, 1.0 / (1.0 + step)):
-                        old = blocks[j][i]
-                        blocks[j][i] = old * f if old != 0 else step
-                        cand = _ratio(section, blocks)
+                        old, old_src, old_tgt = x[i], src[j], tgt[j]
+                        x[i] = old * f if old != 0 else step
+                        src[j] = bj * inner1(x)
+                        tgt[j] = inner2(x)
+                        cand = ratio(src, tgt)
                         if cand > local * (1 + 1e-12):
                             local = cand
                             improved = True
                         else:
-                            blocks[j][i] = old
+                            x[i], src[j], tgt[j] = old, old_src, old_tgt
             if not improved:
                 step *= 0.5
         return local
 
     for _ in range(restarts):
-        blocks = [np.abs(rng.standard_normal(section.M[j])) + 1e-3
-                  for j in range(nblocks)]
+        blocks = [(np.abs(rng.standard_normal(m)) + 1e-3).tolist()
+                  for m in section.M]
         best = max(best, ascend(blocks))
     return best
 
@@ -279,21 +333,19 @@ def _count(ms, M) -> int:
     return total
 
 
-def _block_cover_errors(section: FiniteSection, ms) -> list:
-    gs = []
-    for j, m in enumerate(ms):
-        # symmetric grid of 2^m + 1 points on [-c, c] leaves per-coordinate
-        # rounding error c / 2^m; m = 0 is the single center with error c
-        r = (1.0 / section.beta[j]) / (1 << m)
-        if section.p2 == INF:
-            gs.append(r)
-        else:
-            gs.append(float(section.M[j]) ** float(recip(section.p2)) * r)
-    return gs
+def _block_cover_errors(scales: list, ms) -> list:
+    # symmetric grid of 2^m + 1 points on [-c, c] leaves per-coordinate
+    # rounding error c / 2^m; m = 0 is the single center with error c.
+    # scales[j] = (M_j^(1/p2), 1/beta_j), the first being 1.0 for p2 = inf
+    return [f * (c / (1 << m)) for (f, c), m in zip(scales, ms)]
 
 
-def _cover_radius(section: FiniteSection, ms) -> float:
-    return _norm(np.asarray(_block_cover_errors(section, ms)), section.q2)
+def _cover_radius(errs: list, fq: Optional[float]) -> float:
+    """ell_q2 norm of the block errors; fq is float(q2), None for inf."""
+    vec = np.asarray(errs)
+    if fq is None:
+        return float(np.max(vec))
+    return float(np.sum(vec ** fq) ** (1.0 / fq))
 
 
 def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
@@ -318,26 +370,31 @@ def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
                             {"norm": nrm})
 
     budget = 1 << (k - 1)
+    inv_p2 = None if section.p2 == INF else float(recip(section.p2))
+    scales = [(1.0 if inv_p2 is None else float(m) ** inv_p2, 1.0 / b)
+              for b, m in zip(section.beta, section.M)]
+    fq = None if section.q2 == INF else float(section.q2)
     ms = [0] * len(section.M)
     while True:
         # every refinement shrinks one block error, so looping until the
         # budget blocks all moves terminates; picking the move with the
         # smallest resulting radius and, under max-aggregation ties, the
         # largest current contributor keeps water-filling from stalling
-        errs = _block_cover_errors(section, ms)
+        errs = _block_cover_errors(scales, ms)
         best = None
         for j in range(len(ms)):
             trial = list(ms)
             trial[j] += 1
             if _count(trial, section.M) > budget:
                 continue
-            key = (_cover_radius(section, trial), -errs[j])
+            key = (_cover_radius(_block_cover_errors(scales, trial), fq),
+                   -errs[j])
             if best is None or key < best[0]:
                 best = (key, j)
         if best is None:
             break
         ms[best[1]] += 1
-    value = min(_cover_radius(section, ms), nrm)
+    value = min(_cover_radius(_block_cover_errors(scales, ms), fq), nrm)
     return EntropyBound(value, k, "lattice-cover",
                         {"refinements": tuple(ms), "norm": nrm,
                          "centers": _count(ms, section.M)})

@@ -216,6 +216,7 @@ def test_criterion_06_nuclear_oracles():
 
 
 def test_criterion_07_norm_search_agreement():
+    t0 = time.perf_counter()
     rng = random.Random(SEED)
     pool = (Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2),
             Fraction(3), Fraction(4), Fraction(6), INF)
@@ -230,6 +231,7 @@ def test_criterion_07_norm_search_agreement():
         found = embedding_norm_search(sec, seed=5, restarts=1, iters=40)
         assert found <= closed + 1e-9
         assert found >= 0.99 * closed
+    assert time.perf_counter() - t0 < 8.0
 
 
 def test_criterion_08_entropy_sandwich_and_slope():

@@ -189,6 +189,18 @@ class TestLab:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
 
+    @pytest.mark.parametrize("sigma, says", [("2^(2*j)", "overflows"),
+                                             ("2^(-2*j)", "underflows")])
+    def test_weight_out_of_range_is_error(self, capsys, tmp_path, sigma, says):
+        f = tmp_path / "problem.json"
+        f.write_text(json.dumps({"sigma": sigma, "tau": "1", "p1": 2,
+                                 "q1": 2, "p2": 2, "q2": 2, "dim": 1}))
+        code, doc = invoke(capsys, "lab", "nuclear", "--from-problem", str(f),
+                           "--levels", "600")
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert says in doc["error"] and "level" in doc["error"]
+
     def test_missing_section_is_error(self, capsys):
         code, doc = invoke(capsys, "lab", "norm")
         assert code == 1

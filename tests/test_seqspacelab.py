@@ -10,6 +10,7 @@ from gsembed import (
     EmbeddingProblem,
     FiniteSection,
     INF,
+    SectionRangeError,
     embedding_norm_closed,
     embedding_norm_search,
     entropy_lower,
@@ -45,6 +46,14 @@ class TestFiniteSection:
         assert s.beta == pytest.approx((1.0, 2.0 ** 1.5, 8.0))
         assert s.M == (1, 2, 4)
         assert s.n == 7 and s.levels == 2
+
+    def test_weight_out_of_float_range(self):
+        up = EmbeddingProblem("2^(2*j)", "1", 2, 2, 2, 2, 1)
+        with pytest.raises(SectionRangeError, match="level 512"):
+            finite_section(up, 600)
+        down = EmbeddingProblem("2^(-2*j)", "1", 2, 2, 2, 2, 1)
+        with pytest.raises(SectionRangeError, match="underflows"):
+            finite_section(down, 600)
 
     def test_density_scales_blocks(self):
         pr = EmbeddingProblem("2^(j)", "1", 2, 2, 2, 2, 1)
@@ -105,10 +114,47 @@ class TestOperatorNorm:
             assert found <= closed + 1e-9
             assert found >= 0.99 * closed
 
+    def test_search_powers_beyond_float_range(self):
+        # block powers x^p overflow (Hoelder candidate, grown entries) or
+        # underflow (outer sum of tiny weighted norms); the search rescales
+        fixtures = [
+            finite_section(EmbeddingProblem("2^(-1/4*j)", "2^(8*j)", 3,
+                                            Fraction(3, 2), 8,
+                                            Fraction(4, 3), 1), 4),
+            sec((1.0, 2.0 ** -200), (2, 3), 2, 6, 2, 6),
+            sec((1.0, 2.0 ** -100), (2, 3), 3, 6, 8, 2),
+        ]
+        for s in fixtures:
+            closed = embedding_norm_closed(s)
+            found = embedding_norm_search(s, seed=3, restarts=1, iters=40)
+            assert found <= closed * (1 + 1e-9)
+            assert found >= 0.99 * closed
+
     def test_search_is_deterministic(self):
         s = sec((1.0, 3.0), (2, 2), 2, 2, 2, 1)
         assert embedding_norm_search(s, seed=11) == \
             embedding_norm_search(s, seed=11)
+
+    # values of the whole-section (numpy) search, before the ascent became
+    # incremental; the new one rounds differently in the last ulps
+    PINNED = [
+        (sec((1.0, 2.0, 0.5), (2, 3, 1), Fraction(4, 3), 2, 3, 2), 1, 2.0),
+        (sec((0.7, 1.5), (4, 2), 4, 2, Fraction(3, 2), 2), 2,
+         2.545424908972398),
+        (sec((1.0, 0.25), (3, 2), INF, 3, 2, INF), 3, 5.656854249492381),
+        (sec((2.0, 1.0, 3.0), (1, 2, 2), 2, INF, 1, 4), 4,
+         1.4240006242195884),
+        (sec((1.0, 2.0, 4.0), (2, 1, 3), 2, 4, 2, Fraction(4, 3)), 5,
+         1.14564392373896),
+        (sec((1.5,), (12,), 3, 1, Fraction(3, 2), 2), 6, 1.5262856567377756),
+        (finite_section(EmbeddingProblem("2^(j)", "1", 2, 3, 4, 2, 2), 1), 7,
+         1.0198244513277528),
+    ]
+
+    @pytest.mark.parametrize("s, seed, value", PINNED)
+    def test_search_pinned_values(self, s, seed, value):
+        found = embedding_norm_search(s, seed=seed, restarts=2, iters=60)
+        assert found == pytest.approx(value, rel=1e-12)
 
 
 class TestNuclearNorm:
