@@ -253,11 +253,7 @@ def _load_section(args) -> Tuple[FiniteSection, Optional[EmbeddingProblem]]:
     if getattr(args, "from_problem", None):
         with open(args.from_problem) as fh:
             doc = json.load(fh)
-        problem = EmbeddingProblem(
-            sigma=doc["sigma"], tau=doc["tau"],
-            p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
-            dim=int(doc["dim"]), scale=doc.get("scale", "B"),
-        )
+        problem = EmbeddingProblem.from_dict(doc)
         sec = finite_section(problem, levels=args.levels, density=args.density)
         return sec, problem
     if getattr(args, "section", None):
@@ -326,11 +322,7 @@ def _cmd_lab_ratefit(args) -> Tuple[dict, int]:
         raise ValueError("ratefit needs --from-problem (levels are swept internally)")
     with open(args.from_problem) as fh:
         doc = json.load(fh)
-    problem = EmbeddingProblem(
-        sigma=doc["sigma"], tau=doc["tau"],
-        p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
-        dim=int(doc["dim"]), scale=doc.get("scale", "B"),
-    )
+    problem = EmbeddingProblem.from_dict(doc)
     fit = rate_fit(problem, levels=args.levels, density=args.density)
     payload = {
         "ks": list(fit.ks),

@@ -50,19 +50,6 @@ def _fmt(x: Any) -> Optional[str]:
     return str(x)
 
 
-def _problem(check: Dict[str, Any]) -> EmbeddingProblem:
-    return EmbeddingProblem(
-        sigma=check["sigma"],
-        tau=check["tau"],
-        p1=check["p1"],
-        q1=check["q1"],
-        p2=check["p2"],
-        q2=check["q2"],
-        dim=int(check["dim"]),
-        scale=check.get("scale", "B"),
-    )
-
-
 def run_case(case: ReproCase) -> Dict[str, Any]:
     check = case.check
     expect = check["expect"]
@@ -70,12 +57,12 @@ def run_case(case: ReproCase) -> Dict[str, Any]:
     op = check["op"]
 
     if op in ("compactness", "nuclearity"):
-        problem = _problem(check)
+        problem = EmbeddingProblem.from_dict(check)
         verdict = compactness(problem) if op == "compactness" else nuclearity(problem)
         got = {"status": verdict.status}
         passed = verdict.status == expect["status"]
     elif op == "entropy_rate":
-        problem = _problem(check)
+        problem = EmbeddingProblem.from_dict(check)
         formula = entropy_rate(problem)
         got = {
             "kind": formula.kind,

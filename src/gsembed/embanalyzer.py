@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .seqdsl import (
-    Decomposition,
     EvalOverflow,
     SequenceExpr,
     decompose,
@@ -157,6 +156,14 @@ class EmbeddingProblem:
         if self.scale not in ("B", "F"):
             raise ValueError("scale must be 'B' or 'F'")
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "EmbeddingProblem":
+        """Problem from a JSON object with sigma, tau, p1, q1, p2, q2 and dim;
+        scale defaults to "B" and other keys are ignored."""
+        return cls(sigma=doc["sigma"], tau=doc["tau"],
+                   p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
+                   dim=int(doc["dim"]), scale=doc.get("scale", "B"))
+
     def is_banach(self) -> bool:
         return all(v == INF or v >= 1 for v in (self.p1, self.q1, self.p2, self.q2))
 
@@ -229,7 +236,7 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
 # ---------------------------------------------------------------------------
 # exact membership of classified sequences
 
-def _dominant_sv(d: Decomposition):
+def _dominant_sv(d: SequenceExpr):
     """(label, value) of the factor that decides ties: the largest-kappa
     stretched-exponential coefficient if any, else the iterated-log
     exponent, else None."""
@@ -241,7 +248,7 @@ def _dominant_sv(d: Decomposition):
     return None
 
 
-def _membership_smooth(d: Decomposition, target: Target, ev: dict) -> str:
+def _membership_smooth(d: SequenceExpr, target: Target, ev: dict) -> str:
     rho = d.rate
     if rho < 0:
         ev["decided_by"] = "geometric decay"
@@ -291,18 +298,18 @@ def _membership_smooth(d: Decomposition, target: Target, ev: dict) -> str:
     return "holds" if target.kind == "ell" else "fails"  # ell here means ell_inf
 
 
-def _pw_anchor_rates(d: Decomposition):
+def _pw_anchor_rates(d: SequenceExpr):
     """Exact growth rates along the two anchor subsequences of the dyadic
     block structure shared by all oscillating atoms."""
     even = d.rate
     odd = d.rate
-    for node, expo in d.pw:
-        even += expo * (2 * node.s1 + node.s0) / 3
-        odd += expo * (node.s1 + 2 * node.s0) / 3
+    for (s0, s1), expo in d.pw:
+        even += expo * (2 * s1 + s0) / 3
+        odd += expo * (s1 + 2 * s0) / 3
     return even, odd
 
 
-def _membership_pw(d: Decomposition, target: Target, ev: dict) -> str:
+def _membership_pw(d: SequenceExpr, target: Target, ev: dict) -> str:
     even, odd = _pw_anchor_rates(d)
     ev["anchor_rate_even"] = str(even)
     ev["anchor_rate_odd"] = str(odd)
@@ -367,12 +374,8 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
     Finite prefixes of positive entries never change membership, so table
     atoms are stripped before the structural test.
     """
-    e = strip_tables(expr)
-    d = decompose(e)
+    d = decompose(expr)
     ev = {"target": str(target)}
-    if not d.classified:
-        ev["reason"] = "sequence structure not classified"
-        return Verdict("inconclusive", expr, target, "sequence-membership", ev)
     if d.pw:
         status = _membership_pw(d, target, ev)
     else:
@@ -442,10 +445,7 @@ def compactness(problem: EmbeddingProblem) -> Verdict:
 def nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity of the embedding.  Only Banach parameters admit the
     criterion; scale F delegates to the Boyd-index transfer."""
-    if not problem.is_banach():
-        raise ValueError(
-            "nuclearity criterion requires Banach exponents: all of p1, q1, p2, q2 "
-            "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
+    _require_banach(problem)
     if problem.scale == "F":
         return f_space_nuclearity(problem)
     expr, target = criterion_sequence(problem, "nuclear")
@@ -453,6 +453,13 @@ def nuclearity(problem: EmbeddingProblem) -> Verdict:
     ev = dict(v.evidence)
     ev["criterion"] = render(expr)
     return Verdict(v.status, expr, target, "sequence-nuclearity-criterion", ev)
+
+
+def _require_banach(problem: EmbeddingProblem) -> None:
+    if not problem.is_banach():
+        raise ValueError(
+            "nuclearity criterion requires Banach exponents: all of p1, q1, p2, q2 "
+            "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
 
 
 def _f_scale_sandwich(problem: EmbeddingProblem, kind: str) -> Verdict:
@@ -484,10 +491,7 @@ def f_space_nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity on scale F via the Boyd indices of the nuclearity
     criterion sequence: negative upper index suffices, positive lower index
     excludes, anything else is a genuine boundary case."""
-    if not problem.is_banach():
-        raise ValueError(
-            "nuclearity criterion requires Banach exponents: all of p1, q1, p2, q2 "
-            "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
+    _require_banach(problem)
     expr, target = criterion_sequence(replace(problem, scale="B"), "nuclear")
     b = boyd_indices(strip_tables(expr))
     ev = {"criterion": render(expr), "boyd_exact": b.exact}
@@ -568,7 +572,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     if asi.status == "yes":
         dr = decompose(ratio)
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
-        if dr.classified and not dr.pw:
+        if not dr.pw:
             u = -dr.rate / problem.dim
             v = -dr.log_exp
             residual = None
@@ -583,7 +587,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
 
     dc = decompose(crit)
     qstar_recip = max(Fraction(0), recip(problem.q2) - recip(problem.q1))
-    if dc.classified and not dc.pw and dc.rate == 0:
+    if not dc.pw and dc.rate == 0:
         pure_log = not dc.explog and dc.iterlog == 0
         beta = -dc.log_exp
         if pure_log and problem.p1 == problem.p2:
@@ -676,7 +680,7 @@ def en_A(problem: EmbeddingProblem, k: int, doublings: int = 48) -> EnAResult:
 
     dh = decompose(product(ratio, geometric(d * alpha)))
     decays = False
-    if dh.classified and not dh.pw:
+    if not dh.pw:
         if dh.rate < 0:
             decays = True
         elif dh.rate == 0:

@@ -7,9 +7,9 @@ are the admissible ones; their upper/lower Boyd indices
     lower = lim_j log2(inf_k w_{j+k}/w_k) / j
 
 measure extreme growth along shifted windows.  For expressions whose
-structure is fully visible the indices come out exact; table-wrapped or
-otherwise occluded inputs get one-sided truncated sup/inf estimates that
-are widened into a two-sided interval using the certified ratio envelope.
+structure is fully visible the indices come out exact; table-wrapped inputs
+get one-sided truncated sup/inf estimates that are widened into a
+two-sided interval using the certified ratio envelope.
 The widening constant is calibrated so the interval contains the true
 index for canonical inputs with |log exponent| <= 8 at depth >= 256.
 """
@@ -17,25 +17,20 @@ index for canonical inputs with |log exponent| <= 8 at depth >= 256.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 from .seqdsl import (
-    Const,
-    Decomposition,
-    EvalOverflow,
     SequenceExpr,
+    _add,
+    const,
     decompose,
     evaluate,
-    geometric,
     log2_value,
-    log_power,
     power,
     product,
-    strip_tables,
     table,
-    _contains_table,
 )
 
 __all__ = [
@@ -44,7 +39,6 @@ __all__ = [
     "EquivalenceResult",
     "AsiResult",
     "ModulusConversion",
-    "StandardizationInput",
     "StandardizeError",
     "ModulusRejected",
     "certify_admissible",
@@ -71,9 +65,9 @@ class ModulusRejected(Exception):
 class AdmissibilityCertificate:
     """Two-sided bound on consecutive ratios over all indices.
 
-    log2_d0/log2_d1 keep the exact exponents when the bound was proven
-    structurally (then exact=True and the bound holds for every j, not just
-    the scanned window).
+    The bound is proven structurally (exact=True), so it holds for every j,
+    not just the scanned window; log2_d0/log2_d1 are Fractions whenever
+    every part of the bound is exact.
     """
 
     d0: float
@@ -87,7 +81,7 @@ class AdmissibilityCertificate:
         return self.d0 > 1
 
 
-def _ratio_log_range(d: Decomposition) -> tuple:
+def _ratio_log_range(d: SequenceExpr) -> tuple:
     """Range of log2(w_{j+1}/w_j) proven factorwise.
 
     Each atom's consecutive ratio moves monotonically from its j=0 value to
@@ -99,16 +93,9 @@ def _ratio_log_range(d: Decomposition) -> tuple:
 
     def add(a, b):
         nonlocal lo, hi
-        if a > b:
-            a, b = b, a
-        if isinstance(a, Fraction) and isinstance(lo, Fraction):
-            lo = lo + a
-        else:
-            lo = float(lo) + float(a)
-        if isinstance(b, Fraction) and isinstance(hi, Fraction):
-            hi = hi + b
-        else:
-            hi = float(hi) + float(b)
+        a, b = sorted((a, b))
+        lo = _add(lo, a)
+        hi = _add(hi, b)
 
     add(d.rate, d.rate)
     if d.log_exp != 0:
@@ -117,8 +104,8 @@ def _ratio_log_range(d: Decomposition) -> tuple:
         add(Fraction(0), d.iterlog)
     for kappa, coeff in d.explog:
         add(0.0, float(coeff) * math.log2(math.e))
-    for node, expo in d.pw:
-        add(node.s0 * expo, node.s1 * expo)
+    for (s0, s1), expo in d.pw:
+        add(s0 * expo, s1 * expo)
     return lo, hi
 
 
@@ -132,40 +119,20 @@ def certify_admissible(e: SequenceExpr, window: int = 8) -> AdmissibilityCertifi
         raise ValueError("window must be >= 8")
     J = max(window, _max_prefix_len(e) + 2)
     logs = [log2_value(e, j) for j in range(J + 1)]
-    ratios = [logs[j + 1] - logs[j] if isinstance(logs[j + 1], Fraction) and isinstance(logs[j], Fraction)
-              else float(logs[j + 1]) - float(logs[j])
-              for j in range(J)]
-    wmin = min(ratios, key=float)
-    wmax = max(ratios, key=float)
-
-    d = decompose(e)
-    if d.classified:
-        lo, hi = _ratio_log_range(d)
-        # table prefixes sit outside the structural proof; fold in the scan
-        if float(wmin) < float(lo):
-            lo = wmin
-        if float(wmax) > float(hi):
-            hi = wmax
-        return AdmissibilityCertificate(
-            d0=2.0 ** float(lo), d1=2.0 ** float(hi), window=J, exact=True,
-            log2_d0=lo, log2_d1=hi,
-        )
+    ratios = [_add(logs[j + 1], -logs[j]) for j in range(J)]
+    lo, hi = _ratio_log_range(decompose(e))
+    # table prefixes sit outside the structural proof; fold in the scan
+    lo = min([lo, *ratios], key=float)
+    hi = max([hi, *ratios], key=float)
     return AdmissibilityCertificate(
-        d0=2.0 ** float(wmin), d1=2.0 ** float(wmax), window=J, exact=False,
-        log2_d0=wmin, log2_d1=wmax,
+        d0=2.0 ** float(lo), d1=2.0 ** float(hi), window=J, exact=True,
+        log2_d0=lo, log2_d1=hi,
     )
 
 
 def _max_prefix_len(e: SequenceExpr) -> int:
-    from .seqdsl import Power, Product, Table
-
-    if isinstance(e, Table):
-        return max(len(e.prefix), _max_prefix_len(e.continuation))
-    if isinstance(e, Power):
-        return _max_prefix_len(e.base)
-    if isinstance(e, Product):
-        return max((_max_prefix_len(f) for f in e.factors), default=0)
-    return 0
+    return max((max(len(prefix), _max_prefix_len(cont)) for prefix, cont, _ in e.tables),
+               default=0)
 
 
 @dataclass(frozen=True)
@@ -191,9 +158,8 @@ def boyd_indices(e: SequenceExpr, depth: int = 256) -> BoydIndices:
     """
     if depth < 64:
         raise ValueError("depth must be >= 64")
-    d = decompose(e)
-    if d.classified and not _contains_table(e):
-        lo, hi = d.rate_interval
+    if not e.tables:
+        lo, hi = e.rate_interval
         return BoydIndices(
             lower=lo, upper=hi,
             lower_bracket=(float(lo), float(lo)),
@@ -245,87 +211,43 @@ class EquivalenceResult:
     window: int
 
 
-def _diff_is_trivial(d1: Decomposition, d2: Decomposition) -> bool:
-    if d1.rate != d2.rate or d1.log_exp != d2.log_exp:
-        return False
-    if d1.iterlog != d2.iterlog or dict(d1.explog) != dict(d2.explog):
-        return False
-    pw1 = {}
-    for node, expo in d1.pw:
-        pw1[node] = pw1.get(node, Fraction(0)) + expo
-    for node, expo in d2.pw:
-        pw1[node] = pw1.get(node, Fraction(0)) - expo
-    return all(v == 0 for v in pw1.values())
-
-
 def equivalent(e1: SequenceExpr, e2: SequenceExpr, window: int = 32) -> EquivalenceResult:
     """Decide whether e1 and e2 stay within constant factors of each other.
 
     yes carries band constants from the scanned window inflated by 10%; no
     carries a witness index where the ratio leaves that band.  The verdict
-    itself comes from exact structure whenever both sides decompose.
+    itself comes from exact structure.
     """
     J = max(window, _max_prefix_len(e1) + 2, _max_prefix_len(e2) + 2)
-    qs = []
-    for j in range(J):
-        a, b = log2_value(e1, j), log2_value(e2, j)
-        qs.append(a - b if isinstance(a, Fraction) and isinstance(b, Fraction) else float(a) - float(b))
+    qs = [_add(log2_value(e1, j), -log2_value(e2, j)) for j in range(J)]
     qmin, qmax = min(qs, key=float), max(qs, key=float)
     c_lower = 2.0 ** float(qmin) / 1.1
     c_upper = 2.0 ** float(qmax) * 1.1
 
     # explicit prefixes touch finitely many entries, so the structural
     # verdict belongs to the stripped tails; the band constants above
-    # already cover the prefix range (J >= prefix length + 2)
-    d1, d2 = decompose(strip_tables(e1)), decompose(strip_tables(e2))
-    if d1.classified and d2.classified:
-        if _diff_is_trivial(d1, d2):
-            return EquivalenceResult("yes", c_lower, c_upper, None, J)
-        witness = _escape_witness(e1, e2, float(qmin) - math.log2(1.1), float(qmax) + math.log2(1.1), J)
-        if witness is not None:
-            return EquivalenceResult("no", None, None, witness, J)
-        return EquivalenceResult("undecided", None, None, None, J)
-    witness = _escape_witness(e1, e2, float(qmin) - math.log2(1.1), float(qmax) + math.log2(1.1), J)
-    if witness is not None:
-        return EquivalenceResult("no", None, None, witness, J)
-    return EquivalenceResult("undecided", None, None, None, J)
-
-
-def _escape_witness(e1, e2, band_lo: float, band_hi: float, start: int) -> Optional[int]:
-    j = max(start, 1)
+    # already cover the prefix range (J >= prefix length + 2).  Constant
+    # factors never change the class, so const and roots are ignored.
+    if replace(decompose(e1), const=Fraction(1), roots=()) == \
+            replace(decompose(e2), const=Fraction(1), roots=()):
+        return EquivalenceResult("yes", c_lower, c_upper, None, J)
+    band_lo, band_hi = float(qmin) - math.log2(1.1), float(qmax) + math.log2(1.1)
+    j = max(J, 1)
     for _ in range(220):
         q = float(log2_value(e1, j)) - float(log2_value(e2, j))
         if q < band_lo or q > band_hi:
-            return j
+            return EquivalenceResult("no", None, None, j, J)
         j *= 2
-    return None
-
-
-@dataclass(frozen=True)
-class StandardizationInput:
-    sigma: SequenceExpr
-    growth: SequenceExpr  # strongly increasing targets N_k
-    kappa0: Optional[int] = None
-
-    def __post_init__(self):
-        cert = certify_admissible(self.growth, 8)
-        if not cert.strongly_increasing():
-            raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
-        if self.kappa0 is not None:
-            lam0 = cert.d0
-            if lam0 ** self.kappa0 < 2 * (1 - 1e-12):
-                raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
+    return EquivalenceResult("undecided", None, None, None, J)
 
 
 def _minimal_kappa0(cert: AdmissibilityCertificate) -> int:
     lg = cert.log2_d0
-    if isinstance(lg, Fraction):
-        if lg <= 0:
-            raise StandardizeError("growth sequence is not strongly increasing")
-        # minimal kappa0 with kappa0 * log2(d0) >= 1
-        return max(1, -((-lg.denominator) // lg.numerator))
     if lg <= 0:
         raise StandardizeError("growth sequence is not strongly increasing")
+    if isinstance(lg, Fraction):
+        # minimal kappa0 with kappa0 * log2(d0) >= 1
+        return max(1, -((-lg.denominator) // lg.numerator))
     return max(1, math.ceil(1.0 / lg - 1e-12))
 
 
@@ -343,18 +265,17 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int]
         raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
     if kappa0 is None:
         kappa0 = _minimal_kappa0(cert)
-    else:
-        if cert.d0 ** kappa0 < 2 * (1 - 1e-12):
-            raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
+    elif cert.d0 ** kappa0 < 2 * (1 - 1e-12):
+        raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
 
-    if isinstance(sigma, Const):
+    if sigma == const(sigma.const):
         return sigma
 
     ds = decompose(sigma)
     dn = decompose(growth)
-    if not ds.classified or ds.has_pw:
+    if ds.has_pw:
         raise StandardizeError("sigma must decompose into geometric/log/slowly-varying atoms")
-    if not dn.classified or dn.has_pw or dn.explog or dn.iterlog != 0:
+    if dn.has_pw or dn.explog or dn.iterlog != 0:
         raise StandardizeError("growth scale must be geometric with at most a log-power factor")
     lam = dn.rate
     if lam <= 0:
@@ -363,16 +284,13 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int]
     if prefix_len is None:
         prefix_len = max(16, 4 * kappa0 + 8)
 
-    def n_log2(k: int):
-        return log2_value(growth, k)
-
     # k(j) is non-decreasing in j; walk both indices together
     ks = []
     k = 0
     for j in range(prefix_len + 1):
         target = j - 1
         while True:
-            lg = n_log2(k + kappa0)
+            lg = log2_value(growth, k + kappa0)
             ok = (lg >= target) if isinstance(lg, Fraction) else (float(lg) >= target - 1e-9)
             if ok:
                 break
@@ -383,22 +301,20 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int]
     for j in range(prefix_len):
         lg = log2_value(sigma, ks[j])
         if isinstance(lg, Fraction) and lg.denominator == 1:
-            n = lg.numerator
-            prefix_vals.append(Fraction(2) ** n)
+            prefix_vals.append(Fraction(2) ** lg.numerator)
         else:
             prefix_vals.append(Fraction(evaluate(sigma, ks[j])))
 
-    cont_rate = ds.rate / lam
-    cont_log = ds.log_exp - ds.rate * dn.log_exp / lam
-    sv_parts = ds.sv_nodes
-    cont = product(geometric(cont_rate), log_power(cont_log), *sv_parts)
+    # the slowly varying atoms carry over unchanged
+    cont = replace(ds, const=Fraction(1), roots=(), rate=ds.rate / lam,
+                   log_exp=ds.log_exp - ds.rate * dn.log_exp / lam)
 
     # pin the continuation to the true value at the seam index
     seam_true = float(log2_value(sigma, ks[prefix_len]))
     seam_cont = float(log2_value(cont, prefix_len))
     shift = seam_true - seam_cont
     if abs(shift) > 1e-12:
-        cont = product(Const(Fraction(2.0 ** shift)), cont)
+        cont = product(const(2.0 ** shift), cont)
 
     return table(prefix_vals, cont)
 
@@ -424,17 +340,11 @@ def sequence_from_modulus(omega: SequenceExpr) -> ModulusConversion:
     ratios force L beyond the cap are rejected with a witness pair (t1,t2).
     """
     sigma = power(omega, Fraction(-1))
-    for j in range(16):
-        try:
-            v = evaluate(sigma, j)
-        except EvalOverflow:
-            continue
-        if not (v > 0 and math.isfinite(v)):
-            raise ModulusRejected(f"modulus is not positive at t=2^-{j}")
-
     cert = certify_admissible(sigma, window=16)
-    m, M = float(cert.log2_d0), float(cert.log2_d1)
-    L = max(M, -m, 0.0)
+    # the level stays exact when both ratio bounds are, so the returned
+    # bounds are never tighter than the certified ones
+    level = max(cert.log2_d1, -cert.log2_d0, Fraction(0))
+    L = float(level)
     if L > _MODULUS_LEVEL_CAP:
         j = _extreme_ratio_index(sigma, cert.window)
         raise ModulusRejected(
@@ -444,14 +354,9 @@ def sequence_from_modulus(omega: SequenceExpr) -> ModulusConversion:
     c = 1.0
     out = AdmissibilityCertificate(
         d0=c * 2.0 ** (-L), d1=2.0 ** L / c, window=cert.window, exact=cert.exact,
-        log2_d0=-L if not isinstance(cert.log2_d0, Fraction) else -_to_fraction_ceil(L),
-        log2_d1=L if not isinstance(cert.log2_d1, Fraction) else _to_fraction_ceil(L),
+        log2_d0=-level, log2_d1=level,
     )
     return ModulusConversion(sequence=sigma, certificate=out, level=L, constant=c)
-
-
-def _to_fraction_ceil(x: float) -> Fraction:
-    return Fraction(x).limit_denominator(1 << 30)
 
 
 def _extreme_ratio_index(e: SequenceExpr, window: int) -> int:

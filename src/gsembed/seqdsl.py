@@ -15,6 +15,12 @@ All exponents are kept as exact `fractions.Fraction` values and evaluation
 works in log2 space, so membership and index computations downstream never
 leave exact arithmetic unless an atom forces a float.
 
+Every expression is stored in one normal form, the monomial `SequenceExpr`:
+a constant, irrational constant powers, one exponent per smooth atom, and
+exponent maps for the pw2 and table atoms.  Products and powers add and
+scale exponents, so reordering factors gives an equal expression; only
+table atoms keep the order in which they first appear.
+
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
 anchors the value is 2^(j*(2*s1+s0)/3), the exponent then grows with slope
 s0 until the next anchor, where it equals 2^(j*(s1+2*s0)/3) and continues
@@ -23,23 +29,13 @@ with slope s1.  Its upper and lower asymptotic rates are s1 and s0.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 __all__ = [
     "SequenceExpr",
-    "Geometric",
-    "LogPower",
-    "IterLog",
-    "ExpLogPow",
-    "PiecewiseGeometric",
-    "Table",
-    "Product",
-    "Power",
-    "Const",
     "SequenceProfile",
     "SequenceError",
     "ParseError",
@@ -64,7 +60,6 @@ __all__ = [
     "strip_tables",
     "canonicalize",
     "decompose",
-    "Decomposition",
 ]
 
 MAX_DEPTH = 32
@@ -73,6 +68,9 @@ MAX_DEPTH = 32
 _LOG2_FLOAT_LIMIT = 1000.0
 
 _LOG2_E = 1.0 / math.log(2.0)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SequenceError(Exception):
@@ -107,295 +105,172 @@ class EvalOverflow(SequenceError):
         self.log2 = log2
 
 
-Rational = Fraction
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
-
-
 @dataclass(frozen=True)
 class SequenceExpr:
-    def depth(self) -> int:
-        return 1
+    """A weight sequence as the monomial const * prod (base)^e * 2^(rate*j)
+    * (1+j)^log_exp * (1+log(1+j))^iterlog * prod exp(c*log(1+j)^kappa)
+    * prod pw2(s0,s1)^e * prod (table[prefix] then continuation)^e.
 
-    def __mul__(self, other: "SequenceExpr") -> "SequenceExpr":
-        return product(self, other)
+    The lower-case constructors keep it normal: roots ((base, e), ...) hold
+    non-integer constant powers; roots, explog ((kappa, c), ...) and pw
+    (((s0, s1), e), ...) are sorted; tables ((prefix, continuation, e), ...)
+    keep their first appearance; no exponent is zero.
+    """
 
-    def __pow__(self, r) -> "SequenceExpr":
-        return power(self, _as_fraction(r))
-
-
-@dataclass(frozen=True)
-class Geometric(SequenceExpr):
-    rate: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _as_fraction(self.rate))
-
-
-@dataclass(frozen=True)
-class LogPower(SequenceExpr):
-    exponent: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _as_fraction(self.exponent))
-
-
-@dataclass(frozen=True)
-class IterLog(SequenceExpr):
-    exponent: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _as_fraction(self.exponent))
-
-
-@dataclass(frozen=True)
-class ExpLogPow(SequenceExpr):
-    coeff: Fraction
-    kappa: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _as_fraction(self.coeff))
-        object.__setattr__(self, "kappa", _as_fraction(self.kappa))
-        if not (0 < self.kappa < 1):
-            raise SequenceError("exp-log exponent kappa must lie in (0,1)")
-        if self.coeff == 0:
-            raise SequenceError("exp-log coefficient must be nonzero; use 1 instead")
-
-
-@dataclass(frozen=True)
-class PiecewiseGeometric(SequenceExpr):
-    s0: Fraction
-    s1: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "s0", _as_fraction(self.s0))
-        object.__setattr__(self, "s1", _as_fraction(self.s1))
-        if not (0 <= self.s0 < self.s1):
-            raise SequenceError("pw2 requires 0 <= s0 < s1")
-
-
-@dataclass(frozen=True)
-class Table(SequenceExpr):
-    prefix: tuple
-    continuation: SequenceExpr
-
-    def __post_init__(self):
-        pref = tuple(Fraction(v) if not isinstance(v, Fraction) else v for v in self.prefix)
-        if not pref:
-            raise SequenceError("table prefix must be nonempty")
-        for v in pref:
-            if not v > 0:
-                raise PositivityError(f"table entry {v} is not positive")
-        object.__setattr__(self, "prefix", pref)
-        if self.depth() > MAX_DEPTH:
-            raise DepthError("expression nesting exceeds limit")
+    const: Fraction = _ONE
+    roots: tuple = ()
+    rate: Fraction = _ZERO
+    log_exp: Fraction = _ZERO
+    iterlog: Fraction = _ZERO
+    explog: tuple = ()
+    pw: tuple = ()
+    tables: tuple = ()
 
     def depth(self) -> int:
-        return 1 + self.continuation.depth()
+        return 1 + max((cont.depth() for _, cont, _ in self.tables), default=0)
 
+    @property
+    def has_pw(self) -> bool:
+        return bool(self.pw)
 
-@dataclass(frozen=True)
-class Product(SequenceExpr):
-    factors: tuple
+    @property
+    def rate_interval(self) -> tuple:
+        lo = hi = self.rate
+        for (s0, s1), expo in self.pw:
+            a, b = sorted((s0 * expo, s1 * expo))
+            lo, hi = lo + a, hi + b
+        return lo, hi
 
-    def depth(self) -> int:
-        return 1 + max(f.depth() for f in self.factors)
-
-
-@dataclass(frozen=True)
-class Power(SequenceExpr):
-    base: SequenceExpr
-    exponent: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _as_fraction(self.exponent))
-
-    def depth(self) -> int:
-        return 1 + self.base.depth()
-
-
-@dataclass(frozen=True)
-class Const(SequenceExpr):
-    value: Fraction
-
-    def __post_init__(self):
-        v = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
-        if not v > 0:
-            raise PositivityError(f"constant {v} is not positive")
-        object.__setattr__(self, "value", v)
+    @property
+    def sv_nodes(self) -> tuple:
+        parts = tuple(exp_log_pow(c, k) for k, c in self.explog)
+        if self.iterlog != 0:
+            parts = parts + (iter_log(self.iterlog),)
+        return parts
 
 
 # ---------------------------------------------------------------------------
-# normalizing constructors
+# constructors
 #
-# Building through these keeps every expression in a canonical product form:
-# like atoms merged, constants folded, rational powers pushed onto atoms.
-# The parser and all internal builders use them, which is what makes the
+# The atom constructors check their parameters; product and power merge
+# like atoms, fold constants and push rational powers onto exponents.  The
+# parser and all internal builders use them, which is what makes the
 # parse/render round trip exact.
 
 def geometric(rate) -> SequenceExpr:
-    rate = _as_fraction(rate)
-    if rate == 0:
-        return Const(1)
-    return Geometric(rate)
+    return SequenceExpr(rate=_as_fraction(rate))
 
 
 def log_power(exponent) -> SequenceExpr:
-    exponent = _as_fraction(exponent)
-    if exponent == 0:
-        return Const(1)
-    return LogPower(exponent)
+    return SequenceExpr(log_exp=_as_fraction(exponent))
 
 
 def iter_log(exponent) -> SequenceExpr:
-    exponent = _as_fraction(exponent)
-    if exponent == 0:
-        return Const(1)
-    return IterLog(exponent)
+    return SequenceExpr(iterlog=_as_fraction(exponent))
 
 
 def exp_log_pow(coeff, kappa) -> SequenceExpr:
     coeff = _as_fraction(coeff)
     if coeff == 0:
-        return Const(1)
-    return ExpLogPow(coeff, _as_fraction(kappa))
+        return SequenceExpr()
+    kappa = _as_fraction(kappa)
+    if not (0 < kappa < 1):
+        raise SequenceError("exp-log exponent kappa must lie in (0,1)")
+    return SequenceExpr(explog=((kappa, coeff),))
 
 
 def pw2(s0, s1) -> SequenceExpr:
-    return PiecewiseGeometric(_as_fraction(s0), _as_fraction(s1))
+    s0, s1 = _as_fraction(s0), _as_fraction(s1)
+    if not (0 <= s0 < s1):
+        raise SequenceError("pw2 requires 0 <= s0 < s1")
+    return SequenceExpr(pw=(((s0, s1), _ONE),))
 
 
 def table(prefix, continuation: SequenceExpr) -> SequenceExpr:
-    return Table(tuple(prefix), continuation)
+    pref = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in prefix)
+    if not pref:
+        raise SequenceError("table prefix must be nonempty")
+    for v in pref:
+        if not v > 0:
+            raise PositivityError(f"table entry {v} is not positive")
+    if 1 + continuation.depth() > MAX_DEPTH:
+        raise DepthError("expression nesting exceeds limit")
+    return SequenceExpr(tables=((pref, continuation, _ONE),))
 
 
 def const(value) -> SequenceExpr:
-    if isinstance(value, float):
-        value = Fraction(value)
-    return Const(_as_fraction(value))
+    v = Fraction(value) if isinstance(value, float) else _as_fraction(value)
+    if not v > 0:
+        raise PositivityError(f"constant {v} is not positive")
+    return SequenceExpr(const=v)
 
 
 def power(base: SequenceExpr, exponent) -> SequenceExpr:
     r = _as_fraction(exponent)
-    if r == 0:
-        return Const(1)
-    if r == 1:
-        return base
-    if isinstance(base, Const):
-        if r.denominator == 1:
-            return Const(base.value ** r.numerator)
-        return Power(base, r)
-    if isinstance(base, Geometric):
-        return geometric(base.rate * r)
-    if isinstance(base, LogPower):
-        return log_power(base.exponent * r)
-    if isinstance(base, IterLog):
-        return iter_log(base.exponent * r)
-    if isinstance(base, ExpLogPow):
-        return exp_log_pow(base.coeff * r, base.kappa)
-    if isinstance(base, Product):
-        return product(*(power(f, r) for f in base.factors))
-    if isinstance(base, Power):
-        return power(base.base, base.exponent * r)
-    node = Power(base, r)
-    if node.depth() > MAX_DEPTH:
-        raise DepthError("expression nesting exceeds limit")
-    return node
+    return base if r == 1 else _combine(((base, r),))
 
 
 def product(*xs: SequenceExpr) -> SequenceExpr:
-    const_acc = Fraction(1)
-    const_pow: list = []  # irrational constant powers like 2^(1/2)
-    geo = Fraction(0)
-    logp = Fraction(0)
-    iterl = Fraction(0)
+    return xs[0] if len(xs) == 1 else _combine((x, _ONE) for x in xs)
+
+
+def _combine(terms) -> SequenceExpr:
+    """Normal form of the product of x^r over (x, r) in terms: exponents
+    scale and add, integer powers of a root base fold into the constant,
+    zero exponents drop out and atoms are sorted."""
+    const_ = _ONE
+    rate = log_exp = iterlog = _ZERO
+    roots: dict = {}
     explog: dict = {}
-    opaque: list = []  # (base, exponent) for pw2 / table / other power bases
-
-    def absorb(e: SequenceExpr, outer: Fraction):
-        nonlocal const_acc, geo, logp, iterl
-        if isinstance(e, Product):
-            for f in e.factors:
-                absorb(f, outer)
-        elif isinstance(e, Power):
-            absorb(e.base, outer * e.exponent)
-        elif isinstance(e, Const):
-            if outer.denominator == 1:
-                const_acc *= e.value ** outer.numerator
+    pw: dict = {}
+    tables: dict = {}  # equal tables merge, so a table cancels against its reciprocal
+    for x, r in terms:
+        # zero exponents are skipped: Fraction arithmetic dominates the cost
+        if x.const != 1:
+            if r.denominator == 1:
+                const_ *= x.const ** r.numerator
             else:
-                const_pow.append((e, outer))
-        elif isinstance(e, Geometric):
-            geo += e.rate * outer
-        elif isinstance(e, LogPower):
-            logp += e.exponent * outer
-        elif isinstance(e, IterLog):
-            iterl += e.exponent * outer
-        elif isinstance(e, ExpLogPow):
-            explog[e.kappa] = explog.get(e.kappa, Fraction(0)) + e.coeff * outer
+                roots[x.const] = roots.get(x.const, _ZERO) + r
+        for b, e in x.roots:
+            roots[b] = roots.get(b, _ZERO) + e * r
+        if x.rate:
+            rate += x.rate * r
+        if x.log_exp:
+            log_exp += x.log_exp * r
+        if x.iterlog:
+            iterlog += x.iterlog * r
+        for k, c in x.explog:
+            explog[k] = explog.get(k, _ZERO) + c * r
+        for s, e in x.pw:
+            pw[s] = pw.get(s, _ZERO) + e * r
+        for pref, cont, e in x.tables:
+            tables[pref, cont] = tables.get((pref, cont), _ZERO) + e * r
+    kept = []
+    for base, expo in sorted(roots.items()):
+        if expo.denominator == 1:
+            const_ *= base ** expo.numerator
         else:
-            opaque.append((e, outer))
-
-    for x in xs:
-        absorb(x, Fraction(1))
-
-    # cancel repeated opaque bases (e.g. pw2 against its reciprocal)
-    merged: list = []
-    for base, expo in opaque:
-        for i, (b2, e2) in enumerate(merged):
-            if b2 == base:
-                merged[i] = (b2, e2 + expo)
-                break
-        else:
-            merged.append((base, expo))
-
-    out: list = []
-    if const_acc != 1:
-        out.append(Const(const_acc))
-    for e, r in const_pow:
-        out.append(Power(e, r))
-    if geo != 0:
-        out.append(Geometric(geo))
-    if logp != 0:
-        out.append(LogPower(logp))
-    if iterl != 0:
-        out.append(IterLog(iterl))
-    for kappa in sorted(explog):
-        if explog[kappa] != 0:
-            out.append(ExpLogPow(explog[kappa], kappa))
-    for base, expo in merged:
-        if expo == 0:
-            continue
-        if expo == 1:
-            out.append(base)
-        else:
-            out.append(Power(base, expo))
-
-    if not out:
-        return Const(1)
-    if len(out) == 1:
-        return out[0]
-    node = Product(tuple(out))
-    if node.depth() > MAX_DEPTH:
-        raise DepthError("expression nesting exceeds limit")
-    return node
+            kept.append((base, expo))
+    return SequenceExpr(
+        const_, tuple(kept), rate, log_exp, iterlog,
+        tuple(sorted((k, c) for k, c in explog.items() if c != 0)),
+        tuple(sorted((s, e) for s, e in pw.items() if e != 0)),
+        tuple((pref, cont, e) for (pref, cont), e in tables.items() if e != 0),
+    )
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _log2_fraction(v: Fraction) -> Union[Fraction, float]:
+def _log2_fraction(v: Union[Fraction, int]) -> Union[Fraction, float]:
     """log2 of a positive rational; exact when it is a power of two."""
     num, den = v.numerator, v.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
@@ -403,67 +278,63 @@ def _log2_fraction(v: Fraction) -> Union[Fraction, float]:
     return math.log2(num) - math.log2(den)
 
 
-def _pw_log2(node: PiecewiseGeometric, j: int) -> Fraction:
+def _add(a, b):
+    if a is _ZERO:  # the empty sum; saves a Fraction addition per call
+        return b
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    return float(a) + float(b)
+
+
+def _scale(r: Fraction, v):
+    return r * v if isinstance(v, Fraction) else float(r) * v
+
+
+def _pw_block(s0: Fraction, s1: Fraction, l: int) -> tuple:
+    """(exponent per unit index at the anchor j_l = 2^l, slope after it)."""
+    if l % 2 == 0:
+        return Fraction(2 * s1 + s0, 3), s0
+    return Fraction(s1 + 2 * s0, 3), s1
+
+
+def _pw_log2(s0: Fraction, s1: Fraction, j: int) -> Fraction:
     if j == 0:
         return Fraction(0)
     l = j.bit_length() - 1  # anchor j_l = 2^l <= j < 2^(l+1)
     jl = 1 << l
-    if l % 2 == 0:
-        anchor = Fraction(2 * node.s1 + node.s0, 3) * jl
-        slope = node.s0
-    else:
-        anchor = Fraction(node.s1 + 2 * node.s0, 3) * jl
-        slope = node.s1
-    return anchor + slope * (j - jl)
+    anchor, slope = _pw_block(s0, s1, l)
+    return anchor * jl + slope * (j - jl)
 
 
 def log2_value(e: SequenceExpr, j: int) -> Union[Fraction, float]:
-    """log2 of the j-th entry; a Fraction whenever exactly representable."""
+    """log2 of the j-th entry; a Fraction whenever exactly representable.
+
+    Parts are summed in the order render() prints them, so float results
+    do not depend on how the expression was built.
+    """
     if j < 0:
         raise ValueError("sequence index must be >= 0")
-    if isinstance(e, Const):
-        return _log2_fraction(e.value)
-    if isinstance(e, Geometric):
-        return e.rate * j
-    if isinstance(e, LogPower):
-        m = j + 1
-        if m & (m - 1) == 0:
-            return e.exponent * (m.bit_length() - 1)
-        return float(e.exponent) * math.log2(m)
-    if isinstance(e, IterLog):
-        m = j + 1
-        if m & (m - 1) == 0:
-            inner = 1 + (m.bit_length() - 1)
-            if inner & (inner - 1) == 0:
-                return e.exponent * (inner.bit_length() - 1)
-            return float(e.exponent) * math.log2(inner)
-        return float(e.exponent) * math.log2(1.0 + math.log2(m))
-    if isinstance(e, ExpLogPow):
-        if j == 0:
-            return Fraction(0)
-        t = math.log2(j + 1)
-        return float(e.coeff) * (t ** float(e.kappa)) * _LOG2_E
-    if isinstance(e, PiecewiseGeometric):
-        return _pw_log2(e, j)
-    if isinstance(e, Table):
-        if j < len(e.prefix):
-            return _log2_fraction(e.prefix[j])
-        return log2_value(e.continuation, j)
-    if isinstance(e, Power):
-        v = log2_value(e.base, j)
-        if isinstance(v, Fraction):
-            return e.exponent * v
-        return float(e.exponent) * v
-    if isinstance(e, Product):
-        acc: Union[Fraction, float] = Fraction(0)
-        for f in e.factors:
-            v = log2_value(f, j)
-            if isinstance(acc, Fraction) and isinstance(v, Fraction):
-                acc = acc + v
-            else:
-                acc = float(acc) + float(v)
-        return acc
-    raise TypeError(f"unknown node {type(e).__name__}")
+    acc: Union[Fraction, float] = _ZERO if e.const == 1 else _log2_fraction(e.const)
+    for base, r in e.roots:
+        acc = _add(acc, _scale(r, _log2_fraction(base)))
+    if e.rate:
+        acc = _add(acc, e.rate * j)
+    if e.log_exp or e.iterlog or e.explog:
+        lm = _log2_fraction(j + 1)
+        if e.log_exp:
+            acc = _add(acc, _scale(e.log_exp, lm))
+        if e.iterlog:
+            inner = _log2_fraction(1 + lm) if isinstance(lm, Fraction) else math.log2(1.0 + lm)
+            acc = _add(acc, _scale(e.iterlog, inner))
+        for kappa, coeff in e.explog:
+            if j > 0:
+                acc = _add(acc, float(coeff) * (float(lm) ** float(kappa)) * _LOG2_E)
+    for (s0, s1), r in e.pw:
+        acc = _add(acc, r * _pw_log2(s0, s1, j))
+    for prefix, cont, r in e.tables:
+        v = _log2_fraction(prefix[j]) if j < len(prefix) else log2_value(cont, j)
+        acc = _add(acc, _scale(r, v))
+    return acc
 
 
 def evaluate(e: SequenceExpr, j: int) -> float:
@@ -475,9 +346,23 @@ def evaluate(e: SequenceExpr, j: int) -> float:
     if x < -_LOG2_FLOAT_LIMIT:
         raise EvalOverflow(-1, lg)
     if isinstance(lg, Fraction) and lg.denominator == 1:
-        n = lg.numerator
-        return float(2 ** n) if n >= 0 else 1.0 / float(2 ** (-n))
+        return math.ldexp(1.0, lg.numerator)
     return 2.0 ** x
+
+
+def _pw_function_log2(s0: Fraction, s1: Fraction, xj: float) -> float:
+    # real-valued index xj = log2(t); exponent is piecewise linear in it
+    if xj <= 0.0:
+        return 0.0
+    if xj <= 1.0:
+        return float(_pw_block(s0, s1, 0)[0]) * xj
+    l = int(math.floor(math.log2(xj)))
+    jl = 2.0 ** l
+    if 2.0 * jl <= xj:
+        l += 1
+        jl *= 2.0
+    anchor, slope = _pw_block(s0, s1, l)
+    return float(anchor) * jl + float(slope) * (xj - jl)
 
 
 def function_log2(e: SequenceExpr, t: float) -> float:
@@ -490,48 +375,26 @@ def function_log2(e: SequenceExpr, t: float) -> float:
     if t < 1.0:
         raise ValueError("function argument must be >= 1")
     x = math.log2(t)
-    if isinstance(e, Const):
-        return float(_log2_fraction(e.value))
-    if isinstance(e, Geometric):
-        return float(e.rate) * x
-    if isinstance(e, LogPower):
-        return float(e.exponent) * math.log2(1.0 + x)
-    if isinstance(e, IterLog):
-        return float(e.exponent) * math.log2(1.0 + math.log2(1.0 + x))
-    if isinstance(e, ExpLogPow):
-        if x == 0.0:
-            return 0.0
-        return float(e.coeff) * (math.log2(1.0 + x) ** float(e.kappa)) * _LOG2_E
-    if isinstance(e, PiecewiseGeometric):
-        # real-valued index xj = log2(t); exponent is piecewise linear in it
-        xj = x
-        if xj <= 0.0:
-            return 0.0
-        first_anchor = float(Fraction(2 * e.s1 + e.s0, 3))
-        if xj <= 1.0:
-            return first_anchor * xj
-        l = int(math.floor(math.log2(xj)))
-        jl = 2.0 ** l
-        if 2.0 * jl <= xj:
-            l += 1
-            jl *= 2.0
-        if l % 2 == 0:
-            anchor = first_anchor * jl
-            slope = float(e.s0)
-        else:
-            anchor = float(Fraction(e.s1 + 2 * e.s0, 3)) * jl
-            slope = float(e.s1)
-        return anchor + slope * (xj - jl)
-    if isinstance(e, Table):
+    acc = float(_log2_fraction(e.const))
+    for base, r in e.roots:
+        acc += float(r) * float(_log2_fraction(base))
+    if e.rate:
+        acc += float(e.rate) * x
+    if e.log_exp:
+        acc += float(e.log_exp) * math.log2(1.0 + x)
+    if e.iterlog:
+        acc += float(e.iterlog) * math.log2(1.0 + math.log2(1.0 + x))
+    for kappa, coeff in e.explog:
+        if x != 0.0:
+            acc += float(coeff) * (math.log2(1.0 + x) ** float(kappa)) * _LOG2_E
+    for (s0, s1), r in e.pw:
+        acc += float(r) * _pw_function_log2(s0, s1, x)
+    for prefix, cont, r in e.tables:
         jfloor = int(math.floor(x))
-        if jfloor < len(e.prefix):
-            return float(_log2_fraction(e.prefix[jfloor]))
-        return function_log2(e.continuation, t)
-    if isinstance(e, Power):
-        return float(e.exponent) * function_log2(e.base, t)
-    if isinstance(e, Product):
-        return sum(function_log2(f, t) for f in e.factors)
-    raise TypeError(f"unknown node {type(e).__name__}")
+        v = float(_log2_fraction(prefix[jfloor])) if jfloor < len(prefix) \
+            else function_log2(cont, t)
+        acc += float(r) * v
+    return acc
 
 
 def function_value(e: SequenceExpr, t: float) -> float:
@@ -548,99 +411,19 @@ def strip_tables(e: SequenceExpr) -> SequenceExpr:
     (memberships, Boyd indices, equivalence class), so the stripped
     expression carries the same tail behaviour.
     """
-    if isinstance(e, Table):
-        return strip_tables(e.continuation)
-    if isinstance(e, Power):
-        return power(strip_tables(e.base), e.exponent)
-    if isinstance(e, Product):
-        return product(*(strip_tables(f) for f in e.factors))
-    return e
+    if not e.tables:
+        return e
+    return product(replace(e, tables=()),
+                   *(power(strip_tables(cont), r) for _, cont, r in e.tables))
 
 
 # ---------------------------------------------------------------------------
 # structure analysis
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Multiplicative structure of an expression after table stripping.
-
-    classified is False when some factor resists the atom algebra (then only
-    window numerics apply downstream).  pw collects (node, exponent) pairs
-    for oscillating atoms; rate/log_exp/explog/iterlog describe the smooth
-    part.
-    """
-
-    classified: bool
-    rate: Fraction = Fraction(0)
-    log_exp: Fraction = Fraction(0)
-    explog: tuple = ()  # sorted ((kappa, coeff), ...)
-    iterlog: Fraction = Fraction(0)
-    pw: tuple = ()  # ((PiecewiseGeometric, exponent), ...)
-
-    @property
-    def has_pw(self) -> bool:
-        return bool(self.pw)
-
-    @property
-    def rate_interval(self) -> tuple:
-        lo = hi = self.rate
-        for node, expo in self.pw:
-            a, b = node.s0 * expo, node.s1 * expo
-            if a > b:
-                a, b = b, a
-            lo, hi = lo + a, hi + b
-        return lo, hi
-
-    @property
-    def sv_nodes(self) -> tuple:
-        parts = tuple(ExpLogPow(c, k) for k, c in self.explog if c != 0)
-        if self.iterlog != 0:
-            parts = parts + (IterLog(self.iterlog),)
-        return parts
-
-
-def decompose(e: SequenceExpr) -> Decomposition:
-    e = strip_tables(e)
-    rate = Fraction(0)
-    log_exp = Fraction(0)
-    iterlog = Fraction(0)
-    explog: dict = {}
-    pw: list = []
-    ok = True
-
-    def walk(x: SequenceExpr, outer: Fraction):
-        nonlocal rate, log_exp, iterlog, ok
-        if isinstance(x, Product):
-            for f in x.factors:
-                walk(f, outer)
-        elif isinstance(x, Power):
-            walk(x.base, outer * x.exponent)
-        elif isinstance(x, Const):
-            pass
-        elif isinstance(x, Geometric):
-            rate += x.rate * outer
-        elif isinstance(x, LogPower):
-            log_exp += x.exponent * outer
-        elif isinstance(x, IterLog):
-            iterlog += x.exponent * outer
-        elif isinstance(x, ExpLogPow):
-            explog[x.kappa] = explog.get(x.kappa, Fraction(0)) + x.coeff * outer
-        elif isinstance(x, PiecewiseGeometric):
-            pw.append((x, outer))
-        else:
-            ok = False
-
-    walk(e, Fraction(1))
-    explog_t = tuple(sorted((k, c) for k, c in explog.items() if c != 0))
-    pw_t = tuple((n, r) for n, r in pw if r != 0)
-    return Decomposition(
-        classified=ok,
-        rate=rate,
-        log_exp=log_exp,
-        explog=explog_t,
-        iterlog=iterlog,
-        pw=pw_t,
-    )
+def decompose(e: SequenceExpr) -> SequenceExpr:
+    """The table-free monomial whose rate, log_exp, iterlog, explog and pw
+    carry the asymptotic structure of e."""
+    return strip_tables(e)
 
 
 @dataclass(frozen=True)
@@ -670,63 +453,48 @@ def canonicalize(e: SequenceExpr) -> SequenceProfile:
     the continuation decides them, so that reported exactness always tracks
     what was proven from visible structure.
     """
-    has_table = _contains_table(e)
-    d = decompose(e)
-    if not d.classified:
-        return SequenceProfile(None, None, None, None, None, False, False)
-    if has_table:
+    if e.tables:
         # finite prefixes do not move any asymptotic quantity, but the
         # profile only reports what the visible structure proves; window
         # bracketing in seqcore recovers index intervals.
         return SequenceProfile(None, None, None, None, None, False, True)
-    sv = d.sv_nodes
+    sv = e.sv_nodes
     sv_expr = product(*sv) if sv else None
-    if d.has_pw:
-        lo, hi = d.rate_interval
-        return SequenceProfile(None, d.log_exp, sv_expr, lo, hi, False, True)
-    canonical = len(sv) <= 1
-    return SequenceProfile(d.rate, d.log_exp, sv_expr, d.rate, d.rate, canonical, True)
-
-
-def _contains_table(e: SequenceExpr) -> bool:
-    if isinstance(e, Table):
-        return True
-    if isinstance(e, Power):
-        return _contains_table(e.base)
-    if isinstance(e, Product):
-        return any(_contains_table(f) for f in e.factors)
-    return False
+    if e.pw:
+        lo, hi = e.rate_interval
+        return SequenceProfile(None, e.log_exp, sv_expr, lo, hi, False, True)
+    return SequenceProfile(e.rate, e.log_exp, sv_expr, e.rate, e.rate, len(sv) <= 1, True)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 def render(e: SequenceExpr) -> str:
-    return _render(e, top=True)
-
-
-def _render(e: SequenceExpr, top: bool = False) -> str:
-    if isinstance(e, Const):
-        return _fmt_rat(e.value)
-    if isinstance(e, Geometric):
-        return f"2^({_fmt_rat(e.rate)}*j)"
-    if isinstance(e, LogPower):
-        return f"(1+j)^{_fmt_rat(e.exponent)}"
-    if isinstance(e, IterLog):
-        return f"(1+log(1+j))^{_fmt_rat(e.exponent)}"
-    if isinstance(e, ExpLogPow):
-        return f"exp({_fmt_rat(e.coeff)}*log(1+j)^{_fmt_rat(e.kappa)})"
-    if isinstance(e, PiecewiseGeometric):
-        return f"pw2(s0={_fmt_rat(e.s0)},s1={_fmt_rat(e.s1)})"
-    if isinstance(e, Table):
-        body = ",".join(_fmt_rat(v) for v in e.prefix)
-        s = f"table[{body}] then {_render(e.continuation, top=True)}"
-        return s if top else f"({s})"
-    if isinstance(e, Power):
-        return f"({_render(e.base)})^{_fmt_rat(e.exponent)}"
-    if isinstance(e, Product):
-        return " * ".join(_render(f) for f in e.factors)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    parts = [] if e.const == 1 else [str(e.const)]
+    for base, r in e.roots:
+        parts.append(f"({base})^{r}")
+    if e.rate:
+        parts.append(f"2^({e.rate}*j)")
+    if e.log_exp:
+        parts.append(f"(1+j)^{e.log_exp}")
+    if e.iterlog:
+        parts.append(f"(1+log(1+j))^{e.iterlog}")
+    for k, c in e.explog:
+        parts.append(f"exp({c}*log(1+j)^{k})")
+    for (s0, s1), r in e.pw:
+        atom = f"pw2(s0={s0},s1={s1})"
+        parts.append(atom if r == 1 else f"({atom})^{r}")
+    # a lone table prints bare; next to other factors or powered it is
+    # parenthesized, since its continuation extends to the end of input
+    lone = not parts and len(e.tables) == 1
+    for prefix, cont, r in e.tables:
+        atom = f"table[{','.join(map(str, prefix))}] then {render(cont)}"
+        if r != 1:
+            atom = f"({atom})^{r}"
+        elif not lone:
+            atom = f"({atom})"
+        parts.append(atom)
+    return " * ".join(parts) if parts else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +505,7 @@ _SYMBOLS = "^()[],*/+-="
 
 @dataclass
 class _Tok:
-    kind: str  # NUM NAME SYM RAT END
+    kind: str  # NUM NAME SYM END
     text: str
     pos: int
     value: object = None
@@ -784,6 +552,7 @@ class _Parser:
     def __init__(self, toks: list):
         self.toks = toks
         self.i = 0
+        self.nesting = 0  # open parentheses and table continuations
 
     def peek(self, ahead: int = 0) -> _Tok:
         k = min(self.i + ahead, len(self.toks) - 1)
@@ -795,43 +564,27 @@ class _Parser:
             self.i += 1
         return t
 
-    def expect_sym(self, s: str) -> _Tok:
+    def expect(self, text: str, kind: str = "SYM") -> _Tok:
         t = self.next()
-        if t.kind != "SYM" or t.text != s:
-            raise ParseError(f"expected {s!r}, found {t.text or 'end of input'!r}", t.pos)
+        if t.kind != kind or t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.pos)
         return t
 
-    def expect_name(self, name: str) -> _Tok:
-        t = self.next()
-        if t.kind != "NAME" or t.text != name:
-            raise ParseError(f"expected {name!r}, found {t.text or 'end of input'!r}", t.pos)
-        return t
-
-    def at_sym(self, s: str, ahead: int = 0) -> bool:
+    def at(self, text: str, ahead: int = 0, kind: str = "SYM") -> bool:
         t = self.peek(ahead)
-        return t.kind == "SYM" and t.text == s
+        return t.kind == kind and t.text == text
 
-    def at_name(self, s: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "NAME" and t.text == s
-
-    # rational := ['-'] NUM ['/' NUM]   (or a substituted RAT token)
+    # rational := ['-'] NUM ['/' NUM]
     def rational(self) -> Fraction:
+        neg = self.at("-")
+        if neg:
+            self.next()
         t = self.peek()
-        neg = False
-        if t.kind == "SYM" and t.text == "-":
-            self.next()
-            neg = True
-            t = self.peek()
-        if t.kind == "RAT":
-            self.next()
-            v = t.value
-            return -v if neg else v
         if t.kind != "NUM":
             raise ParseError(f"expected number, found {t.text or 'end of input'!r}", t.pos)
         self.next()
         v = t.value
-        if self.at_sym("/") and self.peek(1).kind == "NUM":
+        if self.at("/") and self.peek(1).kind == "NUM":
             self.next()
             den = self.next().value
             if den == 0:
@@ -841,39 +594,34 @@ class _Parser:
 
     def expr(self) -> SequenceExpr:
         factors = [self.term()]
-        while True:
-            if self.at_sym("*"):
-                self.next()
-                factors.append(self.term())
-            elif self.at_sym("/"):
-                self.next()
-                factors.append(power(self.term(), Fraction(-1)))
-            else:
-                break
+        while self.at("*") or self.at("/"):
+            divide = self.next().text == "/"
+            f = self.term()
+            factors.append(power(f, Fraction(-1)) if divide else f)
         return product(*factors)
 
     def term(self) -> SequenceExpr:
         f = self.factor()
-        if self.at_sym("^"):
+        if self.at("^"):
             self.next()
             f = power(f, self.rational())
         return f
 
     def factor(self) -> SequenceExpr:
         t = self.peek()
-        if t.kind == "NUM" or t.kind == "RAT" or (t.kind == "SYM" and t.text == "-"):
+        if t.kind == "NUM" or self.at("-"):
             pos = t.pos
             base = self.rational()
             # base-2 geometric: 2^( linear )
-            if self.at_sym("^") and self.at_sym("(", 1):
+            if self.at("^") and self.at("(", 1):
                 self.next()
                 self.next()
                 node = self.linear(base, pos)
-                self.expect_sym(")")
+                self.expect(")")
                 return node
             if base <= 0:
                 raise PositivityError(f"constant {base} is not positive (at offset {pos})")
-            return Const(base)
+            return const(base)
         if t.kind == "NAME":
             if t.text == "table":
                 return self.table_form()
@@ -882,31 +630,40 @@ class _Parser:
             if t.text == "exp":
                 return self.exp_form()
             raise ParseError(f"unbound name {t.text!r}", t.pos)
-        if t.kind == "SYM" and t.text == "(":
+        if self.at("("):
             # (1+j)^b | (1+log(1+j))^b | ( expr )
-            if self.peek(1).kind == "NUM" and self.peek(1).value == 1 and self.at_sym("+", 2):
-                if self.peek(3).kind == "NAME" and self.peek(3).text == "j" and self.at_sym(")", 4):
+            if self.peek(1).kind == "NUM" and self.peek(1).value == 1 and self.at("+", 2):
+                if self.at("j", 3, "NAME") and self.at(")", 4):
                     for _ in range(5):
                         self.next()
                     return log_power(self.opt_exponent())
-                if self.peek(3).kind == "NAME" and self.peek(3).text == "log":
-                    self.next()  # (
-                    self.next()  # 1
-                    self.next()  # +
-                    self.next()  # log
-                    self.expect_sym("(")
+                if self.at("log", 3, "NAME"):
+                    for _ in range(4):  # ( 1 + log
+                        self.next()
+                    self.expect("(")
                     self.one_plus_j()
-                    self.expect_sym(")")
-                    self.expect_sym(")")
+                    self.expect(")")
+                    self.expect(")")
                     return iter_log(self.opt_exponent())
             self.next()
-            inner = self.expr()
-            self.expect_sym(")")
+            inner = self.nested()
+            self.expect(")")
             return inner
         raise ParseError(f"expected a factor, found {t.text or 'end of input'!r}", t.pos)
 
+    def nested(self) -> SequenceExpr:
+        # checked before descending, so deep input fails with DepthError
+        # instead of exhausting the interpreter stack
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise DepthError(f"expression nesting exceeds limit {MAX_DEPTH} "
+                             f"(at offset {self.peek().pos})")
+        inner = self.expr()
+        self.nesting -= 1
+        return inner
+
     def opt_exponent(self) -> Fraction:
-        if self.at_sym("^"):
+        if self.at("^"):
             self.next()
             return self.rational()
         return Fraction(1)
@@ -925,125 +682,79 @@ class _Parser:
         t = self.next()
         if not (t.kind == "NUM" and t.value == 1):
             raise ParseError("expected '1+j'", t.pos)
-        self.expect_sym("+")
+        self.expect("+")
         tj = self.next()
         if not (tj.kind == "NAME" and tj.text == "j"):
             raise ParseError("expected '1+j'", tj.pos)
 
     # linear := rational '*' j | j ['*' rational] | rational,  after 'b^('
     def linear(self, base: Fraction, pos: int) -> SequenceExpr:
-        if self.at_name("j"):
+        if self.at("j", kind="NAME"):
             self.next()
             coeff = Fraction(1)
-            if self.at_sym("*"):
+            if self.at("*"):
                 self.next()
                 coeff = self.rational()
             return geometric(coeff * self.dyadic_log2(base, pos))
         coeff = self.rational()
-        if self.at_sym("*"):
+        if self.at("*"):
             self.next()
-            self.expect_name("j")
+            self.expect("j", "NAME")
             return geometric(coeff * self.dyadic_log2(base, pos))
         # constant exponent
         if base <= 0:
             raise PositivityError(f"constant {base} is not positive (at offset {pos})")
-        return power(Const(base), coeff)
+        return power(const(base), coeff)
 
     def table_form(self) -> SequenceExpr:
-        self.expect_name("table")
-        self.expect_sym("[")
+        self.expect("table", "NAME")
+        self.expect("[")
         vals = [self.rational()]
-        while self.at_sym(","):
+        while self.at(","):
             self.next()
             vals.append(self.rational())
-        self.expect_sym("]")
-        self.expect_name("then")
-        cont = self.expr()
+        self.expect("]")
+        self.expect("then", "NAME")
+        cont = self.nested()
         return table(vals, cont)
 
     def pw2_form(self) -> SequenceExpr:
-        self.expect_name("pw2")
-        self.expect_sym("(")
+        self.expect("pw2", "NAME")
+        self.expect("(")
         params = {}
         for _ in range(2):
             t = self.next()
             if t.kind != "NAME" or t.text not in ("s0", "s1"):
                 raise ParseError("pw2 expects parameters s0 and s1", t.pos)
-            self.expect_sym("=")
+            self.expect("=")
             params[t.text] = self.rational()
-            if self.at_sym(","):
+            if self.at(","):
                 self.next()
-        self.expect_sym(")")
+        self.expect(")")
         if set(params) != {"s0", "s1"}:
             raise ParseError("pw2 expects parameters s0 and s1", self.peek().pos)
         return pw2(params["s0"], params["s1"])
 
     def exp_form(self) -> SequenceExpr:
-        self.expect_name("exp")
-        self.expect_sym("(")
+        self.expect("exp", "NAME")
+        self.expect("(")
         coeff = self.rational()
-        self.expect_sym("*")
-        self.expect_name("log")
-        self.expect_sym("(")
+        self.expect("*")
+        self.expect("log", "NAME")
+        self.expect("(")
         self.one_plus_j()
-        self.expect_sym(")")
-        self.expect_sym("^")
+        self.expect(")")
+        self.expect("^")
         kappa = self.rational()
-        self.expect_sym(")")
+        self.expect(")")
         if not (0 < kappa < 1):
             raise ParseError("exp-log exponent must lie strictly between 0 and 1", self.peek().pos)
         return exp_log_pow(coeff, kappa)
 
 
-def _split_bindings(toks: list):
-    depth = 0
-    for k, t in enumerate(toks):
-        if t.kind == "SYM" and t.text in "([":
-            depth += 1
-        elif t.kind == "SYM" and t.text in ")]":
-            depth -= 1
-        elif t.kind == "NAME" and t.text == "with" and depth == 0:
-            return toks[:k] + [_Tok("END", "", t.pos)], toks[k + 1:]
-    return toks, None
-
-
-def _parse_bindings(toks: list) -> dict:
-    p = _Parser(toks)
-    out = {}
-    while True:
-        t = p.next()
-        if t.kind != "NAME":
-            raise ParseError("expected binding name", t.pos)
-        if t.text in ("j", "with", "then", "table", "pw2", "exp", "log"):
-            raise ParseError(f"{t.text!r} cannot be bound", t.pos)
-        p.expect_sym("=")
-        out[t.text] = p.rational()
-        if p.at_sym(","):
-            p.next()
-            continue
-        end = p.next()
-        if end.kind != "END":
-            raise ParseError("malformed binding list", end.pos)
-        return out
-
-
-_KEYWORDS = {"j", "with", "then", "table", "pw2", "exp", "log", "s0", "s1"}
-
-
 def parse(text: str) -> SequenceExpr:
     """Parse the sequence DSL; raises ParseError with a byte offset."""
-    toks = _lex(text)
-    body, binding_toks = _split_bindings(toks)
-    if binding_toks is not None:
-        bindings = _parse_bindings(binding_toks)
-        subst = []
-        for t in body:
-            if t.kind == "NAME" and t.text in bindings:
-                subst.append(_Tok("RAT", t.text, t.pos, bindings[t.text]))
-            else:
-                subst.append(t)
-        body = subst
-    p = _Parser(body)
+    p = _Parser(_lex(text))
     e = p.expr()
     tail = p.next()
     if tail.kind != "END":

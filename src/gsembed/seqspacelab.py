@@ -147,8 +147,7 @@ def embedding_norm_closed(section: FiniteSection) -> float:
     gap = recip(section.q2) - recip(section.q1)
     if gap <= 0:
         return max(gains)
-    r = float(1 / gap)
-    return float(sum(g ** r for g in gains)) ** (1.0 / r)
+    return _lp_norm(1 / gap)(gains)
 
 
 def _lp_norm(p: ExtReal):

@@ -287,9 +287,7 @@ def test_criterion_10_nuclear_implies_compact_and_reproduce(sweep_problems,
         ch = case.check
         if "sigma" not in ch:
             continue
-        pr = EmbeddingProblem(ch["sigma"], ch["tau"], ch["p1"], ch["q1"],
-                              ch["p2"], ch["q2"], int(ch["dim"]),
-                              ch.get("scale", "B"))
+        pr = EmbeddingProblem.from_dict(ch)
         if not pr.is_banach():
             continue
         if nuclearity(pr).status == "holds" and \

@@ -1,6 +1,7 @@
 """Command-line surface: payload schemas, exit codes, seed handling."""
 
 import json
+import math
 
 import jsonschema
 import pytest
@@ -26,6 +27,15 @@ class TestSeq:
         code, doc = invoke(capsys, "seq", "parse", "3^(j)")
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "2" + ")" * 3000,
+                                      "table[1] then " * 3000 + "2"],
+                             ids=["parentheses", "tables"])
+    def test_deep_nesting_is_error(self, capsys, expr):
+        code, doc = invoke(capsys, "seq", "parse", expr)
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert "nesting" in doc["error"]
 
     def test_eval_values(self, capsys):
         code, doc = invoke(capsys, "seq", "eval", "2^(j)", "--j", "0", "3", "10")
@@ -200,6 +210,23 @@ class TestLab:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert says in doc["error"] and "level" in doc["error"]
+
+    def test_norm_gains_beyond_float_powers(self, capsys):
+        # gain^r leaves the float range although the norm is about 1e50
+        section = json.dumps({"beta": [1e-50, 1.0], "M": [1, 2], "p1": 2,
+                              "q1": "3/2", "p2": 2, "q2": "4/3"})
+        code, doc = invoke(capsys, "lab", "norm", "--section", section)
+        assert code == 0
+        assert math.isfinite(doc["closed"])
+
+    def test_problem_missing_key_is_error(self, capsys, tmp_path):
+        f = tmp_path / "problem.json"
+        f.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": 1,
+                                 "q1": 1, "p2": "inf", "q2": "inf"}))
+        code, doc = invoke(capsys, "lab", "ratefit", "--from-problem", str(f))
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert "dim" in doc["error"]
 
     def test_missing_section_is_error(self, capsys):
         code, doc = invoke(capsys, "lab", "norm")

@@ -12,6 +12,7 @@ from gsembed import (
     certify_admissible,
     const,
     equivalent,
+    evaluate,
     geometric,
     is_almost_strongly_increasing,
     iter_log,
@@ -150,7 +151,7 @@ class TestStandardize:
         out = standardize(parse("2^(j)"), parse("4^(j)"), kappa0=1)
         # k(j) = max(0, ceil((j-3)/2)) gives the frozen prefix
         assert strip_tables(out) != out
-        vals = [float(out.prefix[j]) for j in range(8)]
+        vals = [evaluate(out, j) for j in range(8)]
         assert vals == [1, 1, 1, 1, 2, 2, 4, 4]
         assert equivalent(out, parse("2^(1/2*j)")).status == "yes"
 
@@ -181,6 +182,14 @@ class TestModulus:
         conv = sequence_from_modulus(power(sigma, Fraction(-1)))
         assert equivalent(conv.sequence, sigma).status == "yes"
         assert conv.level < 2
+
+    def test_certificate_never_tighter_than_rate(self):
+        # a large-denominator rate is where a nearest-fraction rounding of
+        # the level falls below the true ratio exponent
+        rate = Fraction(2367687598, 53491402865)
+        cert = sequence_from_modulus(geometric(-rate)).certificate
+        assert cert.log2_d1 >= rate
+        assert cert.log2_d0 <= -rate
 
     def test_rejects_steep_modulus(self):
         with pytest.raises(ModulusRejected) as ei:

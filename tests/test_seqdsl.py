@@ -6,12 +6,13 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from gsembed import (
-    Const,
+    DepthError,
     EvalOverflow,
     ParseError,
     PositivityError,
     SequenceError,
     canonicalize,
+    const,
     decompose,
     evaluate,
     exp_log_pow,
@@ -79,6 +80,11 @@ class TestParsing:
         with pytest.raises(SequenceError):
             pw2(-1, 1)
 
+    def test_nesting_limit(self):
+        assert parse("(" * 32 + "2" + ")" * 32) == const(2)
+        with pytest.raises(DepthError):
+            parse("(" * 33 + "2" + ")" * 33)
+
     def test_unbound_name(self):
         with pytest.raises(ParseError):
             parse("sigma")
@@ -92,6 +98,25 @@ class TestParsing:
     def test_render_round_trip_pw(self, quad):
         e, _, _, _ = quad
         assert parse(render(e)) == e
+
+
+class TestNormalForm:
+    def test_product_is_order_free(self):
+        assert parse("pw2(s0=0,s1=1)*pw2(s0=1,s1=2)") == \
+            parse("pw2(s0=1,s1=2)*pw2(s0=0,s1=1)")
+        assert parse("(1+j)*2^(j)*exp(1*log(1+j)^1/2)") == \
+            parse("exp(1*log(1+j)^1/2)*2^(j)*(1+j)")
+
+    def test_constant_roots_merge(self):
+        e = parse("(3)^1/2 * (3)^1/2")
+        assert e == const(3)
+        assert render(e) == "3"
+        assert render(parse("3^(1/2)*3^(1/4)")) == "(3)^3/4"
+
+    def test_reciprocal_cancels(self):
+        assert parse("pw2(s0=0,s1=1)/pw2(s0=0,s1=1)") == const(1)
+        t = "(table[1,2] then 2^(j))"
+        assert parse(f"{t}*2^(j)/{t}") == geometric(1)
 
 
 class TestEvaluation:
@@ -145,7 +170,6 @@ class TestDecomposition:
     def test_rate_and_log(self, triple):
         e, r, b = triple
         d = decompose(e)
-        assert d.classified
         assert d.rate == r
         assert d.log_exp == b
 
