@@ -234,152 +234,73 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# exact membership of classified sequences
-
-def _dominant_sv(d: SequenceExpr):
-    """(label, value) of the factor that decides ties: the largest-kappa
-    stretched-exponential coefficient if any, else the iterated-log
-    exponent, else None."""
-    if d.explog:
-        kappa, coeff = max(d.explog)
-        return ("explog", coeff)
-    if d.iterlog != 0:
-        return ("iterlog", d.iterlog)
-    return None
-
-
-def _membership_smooth(d: SequenceExpr, target: Target, ev: dict) -> str:
-    rho = d.rate
-    if rho < 0:
-        ev["decided_by"] = "geometric decay"
-        return "holds"
-    if rho > 0:
-        ev["decided_by"] = "geometric growth"
-        return "fails"
-
-    b = d.log_exp
-    dom = _dominant_sv(d)
-    if target.kind == "ell" and target.r != INF:
-        r = Fraction(target.r)
-        rb = r * b
-        if rb < -1:
-            ev["decided_by"] = f"log power {b} below summability boundary"
-            return "holds"
-        if rb > -1:
-            ev["decided_by"] = f"log power {b} above summability boundary"
-            return "fails"
-        ev["boundary"] = f"r*log_exp == -1 at r={target.r}"
-        if dom is None:
-            ev["decided_by"] = "harmonic boundary, no slowly varying factor"
-            return "fails"
-        label, value = dom
-        if label == "explog":
-            ev["decided_by"] = f"stretched-exponential coefficient {value}"
-            return "holds" if value < 0 else "fails"
-        rc = r * value
-        ev["decided_by"] = f"iterated-log exponent {value} at boundary"
-        return "holds" if rc < -1 else "fails"
-
-    # c0 and ell_inf: pointwise decay / boundedness
-    if b < 0:
-        ev["decided_by"] = f"log power {b} decays"
-        return "holds"
-    if b > 0:
-        ev["decided_by"] = f"log power {b} grows"
-        return "fails"
-    if dom is not None:
-        label, value = dom
-        ev["decided_by"] = f"{label} factor with exponent {value}"
-        if value < 0:
-            return "holds"
-        if value > 0:
-            return "fails"
-    ev["decided_by"] = "sequence has a positive limit"
-    return "holds" if target.kind == "ell" else "fails"  # ell here means ell_inf
-
-
-def _pw_anchor_rates(d: SequenceExpr):
-    """Exact growth rates along the two anchor subsequences of the dyadic
-    block structure shared by all oscillating atoms."""
-    even = d.rate
-    odd = d.rate
-    for (s0, s1), expo in d.pw:
-        even += expo * (2 * s1 + s0) / 3
-        odd += expo * (s1 + 2 * s0) / 3
-    return even, odd
-
-
-def _membership_pw(d: SequenceExpr, target: Target, ev: dict) -> str:
-    even, odd = _pw_anchor_rates(d)
-    ev["anchor_rate_even"] = str(even)
-    ev["anchor_rate_odd"] = str(odd)
-    top = max(even, odd)
-    if top < 0:
-        ev["decided_by"] = "negative growth rate along both anchor subsequences"
-        return "holds"
-    if top > 0:
-        ev["decided_by"] = "positive growth rate along an anchor subsequence"
-        return "fails"
-    if even == 0 and odd == 0:
-        # exponents cancel identically; the log/sv part decides densely
-        ev["pw_branch"] = "exponent identically zero"
-        flat = replace(d, rate=Fraction(0), pw=())
-        return _membership_smooth(flat, target, ev)
-
-    # zero rate on one anchor family only: those anchors are exponentially
-    # sparse and the sequence decays geometrically away from them, so a
-    # block contributes a bounded multiple of its anchor term
-    ev["pw_branch"] = "sparse zero anchors"
-    b = d.log_exp
-    dom = _dominant_sv(d)
-    if b < 0:
-        ev["decided_by"] = f"anchor log power {b} decays (geometric in block index)"
-        return "holds"
-    if b > 0:
-        ev["decided_by"] = f"anchor log power {b} grows"
-        return "fails"
-    if dom is not None:
-        label, value = dom
-        if label == "explog":
-            ev["decided_by"] = f"anchor stretched-exponential coefficient {value}"
-            if value < 0:
-                return "holds"
-            if value > 0:
-                return "fails"
-        else:
-            value = dom[1]
-            if target.kind == "ell" and target.r != INF:
-                rc = Fraction(target.r) * value
-                ev["decided_by"] = f"block sums behave like sum l^{rc}"
-                return "holds" if rc < -1 else "fails"
-            ev["decided_by"] = f"anchor iterated-log exponent {value}"
-            if value < 0:
-                return "holds"
-            if value > 0:
-                return "fails"
-            return "holds" if target.kind == "ell" and target.r == INF else "fails"
-    if target.kind == "ell" and target.r == INF:
-        ev["decided_by"] = "anchor terms bounded"
-        return "holds"
-    if target.kind == "ell":
-        ev["decided_by"] = "one anchor term of unit size per dyadic block"
-        return "fails"
-    ev["decided_by"] = "anchor terms do not vanish"
-    return "fails"
-
+# exact membership
 
 def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
-    """Exact membership of a classified sequence in ell_r / c0 / ell_inf.
+    """Exact membership of a sequence in ell_r / c0 / ell_inf.
 
     Finite prefixes of positive entries never change membership, so table
-    atoms are stripped before the structural test.
+    atoms are stripped first.  The exponents of the monomial are then read
+    in order of tail dominance,
+
+        (rate, log_exp + s, explog coefficients by descending kappa, iterlog + s)
+
+    with s = 1/r for a finite ell_r target and s = 0 for c0 and ell_inf.
+    The sign of the first non-zero entry decides: negative means the
+    sequence lies in the target, positive that it does not.  If every entry
+    is zero only ell_inf holds: the sequence has a positive limit, or for
+    finite r its r-th powers sum like the harmonic series.
+
+    A pw2 monomial is decided along the two anchor subsequences j_l = 2^l
+    of the dyadic block structure shared by all oscillating atoms: rate is
+    the larger of the two exact anchor rates.  When it is zero and the
+    other is negative, the zero anchors are exponentially sparse and the
+    sequence decays geometrically away from them, so a block contributes a
+    bounded multiple of its anchor term.  Along j = 2^l the log power is
+    geometric in l and the iterated log is the power l^iterlog, so the key
+    shifts one level: (log_exp, explog coefficients..., iterlog + s).  When
+    both anchor rates are zero the exponents cancel identically and the
+    smooth key decides densely.
+
+    evidence["decided_by"] names the entry that fired, one of
+
+        rate, log, explog, iterlog, limit          smooth key
+        anchor-rate                                larger anchor rate
+        anchor-log, anchor-explog, anchor-iterlog,
+        anchor-limit                               sparse zero anchors
+
+    and evidence["value"] holds that entry as a Fraction.  A pw2 monomial
+    also reports anchor_rate_even and anchor_rate_odd.
     """
     d = decompose(expr)
     ev = {"target": str(target)}
+    lead, sparse = ("rate", d.rate), False
     if d.pw:
-        status = _membership_pw(d, target, ev)
+        even = odd = d.rate
+        for (s0, s1), expo in d.pw:
+            even += expo * (2 * s1 + s0) / 3
+            odd += expo * (s1 + 2 * s0) / 3
+        ev["anchor_rate_even"], ev["anchor_rate_odd"] = str(even), str(odd)
+        lead = ("anchor-rate", max(even, odd))
+        sparse = lead[1] == 0 and even != odd
+    pre = "anchor-" if sparse else ""
+
+    def key():  # lazy: most sequences are decided by their rate
+        yield lead
+        s = recip(target.r) if target.kind == "ell" else Fraction(0)
+        yield pre + "log", d.log_exp if sparse else d.log_exp + s
+        for _, c in reversed(d.explog):
+            yield pre + "explog", c
+        yield pre + "iterlog", d.iterlog + s
+
+    for rule, value in key():
+        if value:
+            status = "holds" if value < 0 else "fails"
+            break
     else:
-        status = _membership_smooth(d, target, ev)
+        rule, value = pre + "limit", Fraction(0)
+        status = "holds" if target.kind == "ell" and target.r == INF else "fails"
+    ev["decided_by"], ev["value"] = rule, value
     return Verdict(status, expr, target, "sequence-membership", ev)
 
 
@@ -434,12 +355,8 @@ def compactness(problem: EmbeddingProblem) -> Verdict:
     """Compactness of the embedding; exact on scale B, sandwich-transferred
     on scale F (sufficient and necessary parts may fall apart)."""
     if problem.scale == "F":
-        return _f_scale_sandwich(problem, "compact")
-    expr, target = criterion_sequence(problem, "compact")
-    v = ellr_membership(expr, target)
-    ev = dict(v.evidence)
-    ev["criterion"] = render(expr)
-    return Verdict(v.status, expr, target, "sequence-compactness-criterion", ev)
+        return _f_scale_sandwich(problem)
+    return _criterion_verdict(problem, "compact", "compactness")
 
 
 def nuclearity(problem: EmbeddingProblem) -> Verdict:
@@ -448,11 +365,15 @@ def nuclearity(problem: EmbeddingProblem) -> Verdict:
     _require_banach(problem)
     if problem.scale == "F":
         return f_space_nuclearity(problem)
-    expr, target = criterion_sequence(problem, "nuclear")
+    return _criterion_verdict(problem, "nuclear", "nuclearity")
+
+
+def _criterion_verdict(problem: EmbeddingProblem, kind: str, name: str) -> Verdict:
+    """Scale-B verdict: membership of the criterion sequence of kind."""
+    expr, target = criterion_sequence(problem, kind)
     v = ellr_membership(expr, target)
-    ev = dict(v.evidence)
-    ev["criterion"] = render(expr)
-    return Verdict(v.status, expr, target, "sequence-nuclearity-criterion", ev)
+    ev = dict(v.evidence, criterion=render(expr))
+    return Verdict(v.status, expr, target, f"sequence-{name}-criterion", ev)
 
 
 def _require_banach(problem: EmbeddingProblem) -> None:
@@ -462,16 +383,16 @@ def _require_banach(problem: EmbeddingProblem) -> None:
             "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
 
 
-def _f_scale_sandwich(problem: EmbeddingProblem, kind: str) -> Verdict:
-    """Transfer a scale-B criterion to scale F through the elementary
-    two-sided sandwich, replacing the fine indices by max/min with p."""
+def _f_scale_sandwich(problem: EmbeddingProblem) -> Verdict:
+    """Transfer the scale-B compactness criterion to scale F through the
+    elementary two-sided sandwich, replacing the fine indices by max/min
+    with p."""
     suff = replace(problem, scale="B",
                    q1=max(problem.p1, problem.q1), q2=min(problem.p2, problem.q2))
     nec = replace(problem, scale="B",
                   q1=min(problem.p1, problem.q1), q2=max(problem.p2, problem.q2))
-    run = compactness if kind == "compact" else nuclearity
-    v_suff = run(suff)
-    v_nec = run(nec)
+    v_suff = compactness(suff)
+    v_nec = compactness(nec)
     ev = {
         "route": "via-B-sandwich",
         "sufficient_fine_indices": (str(suff.q1), str(suff.q2)),
@@ -678,17 +599,8 @@ def en_A(problem: EmbeddingProblem, k: int, doublings: int = 48) -> EnAResult:
         if lg > best:
             best, best_u, best_i = lg, u, i
 
-    dh = decompose(product(ratio, geometric(d * alpha)))
-    decays = False
-    if not dh.pw:
-        if dh.rate < 0:
-            decays = True
-        elif dh.rate == 0:
-            if dh.log_exp < 0:
-                decays = True
-            elif dh.log_exp == 0:
-                dom = _dominant_sv(dh)
-                decays = dom is not None and dom[1] < 0
+    dh = product(ratio, geometric(d * alpha))
+    decays = not dh.pw and ellr_membership(dh, Target("c0")).status == "holds"
     tail_start = max(0, len(vals) - 9)
     tail_monotone = all(vals[i] >= vals[i + 1] for i in range(tail_start, len(vals) - 1))
     certified = decays and tail_monotone and best_i < doublings - 1

@@ -18,8 +18,8 @@ leave exact arithmetic unless an atom forces a float.
 Every expression is stored in one normal form, the monomial `SequenceExpr`:
 a constant, irrational constant powers, one exponent per smooth atom, and
 exponent maps for the pw2 and table atoms.  Products and powers add and
-scale exponents, so reordering factors gives an equal expression; only
-table atoms keep the order in which they first appear.
+scale exponents and every map is sorted, so reordering factors gives an
+equal expression.  Constants are capped at MAX_CONST_BITS bits.
 
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
 anchors the value is 2^(j*(2*s1+s0)/3), the exponent then grows with slope
@@ -63,6 +63,11 @@ __all__ = [
 ]
 
 MAX_DEPTH = 32
+
+# bit length allowed for the numerator and the denominator of a constant;
+# a product or power that could pass it raises SequenceError before the
+# integer power is computed
+MAX_CONST_BITS = 1 << 16
 
 # log2 magnitudes beyond this cannot be exponentiated into a float
 _LOG2_FLOAT_LIMIT = 1000.0
@@ -122,7 +127,8 @@ class SequenceExpr:
     The lower-case constructors keep it normal: roots ((base, e), ...) hold
     non-integer constant powers; roots, explog ((kappa, c), ...) and pw
     (((s0, s1), e), ...) are sorted; tables ((prefix, continuation, e), ...)
-    keep their first appearance; no exponent is zero.
+    are sorted by prefix, then by rendered continuation; no exponent is
+    zero.
     """
 
     const: Fraction = _ONE
@@ -236,7 +242,7 @@ def _combine(terms) -> SequenceExpr:
         # zero exponents are skipped: Fraction arithmetic dominates the cost
         if x.const != 1:
             if r.denominator == 1:
-                const_ *= x.const ** r.numerator
+                const_ = _fold_const(const_, x.const, r.numerator)
             else:
                 roots[x.const] = roots.get(x.const, _ZERO) + r
         for b, e in x.roots:
@@ -256,15 +262,32 @@ def _combine(terms) -> SequenceExpr:
     kept = []
     for base, expo in sorted(roots.items()):
         if expo.denominator == 1:
-            const_ *= base ** expo.numerator
+            const_ = _fold_const(const_, base, expo.numerator)
         else:
             kept.append((base, expo))
+    tabs = [(pref, cont, e) for (pref, cont), e in tables.items() if e != 0]
+    if len(tabs) > 1:
+        tabs.sort(key=lambda t: (t[0], render(t[1])))
     return SequenceExpr(
         const_, tuple(kept), rate, log_exp, iterlog,
         tuple(sorted((k, c) for k, c in explog.items() if c != 0)),
         tuple(sorted((s, e) for s, e in pw.items() if e != 0)),
-        tuple((pref, cont, e) for (pref, cont), e in tables.items() if e != 0),
+        tuple(tabs),
     )
+
+
+def _bits(q: Fraction) -> int:
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _fold_const(acc: Fraction, base: Fraction, n: int) -> Fraction:
+    """acc * base^n, refused when its numerator or denominator could need
+    more than MAX_CONST_BITS bits."""
+    need = _bits(acc) + abs(n) * _bits(base)
+    if need > MAX_CONST_BITS:
+        raise SequenceError(f"constant needs up to {need} bits, above the "
+                            f"limit of {MAX_CONST_BITS}")
+    return acc * base ** n
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .seqdsl import log2_value, render
-from .embanalyzer import INF, EmbeddingProblem, ExtReal, ext, recip, tong
+from .embanalyzer import INF, EmbeddingProblem, ExtReal, entropy_rate, ext, recip, tong
 
 __all__ = [
     "FiniteSection",
@@ -353,9 +353,12 @@ def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
 
     Budget: 2^(k-1) centers.  Each block gets a symmetric grid with 2^m + 1
     points per coordinate; refinement is allocated greedily.  The reported
-    value is min(lattice radius, operator norm), so e_1 equals the norm and
-    the bound is non-increasing in k by construction.  One-dimensional
-    sections use the exact interval covering instead.
+    value is min(lattice radius, operator norm), so e_1 equals the norm.
+    The bound is sound but not monotone in k: the greedy refinement can
+    give a larger radius at k + 1 than at k (sigma 2^(-2/3*j), tau
+    2^(-7*j), (p1, q1, p2, q2) = (2/3, 3, 4, 1), dim 1, levels 2: 0.0441
+    at k = 9, 0.0500 at k = 10).  One-dimensional sections use the exact
+    interval covering instead.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -448,9 +451,10 @@ def entropy_lower(section: FiniteSection, k: int) -> EntropyBound:
 def entropy_properties(section: FiniteSection, ks: Sequence[int],
                        dim_cap: int = 20, k_cap: int = 40) -> dict:
     """Consistency report for the entropy bounds over a ladder of indices:
-    lower <= upper at each k, upper non-increasing, and the first upper
-    bound equal to the operator norm.  These are the inequalities the
-    bounds must satisfy; violations indicate a soundness bug."""
+    lower <= upper at each k (sound), the first upper bound equal to the
+    operator norm (first_is_norm), and whether the upper bounds are
+    non-increasing (monotone).  A violation of the first two indicates a
+    soundness bug; entropy_upper does not guarantee the third."""
     ks = sorted(set(ks))
     nrm = embedding_norm_closed(section)
     uppers, lowers = [], []
@@ -492,11 +496,9 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
     For each L the section keeps blocks up to L and the bound is taken at
     k_L = 2 * n_L, twice the section dimension, where the covering bound
     transitions into its decaying regime.  The slope of log2(bound) against
-    log2(k) estimates the entropy decay power; predicted_slope comes from
-    the weight rates when both are geometric.
+    log2(k) estimates the entropy decay power; predicted_slope is
+    -k_exponent of entropy_rate, None when the catalog gives no exponent.
     """
-    from .seqdsl import canonicalize
-
     if len(levels) < 2:
         raise ValueError("need at least two levels to fit a slope")
     ks, bounds = [], []
@@ -510,14 +512,9 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
     ys = np.log2(np.asarray(bounds, dtype=float))
     slope = float(np.polyfit(xs, ys, 1)[0])
 
-    pr1 = canonicalize(problem.sigma).rate
-    pr2 = canonicalize(problem.tau).rate
-    predicted: Optional[float] = None
-    ratio: Optional[float] = None
-    if pr1 is not None and pr2 is not None:
-        predicted = -float(pr1 - pr2) / problem.dim
-        if predicted != 0:
-            ratio = slope / predicted
+    k_exponent = entropy_rate(problem).k_exponent
+    predicted = None if k_exponent is None else -float(k_exponent)
+    ratio = slope / predicted if predicted else None
     non_decaying = bounds[-1] >= bounds[0] * (1 - 1e-12)
     return RateFit(tuple(ks), tuple(bounds), slope, predicted, ratio,
                    non_decaying)

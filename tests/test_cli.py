@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import gsembed
 from gsembed import cli, schemas
 
 
@@ -36,6 +42,23 @@ class TestSeq:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert "nesting" in doc["error"]
+
+    @pytest.mark.parametrize("expr", ["((3^(1000))^1000)^10",
+                                      "((3^(1000))^1000)^1000",
+                                      "(3^(1/2))^4000000"])
+    def test_constant_power_cap(self, expr):
+        # a fresh process under a wall-time ceiling: without the cap the
+        # integer power runs for seconds or never finishes
+        src = Path(gsembed.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "gsembed.cli", "seq", "parse", expr],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert time.perf_counter() - t0 < 5.0
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert "bits" in doc["error"]
 
     def test_eval_values(self, capsys):
         code, doc = invoke(capsys, "seq", "eval", "2^(j)", "--j", "0", "3", "10")

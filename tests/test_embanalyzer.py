@@ -167,6 +167,114 @@ class TestMembership:
         v = ellr_membership(e, Target("ell", Fraction(2)))
         assert v.status == ("holds" if r < 0 else "fails")
 
+    # every branch of the membership rule, on smooth and pw2 monomials; the
+    # pw2 anchor rates are rate + (2*s1 + s0)/3 (even) and rate + (s1 + 2*s0)/3
+    # (odd), so pw2(s0=0,s1=3)*2^(-2*j) has anchor rates 0 and -1 (sparse)
+    # and pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2 has both zero
+    SPARSE = "pw2(s0=0,s1=3)*2^(-2*j)"
+    FLAT = "pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2"
+
+    @pytest.mark.parametrize("text, target, status", [
+        # smooth: rate
+        ("2^(-1*j)", "2", "holds"),
+        ("2^(j)*(1+j)^-9", "2", "fails"),
+        ("2^(-1*j)*(1+j)^9", "c0", "holds"),
+        ("2^(1/2*j)", "inf", "fails"),
+        # smooth, finite r: log exponent against -1/r
+        ("(1+j)^-1", "2", "holds"),
+        ("(1+j)^-1/4", "2", "fails"),
+        ("(1+j)^-1", "1", "fails"),
+        ("(1+j)^-2", "1/2", "fails"),
+        ("(1+j)^-3", "1/2", "holds"),
+        ("(1+j)^-3", "3/2", "holds"),
+        # smooth, finite r, at r*log_exp = -1: explog, iterlog, bare
+        ("(1+j)^-1/2", "2", "fails"),
+        ("(1+j)^-1/2*exp(-1*log(1+j)^1/2)", "2", "holds"),
+        ("(1+j)^-1/2*exp(1*log(1+j)^1/2)*(1+log(1+j))^-5", "2", "fails"),
+        ("(1+j)^-1*exp(-1*log(1+j)^1/3)*exp(1*log(1+j)^1/2)", "1", "fails"),
+        ("(1+j)^-1*exp(1*log(1+j)^1/3)*exp(-1*log(1+j)^1/2)", "1", "holds"),
+        ("(1+j)^-1/2*(1+log(1+j))^-1", "2", "holds"),
+        ("(1+j)^-1/2*(1+log(1+j))^-1/2", "2", "fails"),
+        ("(1+j)^-1/2*(1+log(1+j))^-1/4", "2", "fails"),
+        ("(1+j)^-2/3*(1+log(1+j))^-1", "3/2", "holds"),
+        # smooth, c0 and ell_inf: log, explog, iterlog, limit
+        ("(1+j)^-1/9", "c0", "holds"),
+        ("(1+j)^1/9", "inf", "fails"),
+        ("(1+j)^-1/9", "inf", "holds"),
+        ("exp(-1*log(1+j)^1/2)", "c0", "holds"),
+        ("exp(1*log(1+j)^1/2)*(1+log(1+j))^-3", "inf", "fails"),
+        ("(1+log(1+j))^-1", "c0", "holds"),
+        ("(1+log(1+j))^1", "inf", "fails"),
+        ("(1+log(1+j))^-1/9", "inf", "holds"),
+        ("1", "inf", "holds"),
+        ("3", "c0", "fails"),
+        ("(table[5,7] then 1)", "inf", "holds"),
+        # pw2: both anchor rates negative, one positive
+        ("pw2(s0=0,s1=3)*2^(-3*j)*(1+j)^9", "2", "holds"),
+        ("pw2(s0=0,s1=3)*2^(-3*j)", "c0", "holds"),
+        ("pw2(s0=0,s1=3)*2^(-3/2*j)*(1+j)^-9", "2", "fails"),
+        ("(pw2(s0=1,s1=2))^-1*2^(5/3*j)", "inf", "fails"),
+        ("pw2(s0=0,s1=3)*2^(-1*j)", "2", "fails"),
+        # pw2, both anchor rates zero: the dense smooth rule decides
+        (FLAT + "*(1+j)^-1", "2", "holds"),
+        (FLAT + "*(1+j)^-1/2", "2", "fails"),
+        (FLAT + "*(1+j)^-1/2*(1+log(1+j))^-1", "2", "holds"),
+        (FLAT + "*exp(-1*log(1+j)^1/2)", "c0", "holds"),
+        (FLAT, "c0", "fails"),
+        (FLAT, "inf", "holds"),
+        # pw2, sparse zero anchors: log
+        (SPARSE + "*(1+j)^-1/4", "2", "holds"),
+        (SPARSE + "*(1+j)^-1/4", "c0", "holds"),
+        (SPARSE + "*(1+j)^1/4", "inf", "fails"),
+        (SPARSE + "*(1+j)^1/4*exp(-1*log(1+j)^1/2)", "2", "fails"),
+        # pw2, sparse zero anchors: explog
+        (SPARSE + "*exp(-1*log(1+j)^1/2)", "2", "holds"),
+        (SPARSE + "*exp(-1*log(1+j)^1/2)", "c0", "holds"),
+        (SPARSE + "*exp(1*log(1+j)^1/2)*(1+log(1+j))^-9", "inf", "fails"),
+        (SPARSE + "*exp(1*log(1+j)^1/2)", "2", "fails"),
+        # pw2, sparse zero anchors: iterlog, at and off r*a = -1
+        (SPARSE + "*(1+log(1+j))^-1/2", "2", "fails"),
+        (SPARSE + "*(1+log(1+j))^-1", "2", "holds"),
+        (SPARSE + "*(1+log(1+j))^-1/4", "2", "fails"),
+        (SPARSE + "*(1+log(1+j))^-1/2", "c0", "holds"),
+        (SPARSE + "*(1+log(1+j))^-1/2", "inf", "holds"),
+        (SPARSE + "*(1+log(1+j))^1/2", "inf", "fails"),
+        (SPARSE + "*(1+log(1+j))^1/2", "c0", "fails"),
+        # pw2, sparse zero anchors: bare limit
+        (SPARSE, "inf", "holds"),
+        (SPARSE, "2", "fails"),
+        (SPARSE, "c0", "fails"),
+        ("(pw2(s0=0,s1=3))^-1*2^(j)*(1+j)^-1/4", "2", "holds"),
+        ("(pw2(s0=0,s1=3))^-1*2^(j)", "1/2", "fails"),
+    ])
+    def test_branch_table(self, text, target, status):
+        tgt = Target("c0") if target == "c0" else Target("ell", ext(target))
+        assert ellr_membership(parse(text), tgt).status == status
+
+    @pytest.mark.parametrize("text, target, rule, value", [
+        ("2^(-1*j)*(1+j)^9", "2", "rate", "-1"),
+        ("(1+j)^-1", "2", "log", "-1/2"),
+        ("(1+j)^-1/2*exp(1*log(1+j)^1/2)", "2", "explog", "1"),
+        ("(1+j)^-1*exp(-1*log(1+j)^1/3)*exp(1*log(1+j)^1/2)", "1", "explog", "1"),
+        ("(1+j)^-1/2*(1+log(1+j))^-1", "2", "iterlog", "-1/2"),
+        ("(1+log(1+j))^-1", "c0", "iterlog", "-1"),
+        ("3", "c0", "limit", "0"),
+        ("(1+j)^-1/2", "2", "iterlog", "1/2"),
+        ("pw2(s0=0,s1=3)*2^(-3*j)", "2", "anchor-rate", "-1"),
+        (FLAT + "*(1+j)^-1", "2", "log", "-1/2"),
+        (SPARSE + "*(1+j)^-1/4", "2", "anchor-log", "-1/4"),
+        (SPARSE + "*exp(-1*log(1+j)^1/2)", "c0", "anchor-explog", "-1"),
+        (SPARSE + "*(1+log(1+j))^-1/2", "2", "anchor-limit", "0"),
+        ("(1+j)^-1/2*(1+log(1+j))^-1/2", "2", "limit", "0"),
+        (SPARSE + "*(1+log(1+j))^-1", "2", "anchor-iterlog", "-1/2"),
+        (SPARSE, "inf", "anchor-limit", "0"),
+    ])
+    def test_rule_ids(self, text, target, rule, value):
+        tgt = Target("c0") if target == "c0" else Target("ell", ext(target))
+        ev = ellr_membership(parse(text), tgt).evidence
+        assert (ev["decided_by"], ev["value"]) == (rule, Fraction(value))
+        assert ("anchor_rate_even" in ev) == ("pw2" in text)
+
     def test_partial_sums_track_convergence(self):
         out = membership_partial_sums(geometric(-1), Target("ell", Fraction(1)))
         sums = out["partial_sums"]

@@ -113,6 +113,16 @@ class TestNormalForm:
         assert render(e) == "3"
         assert render(parse("3^(1/2)*3^(1/4)")) == "(3)^3/4"
 
+    def test_tables_are_order_free(self):
+        a = parse("(table[1] then 2^(j))*(table[2] then 1)")
+        b = parse("(table[2] then 1)*(table[1] then 2^(j))")
+        assert a == b
+        assert render(a) == render(b) == "(table[1] then 2^(1*j)) * (table[2] then 1)"
+        # equal prefixes: the rendered continuation breaks the tie
+        c = parse("(table[1] then 2^(j))*(table[1] then 1)")
+        assert c == parse("(table[1] then 1)*(table[1] then 2^(j))")
+        assert parse(render(c)) == c
+
     def test_reciprocal_cancels(self):
         assert parse("pw2(s0=0,s1=1)/pw2(s0=0,s1=1)") == const(1)
         t = "(table[1,2] then 2^(j))"

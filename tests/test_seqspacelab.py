@@ -276,3 +276,12 @@ class TestRateFit:
         pr = EmbeddingProblem("1", "1", INF, INF, INF, INF, 1)
         fit = rate_fit(pr, levels=[1, 2, 3])
         assert fit.non_decaying
+
+    def test_prediction_comes_from_entropy_rate(self):
+        # a table prefix does not move the law; a non-compact embedding has none
+        pr = EmbeddingProblem("(table[3] then 2^(j))", "1", INF, INF, INF, INF, 1)
+        fit = rate_fit(pr, levels=[1, 2, 3])
+        assert fit.predicted_slope == pytest.approx(-1.0)
+        assert fit.ratio == pytest.approx(fit.slope / -1.0)
+        flat = rate_fit(EmbeddingProblem("1", "1", INF, INF, INF, INF, 1), levels=[1, 2])
+        assert flat.predicted_slope is None and flat.ratio is None
