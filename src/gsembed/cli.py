@@ -458,7 +458,7 @@ def run(argv=None) -> int:
     try:
         payload, code = args.func(args)
     except (SequenceError, StandardizeError, ModulusRejected, ValueError,
-            KeyError, ZeroDivisionError, OSError) as exc:
+            KeyError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
     print(json.dumps(payload, indent=2, allow_nan=False))

@@ -10,10 +10,10 @@ i.e. vectors x = (x_0, ..., x_L) with x_j of dimension M_j, source norm
 Everything here is numeric and cross-checks the exact sequence-space
 formulas: the closed operator norm, the exact nuclear norm of the diagonal,
 and two-sided entropy bounds that are sound rather than asymptotically
-sharp.  The norm search runs on Python floats, since its blocks are small
-and numpy's per-call overhead would be its whole cost; numpy serves only
-the seeded start vectors, the svd oracle, the rate fit's polyfit and the
-cover radius.
+sharp.  Every ell_p aggregate goes through one rescaling _lp_norm on
+Python floats, since the blocks are small and numpy's per-call overhead
+would be its whole cost; numpy serves only the norm search's seeded start
+vectors and is imported there.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .seqdsl import log2_value, render
 from .embanalyzer import INF, EmbeddingProblem, ExtReal, entropy_rate, ext, recip, tong
@@ -191,6 +189,8 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
     than updated by differences, so the returned value is a ratio that some
     vector attains.
     """
+    import numpy as np
+
     rng = np.random.default_rng(np.random.PCG64(seed))
     nblocks = len(section.M)
     beta = section.beta
@@ -283,10 +283,7 @@ def nuclear_norm_tong(section: FiniteSection) -> float:
     tp = recip(tong(section.p1, section.p2))
     tq = tong(section.q1, section.q2)
     terms = [float(m) ** float(tp) / b for b, m in zip(section.beta, section.M)]
-    if tq == INF:
-        return max(terms)
-    r = float(tq)
-    return float(sum(t ** r for t in terms)) ** (1.0 / r)
+    return _lp_norm(tq)(terms)
 
 
 def nuclear_norm_oracle(section: FiniteSection) -> dict:
@@ -294,8 +291,11 @@ def nuclear_norm_oracle(section: FiniteSection) -> dict:
 
     Always contains the coordinate-representation upper bound
     sum_j M_j / beta_j; adds exact values when the section is a cube source
-    (p1 = q1 = inf), a Hilbert pair (all indices 2, via svd), or a scaled
-    identity (p1 = p2, q1 = q2, constant weight).
+    (p1 = q1 = inf), a Hilbert pair (all indices 2: the trace norm), or a
+    scaled identity (p1 = p2, q1 = q2, constant weight).  The trace norm of
+    the positive diagonal is the sum of its entries, so hilbert_trace
+    always equals coordinate_upper and is no independent check of the
+    Tong formula.
     """
     out = {"coordinate_upper": sum(m / b for b, m in zip(section.beta, section.M))}
     if section.p1 == INF and section.q1 == INF:
@@ -303,10 +303,7 @@ def nuclear_norm_oracle(section: FiniteSection) -> dict:
         # norms, which the coordinate representation attains
         out["cube_source_exact"] = out["coordinate_upper"]
     if all(getattr(section, nm) == 2 for nm in ("p1", "q1", "p2", "q2")):
-        diag = np.concatenate([np.full(m, 1.0 / b)
-                               for b, m in zip(section.beta, section.M)])
-        out["hilbert_trace"] = float(np.sum(np.linalg.svd(np.diag(diag),
-                                                          compute_uv=False)))
+        out["hilbert_trace"] = out["coordinate_upper"]
     if section.p1 == section.p2 and section.q1 == section.q2 and \
             len(set(section.beta)) == 1:
         out["scaled_identity"] = section.n / section.beta[0]
@@ -339,14 +336,6 @@ def _block_cover_errors(scales: list, ms) -> list:
     return [f * (c / (1 << m)) for (f, c), m in zip(scales, ms)]
 
 
-def _cover_radius(errs: list, fq: Optional[float]) -> float:
-    """ell_q2 norm of the block errors; fq is float(q2), None for inf."""
-    vec = np.asarray(errs)
-    if fq is None:
-        return float(np.max(vec))
-    return float(np.sum(vec ** fq) ** (1.0 / fq))
-
-
 def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
                   k_cap: int = 40) -> EntropyBound:
     """Sound upper bound on the k-th entropy number via lattice coverings.
@@ -375,7 +364,7 @@ def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
     inv_p2 = None if section.p2 == INF else float(recip(section.p2))
     scales = [(1.0 if inv_p2 is None else float(m) ** inv_p2, 1.0 / b)
               for b, m in zip(section.beta, section.M)]
-    fq = None if section.q2 == INF else float(section.q2)
+    radius = _lp_norm(section.q2)
     ms = [0] * len(section.M)
     while True:
         # every refinement shrinks one block error, so looping until the
@@ -389,14 +378,13 @@ def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
             trial[j] += 1
             if _count(trial, section.M) > budget:
                 continue
-            key = (_cover_radius(_block_cover_errors(scales, trial), fq),
-                   -errs[j])
+            key = (radius(_block_cover_errors(scales, trial)), -errs[j])
             if best is None or key < best[0]:
                 best = (key, j)
         if best is None:
             break
         ms[best[1]] += 1
-    value = min(_cover_radius(_block_cover_errors(scales, ms), fq), nrm)
+    value = min(radius(_block_cover_errors(scales, ms)), nrm)
     return EntropyBound(value, k, "lattice-cover",
                         {"refinements": tuple(ms), "norm": nrm,
                          "centers": _count(ms, section.M)})
@@ -508,9 +496,12 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
         ks.append(k)
         bounds.append(entropy_upper(sec, k, dim_cap, k_cap).value)
 
-    xs = np.log2(np.asarray(ks, dtype=float))
-    ys = np.log2(np.asarray(bounds, dtype=float))
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    # least-squares slope of log2(bound) on log2(k), mean-centred
+    xs = [math.log2(k) for k in ks]
+    ys = [math.log2(b) for b in bounds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
 
     k_exponent = entropy_rate(problem).k_exponent
     predicted = None if k_exponent is None else -float(k_exponent)

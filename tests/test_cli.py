@@ -242,6 +242,15 @@ class TestLab:
         assert code == 0
         assert math.isfinite(doc["closed"])
 
+    @pytest.mark.parametrize("size", ["1e400", "9" * 400],
+                             ids=["float", "integer"])
+    def test_block_size_beyond_float_range_is_error(self, capsys, size):
+        section = ('{"beta": [1], "M": [%s], "p1": 1, "q1": 1, "p2": 1, '
+                   '"q2": 2}' % size)
+        code, doc = invoke(capsys, "lab", "nuclear", "--section", section)
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+
     def test_problem_missing_key_is_error(self, capsys, tmp_path):
         f = tmp_path / "problem.json"
         f.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": 1,
@@ -286,3 +295,37 @@ class TestReproduce:
         code, doc = invoke(capsys, "reproduce", "no-such-case")
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+
+
+class TestImports:
+    def test_numpy_stays_behind_norm_search(self, tmp_path):
+        # numpy costs most of a cold start; only the norm search's seeded
+        # start vectors need it, so every other command runs without it
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": "inf",
+                                       "q1": "inf", "p2": "inf", "q2": "inf",
+                                       "dim": 1}))
+        without = [
+            ["analyze", "--sigma", "2^(2*j)", "--tau", "1", "--p1", "1",
+             "--q1", "1", "--p2", "inf", "--q2", "inf", "--dim", "1"],
+            ["reproduce", "all"],
+            ["lab", "nuclear", "--section", SECTION],
+            ["lab", "entropy", "--section", SECTION, "--k", "1", "2", "4"],
+            ["lab", "ratefit", "--from-problem", str(problem), "--levels", "1", "2"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from gsembed import cli\n"
+            "def loads(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "    return 'numpy' in sys.modules\n"
+            "print(json.dumps([loads(a) for a in json.loads(sys.argv[1])]))\n"
+        )
+        src = Path(gsembed.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argvs = without + [["lab", "norm", "--section", SECTION]]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False] * len(without) + [True]

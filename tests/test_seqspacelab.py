@@ -1,6 +1,7 @@
 """Finite-section laboratory against closed-form oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,11 @@ class TestNuclearNorm:
         assert out["scaled_identity"] == pytest.approx(2.0)
         assert nuclear_norm_tong(s) == pytest.approx(2.0)
 
+    def test_gains_beyond_float_powers(self):
+        # the gain 1e200 squared leaves the float range, the norm does not
+        s = sec((1e-200, 1.0), (1, 1), 1, 1, 1, 2)
+        assert nuclear_norm_tong(s) == 1e200
+
     def test_coordinate_upper_dominates(self):
         fixtures = [
             sec((1.0, 2.0), (1, 2), 1, 2, 4, INF),
@@ -253,6 +259,15 @@ class TestEntropyBounds:
         s = sec((1.0, 3.0), (2, 4), 2, 1, 2, 2)
         rep = entropy_properties(s, ks=(1, 2, 4, 8))
         assert rep["sound"] and rep["monotone"] and rep["first_is_norm"]
+
+    def test_errors_beyond_float_powers(self):
+        # every trial radius squares a block error of about 1e200; the
+        # greedy refinement must compare the radii, not overflow to inf
+        s = sec((1e-200, 1.0), (1, 1), 1, 1, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [entropy_upper(s, k).value for k in (1, 2, 3, 4)]
+        assert values == [1e200, 1e200, 5e199, 2.5e199]
 
     def test_lower_positive(self):
         s = sec((1.0, 2.0), (1, 2), 2, 2, 2, 2)
