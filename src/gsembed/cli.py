@@ -183,16 +183,8 @@ def _cmd_seq_standardize(args) -> Tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _problem_from_args(args) -> EmbeddingProblem:
-    return EmbeddingProblem(
-        sigma=args.sigma, tau=args.tau,
-        p1=args.p1, q1=args.q1, p2=args.p2, q2=args.q2,
-        dim=args.dim, scale=args.scale,
-    )
-
-
 def _cmd_analyze(args) -> Tuple[dict, int]:
-    problem = _problem_from_args(args)
+    problem = EmbeddingProblem.from_dict(vars(args))
     kind = args.kind
     if kind == "compact":
         v = compactness(problem)
@@ -249,11 +241,14 @@ def _section_payload(sec: FiniteSection) -> Dict[str, Any]:
     }
 
 
+def _read_problem(path: str) -> EmbeddingProblem:
+    with open(path) as fh:
+        return EmbeddingProblem.from_dict(json.load(fh))
+
+
 def _load_section(args) -> Tuple[FiniteSection, Optional[EmbeddingProblem]]:
     if getattr(args, "from_problem", None):
-        with open(args.from_problem) as fh:
-            doc = json.load(fh)
-        problem = EmbeddingProblem.from_dict(doc)
+        problem = _read_problem(args.from_problem)
         sec = finite_section(problem, levels=args.levels, density=args.density)
         return sec, problem
     if getattr(args, "section", None):
@@ -318,12 +313,8 @@ def _cmd_lab_entropy(args) -> Tuple[dict, int]:
 
 
 def _cmd_lab_ratefit(args) -> Tuple[dict, int]:
-    if not args.from_problem:
-        raise ValueError("ratefit needs --from-problem (levels are swept internally)")
-    with open(args.from_problem) as fh:
-        doc = json.load(fh)
-    problem = EmbeddingProblem.from_dict(doc)
-    fit = rate_fit(problem, levels=args.levels, density=args.density)
+    fit = rate_fit(_read_problem(args.from_problem), levels=args.levels,
+                   density=args.density)
     payload = {
         "ks": list(fit.ks),
         "bounds": [float(b) for b in fit.bounds],

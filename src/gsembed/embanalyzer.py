@@ -6,7 +6,9 @@ sigma and integrability (p1, q1), a target with weight tau and (p2, q2),
 over a domain of dimension dim.  Every decision reduces to an exact
 membership test of a single criterion sequence in ell_r or c0, with the
 exponent r built from the integrability parameters by reciprocal-space
-arithmetic.
+arithmetic.  A problem derives its pieces once: EmbeddingProblem.recips
+holds (1/p1, 1/q1, 1/p2, 1/q2) and EmbeddingProblem.weight_ratio holds
+sigma^-1 tau; the criteria, the entropy catalog and the lab read them.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -95,11 +98,28 @@ def _from_recip(r: Fraction) -> ExtReal:
     return INF if r == 0 else 1 / r
 
 
+def _star_recip(a: Fraction, b: Fraction) -> Fraction:
+    """1/r* from a = 1/r1 and b = 1/r2."""
+    return max(Fraction(0), b - a)
+
+
+def _tong_recip(a: Fraction, b: Fraction) -> Fraction:
+    """1/t(r1, r2) from a = 1/r1 and b = 1/r2."""
+    return 1 - max(Fraction(0), a - b)
+
+
+def _tong_params(r1, r2) -> tuple:
+    """(1/r1, 1/r2) for the parameters of Tong's formula, which need [1, inf]."""
+    r1, r2 = ext(r1), ext(r2)
+    for r in (r1, r2):
+        if r != INF and r < 1:
+            raise ValueError(f"tong exponent needs parameters in [1, inf], got {r}")
+    return recip(r1), recip(r2)
+
+
 def dual_star(r1, r2) -> ExtReal:
     """Exponent r* with 1/r* = (1/r2 - 1/r1)+; equals inf when r1 <= r2."""
-    r1, r2 = ext(r1), ext(r2)
-    gap = max(Fraction(0), recip(r2) - recip(r1))
-    return _from_recip(gap)
+    return _from_recip(_star_recip(recip(ext(r1)), recip(ext(r2))))
 
 
 def tong(r1, r2) -> ExtReal:
@@ -108,12 +128,7 @@ def tong(r1, r2) -> ExtReal:
     On reciprocals 1/t >= 1/r* always holds, i.e. t <= dual_star(r1, r2),
     with equality exactly when {r1, r2} = {1, inf}.
     """
-    r1, r2 = ext(r1), ext(r2)
-    for r in (r1, r2):
-        if r != INF and r < 1:
-            raise ValueError(f"tong exponent needs parameters in [1, inf], got {r}")
-    one_over_t = 1 - max(Fraction(0), recip(r1) - recip(r2))
-    return _from_recip(one_over_t)
+    return _from_recip(_tong_recip(*_tong_params(r1, r2)))
 
 
 def delta_gap(s1, p1, s2, p2, dim: int) -> Fraction:
@@ -164,8 +179,18 @@ class EmbeddingProblem:
                    p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
                    dim=int(doc["dim"]), scale=doc.get("scale", "B"))
 
+    @cached_property
+    def recips(self) -> tuple:
+        """(1/p1, 1/q1, 1/p2, 1/q2) as exact Fractions, with 1/inf = 0."""
+        return tuple(recip(v) for v in (self.p1, self.q1, self.p2, self.q2))
+
+    @cached_property
+    def weight_ratio(self) -> SequenceExpr:
+        """sigma^-1 tau, the weight part of every criterion sequence."""
+        return product(power(self.sigma, Fraction(-1)), self.tau)
+
     def is_banach(self) -> bool:
-        return all(v == INF or v >= 1 for v in (self.p1, self.q1, self.p2, self.q2))
+        return all(r <= 1 for r in self.recips)
 
 
 @dataclass(frozen=True)
@@ -212,24 +237,22 @@ class Band:
 def criterion_sequence(problem: EmbeddingProblem, kind: str):
     """Criterion sequence and membership target deciding the given property.
 
-    kind "compact": sigma^-1 tau 2^(j d (1/p1 - 1/p2)) 2^(j d / p*) in
+    kind "compact": weight_ratio 2^(j d (1/p1 - 1/p2)) 2^(j d / p*) in
     ell_{q*}; kind "nuclear": p* and q* replaced by the tong exponents of
-    (p1,p2) and (q1,q2).  Either way an infinite target exponent means c0.
+    (p1,p2) and (q1,q2), which needs Banach exponents.  Both are read off
+    problem.recips, and a zero reciprocal target exponent means c0.
     """
-    p1, q1, p2, q2 = problem.p1, problem.q1, problem.p2, problem.q2
-    d = problem.dim
-    base_rate = d * (recip(p1) - recip(p2))
+    rp1, rq1, rp2, rq2 = problem.recips
     if kind == "compact":
-        star = dual_star(p1, p2)
-        fine = dual_star(q1, q2)
+        star, fine = _star_recip(rp1, rp2), _star_recip(rq1, rq2)
     elif kind == "nuclear":
-        star = tong(p1, p2)
-        fine = tong(q1, q2)
+        _require_banach(problem)
+        star, fine = _tong_recip(rp1, rp2), _tong_recip(rq1, rq2)
     else:
         raise ValueError("kind must be 'compact' or 'nuclear'")
-    expr = product(power(problem.sigma, Fraction(-1)), problem.tau,
-                   geometric(base_rate + d * recip(star)))
-    target = Target("c0") if fine == INF else Target("ell", fine)
+    expr = product(problem.weight_ratio,
+                   geometric(problem.dim * (rp1 - rp2 + star)))
+    target = Target("c0") if fine == 0 else Target("ell", 1 / fine)
     return expr, target
 
 
@@ -362,7 +385,6 @@ def compactness(problem: EmbeddingProblem) -> Verdict:
 def nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity of the embedding.  Only Banach parameters admit the
     criterion; scale F delegates to the Boyd-index transfer."""
-    _require_banach(problem)
     if problem.scale == "F":
         return f_space_nuclearity(problem)
     return _criterion_verdict(problem, "nuclear", "nuclearity")
@@ -412,8 +434,7 @@ def f_space_nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity on scale F via the Boyd indices of the nuclearity
     criterion sequence: negative upper index suffices, positive lower index
     excludes, anything else is a genuine boundary case."""
-    _require_banach(problem)
-    expr, target = criterion_sequence(replace(problem, scale="B"), "nuclear")
+    expr, target = criterion_sequence(problem, "nuclear")
     b = boyd_indices(strip_tables(expr))
     ev = {"criterion": render(expr), "boyd_exact": b.exact}
     if b.exact:
@@ -437,10 +458,8 @@ def compact_not_nuclear_band(p1, p2, dim: int) -> Band:
     """Gap values delta where the classical embedding is compact but not
     nuclear: the half-open band (dim/p*, dim/tong(p1,p2)].  Empty exactly
     when {p1, p2} = {1, inf}."""
-    p1, p2 = ext(p1), ext(p2)
-    lower = dim * recip(dual_star(p1, p2))
-    upper = dim * recip(tong(p1, p2))
-    return Band(lower, upper)
+    r1, r2 = _tong_params(p1, p2)
+    return Band(dim * _star_recip(r1, r2), dim * _tong_recip(r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -477,28 +496,22 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     if problem.scale != "B":
         return RateFormula("inconclusive", None, None, None, None,
                            "entropy-rate", ("entropy catalog covers scale B only",))
-    comp = compactness(problem)
-    if comp.status == "fails":
+    crit, target = criterion_sequence(problem, "compact")
+    if ellr_membership(crit, target).status == "fails":
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
-    if comp.status == "inconclusive":
-        return RateFormula("inconclusive", None, None, None, None,
-                           "entropy-rate", ("compactness undecided",))
 
-    crit, target = criterion_sequence(problem, "compact")
     crit = strip_tables(crit)
     asi = is_almost_strongly_increasing(power(crit, Fraction(-1)))
-    ratio = product(power(strip_tables(problem.sigma), Fraction(-1)),
-                    strip_tables(problem.tau))
+    ratio = strip_tables(problem.weight_ratio)
     if asi.status == "yes":
-        dr = decompose(ratio)
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
-        if not dr.pw:
-            u = -dr.rate / problem.dim
-            v = -dr.log_exp
+        if not ratio.pw:
+            u = -ratio.rate / problem.dim
+            v = -ratio.log_exp
             residual = None
-            if dr.sv_nodes:
-                residual = " * ".join(render(n) for n in dr.sv_nodes) + \
+            if ratio.sv_nodes:
+                residual = " * ".join(render(n) for n in ratio.sv_nodes) + \
                     " at j = log2(k)/dim"
             return RateFormula("non-limiting", u, v, residual, ratio,
                                "entropy-nonlimiting-ratio", notes)
@@ -506,18 +519,17 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
                            render(ratio) + " at j = log2(k)/dim", ratio,
                            "entropy-nonlimiting-ratio", notes)
 
-    dc = decompose(crit)
-    qstar_recip = max(Fraction(0), recip(problem.q2) - recip(problem.q1))
-    if not dc.pw and dc.rate == 0:
-        pure_log = not dc.explog and dc.iterlog == 0
-        beta = -dc.log_exp
-        if pure_log and problem.p1 == problem.p2:
+    rp1, rq1, rp2, rq2 = problem.recips
+    qstar_recip = _star_recip(rq1, rq2)
+    if not crit.pw and crit.rate == 0:
+        pure_log = not crit.explog and crit.iterlog == 0
+        beta = -crit.log_exp
+        if pure_log and rp1 == rp2:
             return RateFormula("limiting-log", Fraction(0), beta - qstar_recip,
                                None, None, "entropy-limiting-log",
                                ("equal integrability, logarithmic criterion",))
-        if pure_log and problem.p1 < problem.p2 and \
-                recip(problem.q2) >= recip(problem.q1):
-            alpha = recip(problem.p1) - recip(problem.p2)
+        if pure_log and rp1 > rp2 and rq2 >= rq1:
+            alpha = rp1 - rp2
             pivot = qstar_recip + 2 * alpha
             if beta > pivot:
                 return RateFormula("limiting-coupled-log", alpha,
@@ -531,8 +543,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
             return RateFormula("limiting-coupled-log",
                                (beta + qstar_recip) / 2, Fraction(0), None, None,
                                "entropy-limiting-coupled-log", ())
-        if not pure_log and problem.p1 == problem.p2 and \
-                recip(problem.q2) > recip(problem.q1):
+        if not pure_log and rp1 == rp2 and rq2 > rq1:
             psi = power(crit, Fraction(-1))
             residual = (
                 f"(integral_(k^(1/dim))^inf PSI(t)^(-qs) dt/t)^(1/qs) with "
@@ -540,7 +551,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
             return RateFormula("limiting-sv-integral", Fraction(0), None,
                                residual, None, "entropy-limiting-sv-integral",
                                ("assumes the reciprocal criterion is increasing",))
-        if not pure_log and problem.p1 == problem.p2:
+        if not pure_log and rp1 == rp2:
             return RateFormula("inconclusive", None, None, None, None,
                                "entropy-rate",
                                ("slowly varying limiting case with q1 <= q2 "
@@ -578,13 +589,13 @@ def en_A(problem: EmbeddingProblem, k: int, doublings: int = 48) -> EnAResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    alpha = recip(problem.p1) - recip(problem.p2)
+    rp1, rq1, rp2, rq2 = problem.recips
+    alpha = rp1 - rp2
     if alpha <= 0:
         raise ValueError("the envelope functional needs p1 < p2")
-    hypothesis_ok = (recip(problem.q2) - recip(problem.q1)) <= -alpha
+    hypothesis_ok = rq2 - rq1 <= -alpha
 
-    ratio = product(power(strip_tables(problem.sigma), Fraction(-1)),
-                    strip_tables(problem.tau))
+    ratio = strip_tables(problem.weight_ratio)
     a = float(alpha)
     d = problem.dim
     best, best_u, best_i = -INF, float(k), 0

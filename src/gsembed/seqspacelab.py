@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .seqdsl import log2_value, render
-from .embanalyzer import INF, EmbeddingProblem, ExtReal, entropy_rate, ext, recip, tong
+from .embanalyzer import (INF, EmbeddingProblem, ExtReal, _star_recip, dual_star,
+                          entropy_rate, ext, recip, tong)
 
 __all__ = [
     "FiniteSection",
@@ -102,7 +102,8 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
     if density <= 0:
         raise ValueError("density must be positive")
     d = problem.dim
-    gap = d * (recip(problem.p1) - recip(problem.p2))
+    rp1, _, rp2, _ = problem.recips
+    gap = d * (rp1 - rp2)
     beta, M, gamma = [], [], []
     for j in range(levels + 1):
         lg = log2_value(problem.sigma, j) - log2_value(problem.tau, j) - j * gap
@@ -112,7 +113,7 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
                                     "underflows to 0")
         beta.append(b)
         M.append(max(1, round(density * _pow2(j * d, "block size 2^(j dim)", j))))
-        lg_g = log2_value(problem.tau, j) - j * d * float(recip(problem.p2))
+        lg_g = log2_value(problem.tau, j) - j * d * float(rp2)
         gamma.append(_pow2(lg_g, "conjugation weight gamma_j", j))
     meta = {
         "source_weight": render(problem.sigma),
@@ -131,10 +132,8 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
 def _block_gain(section: FiniteSection, j: int) -> float:
     """Norm of block j: beta_j^-1 times the ell_p1^M -> ell_p2^M identity
     norm, which is 1 for p1 <= p2 and M^(1/p2 - 1/p1) otherwise."""
-    M = section.M[j]
-    r1, r2 = recip(section.p1), recip(section.p2)
-    excess = max(Fraction(0), r2 - r1)
-    return float(M) ** float(excess) / section.beta[j]
+    excess = _star_recip(recip(section.p1), recip(section.p2))
+    return float(section.M[j]) ** float(excess) / section.beta[j]
 
 
 def embedding_norm_closed(section: FiniteSection) -> float:
@@ -142,10 +141,7 @@ def embedding_norm_closed(section: FiniteSection) -> float:
     measured from ell_q1 to ell_q2 (sup for q1 <= q2, else the ell_r norm
     with 1/r = 1/q2 - 1/q1)."""
     gains = [_block_gain(section, j) for j in range(len(section.M))]
-    gap = recip(section.q2) - recip(section.q1)
-    if gap <= 0:
-        return max(gains)
-    return _lp_norm(1 / gap)(gains)
+    return _lp_norm(dual_star(section.q1, section.q2))(gains)
 
 
 def _lp_norm(p: ExtReal):

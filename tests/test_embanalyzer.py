@@ -1,6 +1,7 @@
 """Embedding verdicts against hand-computed exponent arithmetic."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,12 @@ from gsembed import (
     membership_partial_sums,
     nuclearity,
     parse,
+    power,
+    product,
     recip,
     tong,
 )
+import gsembed.embanalyzer as embanalyzer
 
 from conftest import banach_exponents
 
@@ -101,6 +105,16 @@ class TestProblems:
         assert EmbeddingProblem("1", "1", 1, "inf", 2, 2, 1).is_banach()
         assert not EmbeddingProblem("1", "1", HALF, 1, 2, 2, 1).is_banach()
 
+    def test_derived_members(self):
+        pr = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
+        assert pr.recips == (HALF, 0, Fraction(1, 4), 1)
+        assert pr.weight_ratio == product(power(pr.sigma, -1), pr.tau)
+        # cached members stay out of equality, hashing, repr and replace
+        twin = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
+        assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
+        assert "recips" not in repr(pr)
+        assert replace(pr, p1=1).recips == (1, 0, Fraction(1, 4), 1)
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             Target("ball")
@@ -135,6 +149,11 @@ class TestCriterionSequence:
         pr = EmbeddingProblem("1", "1", 1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             criterion_sequence(pr, "trace")
+        # the nuclear criterion needs Banach exponents
+        quasi = EmbeddingProblem("1", "1", HALF, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="Banach"):
+            criterion_sequence(quasi, "nuclear")
+        criterion_sequence(quasi, "compact")
 
 
 class TestMembership:
@@ -425,6 +444,25 @@ class TestEntropyRate:
     def test_scale_f_unsupported(self):
         pr = EmbeddingProblem("2^(2*j)", "1", 1, 1, "inf", "inf", 1, scale="F")
         assert entropy_rate(pr).kind == "inconclusive"
+
+    @pytest.mark.parametrize("sigma, tau", [
+        ("2^(2*j)*(1+j)", "(1+j)^3"),        # non-limiting
+        ("2^(j)*(1+j)^2", "2^(1/2*j)"),      # coupled-log catalog
+        ("1", "2^(j)"),                      # not compact
+    ])
+    def test_single_criterion_pass(self, monkeypatch, sigma, tau):
+        # one compact criterion per call, decided in place: compactness is
+        # not run a second time
+        calls = {"criterion_sequence": 0, "compactness": 0}
+        for name in calls:
+            real = getattr(embanalyzer, name)
+
+            def counted(*args, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(embanalyzer, name, counted)
+        embanalyzer.entropy_rate(EmbeddingProblem(sigma, tau, 1, "inf", 2, 2, 1))
+        assert calls == {"criterion_sequence": 1, "compactness": 0}
 
 
 class TestEnvelopeFunctional:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,84 @@ class TestNormalForm:
         assert parse("pw2(s0=0,s1=1)/pw2(s0=0,s1=1)") == const(1)
         t = "(table[1,2] then 2^(j))"
         assert parse(f"{t}*2^(j)/{t}") == geometric(1)
+
+
+prefixes = st.lists(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]),
+                    min_size=1, max_size=2).map(tuple)
+table_exponents = [Fraction(-1), Fraction(1), Fraction(2)]
+
+
+@st.composite
+def tabled_exprs(draw, depth=2, roots=False):
+    """A canonical or pw2 monomial times up to two powered tables, whose
+    continuations are drawn the same way (nested up to depth).  roots adds
+    non-integer constant powers: a power of 3, and table exponent 1/2,
+    which puts a root on the continuation's constant."""
+    exponents = table_exponents + [Fraction(1, 2)] * roots
+    leaf = st.one_of(canonical_exprs().map(lambda t: t[0]),
+                     oscillating_exprs().map(lambda t: t[0]))
+    parts = [draw(leaf), const(draw(st.sampled_from([1, 2, Fraction(5, 3)])))]
+    if roots:
+        parts.append(power(const(3), draw(st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]))))
+    cont = leaf if depth == 0 else st.one_of(leaf, tabled_exprs(depth - 1, roots))
+    for _ in range(draw(st.integers(0, 2))):
+        parts.append(power(table(draw(prefixes), draw(cont)),
+                           draw(st.sampled_from(exponents))))
+    return product(*parts)
+
+
+def _partner(a, x, how):
+    """b sharing a's tables (equal, so they cancel, or reciprocal) or not."""
+    return {"equal": a, "times": product(a, x), "free": x,
+            "reciprocal": product(power(a, Fraction(-1)), x)}[how]
+
+
+def _both_sides(a, b):
+    return (strip_tables(product(power(a, Fraction(-1)), b)),
+            product(power(strip_tables(a), Fraction(-1)), strip_tables(b)))
+
+
+ratio_shapes = st.sampled_from(["equal", "times", "reciprocal", "free"])
+
+
+class TestStripRatio:
+    """strip_tables(a^-1 b) against strip_tables(a)^-1 strip_tables(b): a
+    problem's criterion and entropy ratio strip the shared weight ratio
+    sigma^-1 tau rather than the weights one by one."""
+
+    @given(tabled_exprs(), tabled_exprs(), ratio_shapes)
+    def test_identity(self, a, x, how):
+        lhs, rhs = _both_sides(a, _partner(a, x, how))
+        assert lhs == rhs
+
+    def test_identity_examples(self):
+        nested = parse("(table[2] then (table[1/2] then pw2(s0=0,s1=1)*(1+j)))")
+        cases = [
+            ("(table[1,2] then 2^(j))", "(table[1,2] then 2^(j))"),         # cancel
+            ("(table[3] then (1+j))", "(table[3] then (1+j))^-1*2^(j)"),   # reciprocal
+            (render(nested), render(power(nested, Fraction(1, 2)))),       # nested
+            ("(table[1] then pw2(s0=1,s1=2))^2", "pw2(s0=0,s1=1)"),        # pw2
+        ]
+        for sa, sb in cases:
+            lhs, rhs = _both_sides(parse(sa), parse(sb))
+            assert lhs == rhs
+
+    @given(tabled_exprs(depth=1, roots=True), tabled_exprs(depth=1, roots=True),
+           ratio_shapes)
+    def test_constant_roots_agree_in_value(self, a, x, how):
+        # with non-integer constant powers the normal form of the constant
+        # is not unique: one side can come out as 1/3 * (3)^1/2 and the
+        # other as (3)^-1/2.  Every exponent and the constant's value agree.
+        lhs, rhs = _both_sides(a, _partner(a, x, how))
+        assert replace(lhs, const=1, roots=()) == replace(rhs, const=1, roots=())
+        n = math.lcm(*(e.denominator for _, e in lhs.roots + rhs.roots))
+
+        def value_to_n(e):
+            v = e.const ** n
+            for base, expo in e.roots:
+                v *= base ** int(expo * n)
+            return v
+        assert value_to_n(lhs) == value_to_n(rhs)
 
 
 class TestEvaluation:
