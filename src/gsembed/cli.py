@@ -257,11 +257,14 @@ def _load_section(args) -> Tuple[FiniteSection, Optional[EmbeddingProblem]]:
             with open(text) as fh:
                 text = fh.read()
         doc = json.loads(text)
-        sec = FiniteSection(
-            beta=tuple(float(b) for b in doc["beta"]),
-            M=tuple(int(m) for m in doc["M"]),
-            p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
-        )
+        try:
+            sec = FiniteSection(
+                beta=tuple(float(b) for b in doc["beta"]),
+                M=tuple(int(m) for m in doc["M"]),
+                p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
+            )
+        except TypeError as exc:  # a JSON value of the wrong type
+            raise ValueError(f"malformed section: {exc}") from None
         return sec, None
     raise ValueError("provide a section via --from-problem FILE or --section JSON")
 
@@ -448,11 +451,13 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
+        # a result beyond the float range (inf or nan) is an error too
+        text = json.dumps(payload, indent=2, allow_nan=False)
     except (SequenceError, StandardizeError, ModulusRejected, ValueError,
             KeyError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(text)
     return code
 
 

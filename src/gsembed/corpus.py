@@ -19,7 +19,6 @@ from .embanalyzer import (
     compact_not_nuclear_band,
     compactness,
     entropy_rate,
-    ext,
     nuclearity,
 )
 
@@ -78,7 +77,7 @@ def run_case(case: ReproCase) -> Dict[str, Any]:
         if "residual_contains" in expect:
             passed = passed and expect["residual_contains"] in (formula.residual or "")
     elif op == "band":
-        band = compact_not_nuclear_band(ext(check["p1"]), ext(check["p2"]), int(check["dim"]))
+        band = compact_not_nuclear_band(check["p1"], check["p2"], int(check["dim"]))
         got = {"lower": _fmt(band.lower), "upper": _fmt(band.upper), "empty": band.empty}
         passed = (
             got["lower"] == expect["lower"]

@@ -6,9 +6,12 @@ sigma and integrability (p1, q1), a target with weight tau and (p2, q2),
 over a domain of dimension dim.  Every decision reduces to an exact
 membership test of a single criterion sequence in ell_r or c0, with the
 exponent r built from the integrability parameters by reciprocal-space
-arithmetic.  A problem derives its pieces once: EmbeddingProblem.recips
-holds (1/p1, 1/q1, 1/p2, 1/q2) and EmbeddingProblem.weight_ratio holds
-sigma^-1 tau; the criteria, the entropy catalog and the lab read them.
+arithmetic.  Exponents are validated in one place: the Exponents base of
+EmbeddingProblem and of the lab's FiniteSection normalises (p1, q1, p2,
+q2) with ext, rejects values that are not positive or inf, and holds
+recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach().  A problem also derives
+weight_ratio = sigma^-1 tau once; the criteria, the entropy catalog and
+the lab read these members.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -30,7 +33,6 @@ from .seqdsl import (
     SequenceExpr,
     decompose,
     evaluate,
-    function_log2,
     geometric,
     parse,
     power,
@@ -53,7 +55,6 @@ __all__ = [
     "Verdict",
     "Band",
     "RateFormula",
-    "EnAResult",
     "criterion_sequence",
     "ellr_membership",
     "membership_partial_sums",
@@ -62,7 +63,6 @@ __all__ = [
     "f_space_nuclearity",
     "compact_not_nuclear_band",
     "entropy_rate",
-    "en_A",
 ]
 
 INF = math.inf
@@ -70,7 +70,7 @@ ExtReal = Union[Fraction, float]
 
 
 def ext(x) -> ExtReal:
-    """Normalize an integrability parameter to Fraction or math.inf."""
+    """Normalize an integrability parameter to Fraction or a float infinity."""
     if isinstance(x, str):
         s = x.strip().lower()
         if s in ("inf", "infinity", "oo"):
@@ -78,7 +78,7 @@ def ext(x) -> ExtReal:
         return Fraction(s)
     if isinstance(x, float):
         if math.isinf(x):
-            return INF
+            return x  # -inf is kept for the positivity check to reject
         return Fraction(x)
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
@@ -92,6 +92,19 @@ def recip(x: ExtReal) -> ExtReal:
     if x == 0:
         return INF
     return 1 / Fraction(x)
+
+
+def _exponent(name: str, x) -> ExtReal:
+    """x normalised by ext; it must be positive or inf."""
+    v = ext(x)
+    if v != INF and v <= 0:
+        raise ValueError(f"{name} must be positive or inf, got {v}")
+    return v
+
+
+def _banach(recips) -> bool:
+    """Every exponent in [1, inf], read on reciprocals."""
+    return all(r <= 1 for r in recips)
 
 
 def _from_recip(r: Fraction) -> ExtReal:
@@ -110,11 +123,11 @@ def _tong_recip(a: Fraction, b: Fraction) -> Fraction:
 
 def _tong_params(r1, r2) -> tuple:
     """(1/r1, 1/r2) for the parameters of Tong's formula, which need [1, inf]."""
-    r1, r2 = ext(r1), ext(r2)
-    for r in (r1, r2):
-        if r != INF and r < 1:
-            raise ValueError(f"tong exponent needs parameters in [1, inf], got {r}")
-    return recip(r1), recip(r2)
+    rs = (recip(_exponent("r1", r1)), recip(_exponent("r2", r2)))
+    if not _banach(rs):
+        raise ValueError(
+            f"tong exponent needs parameters in [1, inf], got ({r1}, {r2})")
+    return rs
 
 
 def dual_star(r1, r2) -> ExtReal:
@@ -139,8 +152,29 @@ def delta_gap(s1, p1, s2, p2, dim: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # problems and verdicts
 
+class Exponents:
+    """Integrability exponents (p1, q1, p2, q2) of an embedding.
+
+    Base of the frozen dataclasses EmbeddingProblem and FiniteSection, which
+    declare the four fields and call _set_exponents from __post_init__.
+    """
+
+    def _set_exponents(self) -> None:
+        for name in ("p1", "q1", "p2", "q2"):
+            object.__setattr__(self, name, _exponent(name, getattr(self, name)))
+
+    @cached_property
+    def recips(self) -> tuple:
+        """(1/p1, 1/q1, 1/p2, 1/q2) as exact Fractions, with 1/inf = 0."""
+        return tuple(recip(v) for v in (self.p1, self.q1, self.p2, self.q2))
+
+    def is_banach(self) -> bool:
+        """All four exponents in [1, inf], where Tong's formula applies."""
+        return _banach(self.recips)
+
+
 @dataclass(frozen=True)
-class EmbeddingProblem:
+class EmbeddingProblem(Exponents):
     """Embedding of a (sigma, p1, q1) space into a (tau, p2, q2) space.
 
     scale "B" is the plain mixed-norm model; scale "F" swaps the order of
@@ -161,11 +195,7 @@ class EmbeddingProblem:
             w = getattr(self, name)
             if isinstance(w, str):
                 object.__setattr__(self, name, parse(w))
-        for name in ("p1", "q1", "p2", "q2"):
-            v = ext(getattr(self, name))
-            if v != INF and v <= 0:
-                raise ValueError(f"{name} must be positive or inf, got {v}")
-            object.__setattr__(self, name, v)
+        self._set_exponents()
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
         if self.scale not in ("B", "F"):
@@ -180,17 +210,9 @@ class EmbeddingProblem:
                    dim=int(doc["dim"]), scale=doc.get("scale", "B"))
 
     @cached_property
-    def recips(self) -> tuple:
-        """(1/p1, 1/q1, 1/p2, 1/q2) as exact Fractions, with 1/inf = 0."""
-        return tuple(recip(v) for v in (self.p1, self.q1, self.p2, self.q2))
-
-    @cached_property
     def weight_ratio(self) -> SequenceExpr:
         """sigma^-1 tau, the weight part of every criterion sequence."""
         return product(power(self.sigma, Fraction(-1)), self.tau)
-
-    def is_banach(self) -> bool:
-        return all(r <= 1 for r in self.recips)
 
 
 @dataclass(frozen=True)
@@ -398,8 +420,8 @@ def _criterion_verdict(problem: EmbeddingProblem, kind: str, name: str) -> Verdi
     return Verdict(v.status, expr, target, f"sequence-{name}-criterion", ev)
 
 
-def _require_banach(problem: EmbeddingProblem) -> None:
-    if not problem.is_banach():
+def _require_banach(model: Exponents) -> None:
+    if not model.is_banach():
         raise ValueError(
             "nuclearity criterion requires Banach exponents: all of p1, q1, p2, q2 "
             "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
@@ -558,69 +580,3 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
                                 "is outside the implemented catalog",))
     return RateFormula("inconclusive", None, None, None, None, "entropy-rate",
                        ("limiting case outside the implemented catalog",))
-
-
-@dataclass(frozen=True)
-class EnAResult:
-    """Evaluation of the two-sided entropy envelope functional
-
-        A(k) = sup_{u >= k} ratio(u^(1/dim)) u^alpha min(ln(u/k + 1)/k, 1)^alpha
-
-    over a geometric grid u = k 2^i.  certified means the tail beyond the
-    grid was provably dominated; otherwise truncated is set.  The inner
-    logarithm is the natural one; everything else in this package is base 2.
-    """
-
-    value: float
-    argmax_u: float
-    doublings: int
-    alpha: Fraction
-    truncated: bool
-    certified: bool
-    hypothesis_ok: bool
-    notes: tuple = ()
-
-
-def en_A(problem: EmbeddingProblem, k: int, doublings: int = 48) -> EnAResult:
-    """Entropy envelope A(k) for embeddings with p1 < p2.
-
-    Requires alpha = 1/p1 - 1/p2 > 0; the sharp two-sided law additionally
-    needs 1/q2 - 1/q1 <= -alpha, recorded in hypothesis_ok.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rp1, rq1, rp2, rq2 = problem.recips
-    alpha = rp1 - rp2
-    if alpha <= 0:
-        raise ValueError("the envelope functional needs p1 < p2")
-    hypothesis_ok = rq2 - rq1 <= -alpha
-
-    ratio = strip_tables(problem.weight_ratio)
-    a = float(alpha)
-    d = problem.dim
-    best, best_u, best_i = -INF, float(k), 0
-    vals = []
-    for i in range(doublings + 1):
-        u = float(k) * (2.0 ** i)
-        t = u ** (1.0 / d)
-        lg = float(function_log2(ratio, t)) + a * math.log2(u)
-        m = min(math.log(u / k + 1.0) / k, 1.0)
-        lg += a * math.log2(m)
-        vals.append(lg)
-        if lg > best:
-            best, best_u, best_i = lg, u, i
-
-    dh = product(ratio, geometric(d * alpha))
-    decays = not dh.pw and ellr_membership(dh, Target("c0")).status == "holds"
-    tail_start = max(0, len(vals) - 9)
-    tail_monotone = all(vals[i] >= vals[i + 1] for i in range(tail_start, len(vals) - 1))
-    certified = decays and tail_monotone and best_i < doublings - 1
-    truncated = not certified
-    value = INF if best > 1000.0 else 2.0 ** best
-    notes = ()
-    if not hypothesis_ok:
-        notes = ("fine-index hypothesis 1/q2 - 1/q1 <= -alpha violated; "
-                 "the envelope is evaluated but not two-sided sharp",)
-    return EnAResult(value=value, argmax_u=best_u, doublings=doublings,
-                     alpha=alpha, truncated=truncated, certified=certified,
-                     hypothesis_ok=hypothesis_ok, notes=notes)

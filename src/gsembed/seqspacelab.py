@@ -10,21 +10,28 @@ i.e. vectors x = (x_0, ..., x_L) with x_j of dimension M_j, source norm
 Everything here is numeric and cross-checks the exact sequence-space
 formulas: the closed operator norm, the exact nuclear norm of the diagonal,
 and two-sided entropy bounds that are sound rather than asymptotically
-sharp.  Every ell_p aggregate goes through one rescaling _lp_norm on
-Python floats, since the blocks are small and numpy's per-call overhead
-would be its whole cost; numpy serves only the norm search's seeded start
-vectors and is imported there.
+sharp.
+
+A section validates its exponents through the engine's Exponents base and
+derives two things once, as cached properties: recips = (1/p1, 1/q1, 1/p2,
+1/q2) and gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal
+blocks.  Every routine here reads section.recips and section.gains instead
+of inverting exponents itself.  Every ell_p aggregate goes through one
+rescaling _lp_norm on Python floats, since the blocks are small and numpy's
+per-call overhead would be its whole cost; numpy serves only the norm
+search's seeded start vectors and is imported there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .seqdsl import log2_value, render
-from .embanalyzer import (INF, EmbeddingProblem, ExtReal, _star_recip, dual_star,
-                          entropy_rate, ext, recip, tong)
+from .seqdsl import log2_value
+from .embanalyzer import (INF, EmbeddingProblem, Exponents, ExtReal, _from_recip,
+                          _require_banach, _star_recip, _tong_recip, entropy_rate)
 
 __all__ = [
     "FiniteSection",
@@ -44,7 +51,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FiniteSection:
+class FiniteSection(Exponents):
     """Truncated diagonal embedding with explicit block weights and sizes."""
 
     beta: tuple
@@ -53,17 +60,24 @@ class FiniteSection:
     q1: ExtReal
     p2: ExtReal
     q2: ExtReal
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.beta) != len(self.M) or not self.M:
             raise ValueError("beta and M must be nonempty and of equal length")
-        if any(b <= 0 for b in self.beta):
-            raise ValueError("block weights must be positive")
+        if not all(0 < b < math.inf for b in self.beta):
+            raise ValueError("block weights must be positive and finite")
         if any(not isinstance(m, int) or m < 1 for m in self.M):
             raise ValueError("block sizes must be positive integers")
-        for name in ("p1", "q1", "p2", "q2"):
-            object.__setattr__(self, name, ext(getattr(self, name)))
+        self._set_exponents()
+
+    @cached_property
+    def gains(self) -> tuple:
+        """Block norms beta_j^-1 M_j^(1/p*): beta_j^-1 times the norm of the
+        ell_p1^M -> ell_p2^M identity, 1 for p1 <= p2 and M^(1/p2 - 1/p1)
+        otherwise."""
+        rp1, _, rp2, _ = self.recips
+        excess = float(_star_recip(rp1, rp2))
+        return tuple(float(m) ** excess / b for b, m in zip(self.beta, self.M))
 
     @property
     def levels(self) -> int:
@@ -104,7 +118,7 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
     d = problem.dim
     rp1, _, rp2, _ = problem.recips
     gap = d * (rp1 - rp2)
-    beta, M, gamma = [], [], []
+    beta, M = [], []
     for j in range(levels + 1):
         lg = log2_value(problem.sigma, j) - log2_value(problem.tau, j) - j * gap
         b = _pow2(lg, "block weight beta_j", j)
@@ -113,46 +127,30 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
                                     "underflows to 0")
         beta.append(b)
         M.append(max(1, round(density * _pow2(j * d, "block size 2^(j dim)", j))))
-        lg_g = log2_value(problem.tau, j) - j * d * float(rp2)
-        gamma.append(_pow2(lg_g, "conjugation weight gamma_j", j))
-    meta = {
-        "source_weight": render(problem.sigma),
-        "target_weight": render(problem.tau),
-        "dim": d,
-        "density": density,
-        "conjugation": tuple(gamma),  # diagonal that reduces the weighted pair
-    }
     return FiniteSection(tuple(beta), tuple(M), problem.p1, problem.q1,
-                         problem.p2, problem.q2, meta)
+                         problem.p2, problem.q2)
 
 
 # ---------------------------------------------------------------------------
 # operator norm
 
-def _block_gain(section: FiniteSection, j: int) -> float:
-    """Norm of block j: beta_j^-1 times the ell_p1^M -> ell_p2^M identity
-    norm, which is 1 for p1 <= p2 and M^(1/p2 - 1/p1) otherwise."""
-    excess = _star_recip(recip(section.p1), recip(section.p2))
-    return float(section.M[j]) ** float(excess) / section.beta[j]
-
-
 def embedding_norm_closed(section: FiniteSection) -> float:
     """Exact operator norm of the section: the diagonal of block gains
     measured from ell_q1 to ell_q2 (sup for q1 <= q2, else the ell_r norm
     with 1/r = 1/q2 - 1/q1)."""
-    gains = [_block_gain(section, j) for j in range(len(section.M))]
-    return _lp_norm(dual_star(section.q1, section.q2))(gains)
+    _, rq1, _, rq2 = section.recips
+    return _lp_norm(_from_recip(_star_recip(rq1, rq2)))(section.gains)
 
 
 def _lp_norm(p: ExtReal):
-    """The ell_p norm of a list of non-negative floats, with the exponent
+    """The ell_p norm of a sequence of non-negative floats, with the exponent
     converted once rather than on every call."""
     if p == INF:
         return max
     fp = float(p)
     inv = 1.0 / fp
 
-    def norm(v: list) -> float:
+    def norm(v: Sequence[float]) -> float:
         try:
             total = sum([x ** fp for x in v])
             if 0.0 < total < math.inf:
@@ -190,6 +188,7 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
     rng = np.random.default_rng(np.random.PCG64(seed))
     nblocks = len(section.M)
     beta = section.beta
+    rp1, rq1, rp2, rq2 = section.recips
     inner1, inner2 = _lp_norm(section.p1), _lp_norm(section.p2)
     outer1, outer2 = _lp_norm(section.q1), _lp_norm(section.q2)
 
@@ -203,7 +202,7 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
 
     # extremal block vector: flat when the inner index shrinks (Hoelder
     # equality), spike when it grows
-    flat = recip(section.p2) > recip(section.p1)
+    flat = rp2 > rp1
     shapes = [[1.0] * m if flat else [1.0] + [0.0] * (m - 1)
               for m in section.M]
 
@@ -216,11 +215,11 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
 
     # coupled weights matter when the outer index shrinks; with unit-p1
     # block shapes the optimal source amplitudes follow a Hoelder pattern
-    gap = recip(section.q2) - recip(section.q1)
+    gap = rq2 - rq1
     if gap > 0:
         r = 1.0 / float(gap)
         w_exp = 0.0 if section.q1 == INF else r / float(section.q1)
-        gains = [_block_gain(section, j) for j in range(nblocks)]
+        gains = section.gains
         # the ratio is scale-invariant, so the weights g^w_exp are taken
         # relative to the largest gain, which keeps the powers in range
         top = max(gains)
@@ -272,14 +271,11 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
 def nuclear_norm_tong(section: FiniteSection) -> float:
     """Exact nuclear norm of the section for Banach parameters:
     || (beta_j^-1 M_j^(1/t(p1,p2)))_j ||_{t(q1,q2)}."""
-    for name in ("p1", "q1", "p2", "q2"):
-        v = getattr(section, name)
-        if v != INF and v < 1:
-            raise ValueError("nuclear norm needs Banach parameters in [1, inf]")
-    tp = recip(tong(section.p1, section.p2))
-    tq = tong(section.q1, section.q2)
-    terms = [float(m) ** float(tp) / b for b, m in zip(section.beta, section.M)]
-    return _lp_norm(tq)(terms)
+    _require_banach(section)
+    rp1, rq1, rp2, rq2 = section.recips
+    tp = float(_tong_recip(rp1, rp2))
+    terms = [float(m) ** tp / b for b, m in zip(section.beta, section.M)]
+    return _lp_norm(_from_recip(_tong_recip(rq1, rq2)))(terms)
 
 
 def nuclear_norm_oracle(section: FiniteSection) -> dict:
@@ -357,8 +353,8 @@ def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
                             {"norm": nrm})
 
     budget = 1 << (k - 1)
-    inv_p2 = None if section.p2 == INF else float(recip(section.p2))
-    scales = [(1.0 if inv_p2 is None else float(m) ** inv_p2, 1.0 / b)
+    inv_p2 = float(section.recips[2])
+    scales = [(float(m) ** inv_p2, 1.0 / b)
               for b, m in zip(section.beta, section.M)]
     radius = _lp_norm(section.q2)
     ms = [0] * len(section.M)

@@ -1,5 +1,7 @@
 """Command-line surface: payload schemas, exit codes, seed handling."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,10 @@ import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given
 
 import gsembed
 from gsembed import cli, schemas
@@ -251,6 +255,25 @@ class TestLab:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
 
+    @pytest.mark.parametrize("change, says", [
+        ({"beta": [float("nan")]}, "block weights"),
+        ({"beta": [float("inf")]}, "block weights"),
+        ({"p1": -2}, "p1 must be positive"),
+        ({"p1": 0}, "p1 must be positive"),
+        ({"p1": None}, "malformed section"),
+        ({"beta": [5e-324]}, "not JSON compliant"),
+    ], ids=["beta-nan", "beta-inf", "p1-negative", "p1-zero", "p1-null",
+            "norm-beyond-float-range"])
+    def test_bad_section_is_error(self, capsys, change, says):
+        # one block, so that no zero block hides a negative p1 from the
+        # norm search, which used to report search >> closed
+        doc = dict({"beta": [1.0], "M": [2], "p1": 2, "q1": 2, "p2": 2,
+                    "q2": 2}, **change)
+        code, out = invoke(capsys, "lab", "norm", "--section", json.dumps(doc))
+        assert code == 1
+        jsonschema.validate(out, schemas.ERROR_SCHEMA)
+        assert says in out["error"]
+
     def test_problem_missing_key_is_error(self, capsys, tmp_path):
         f = tmp_path / "problem.json"
         f.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": 1,
@@ -275,6 +298,57 @@ class TestLab:
         assert code == 0
         jsonschema.validate(doc, schemas.RATEFIT_SCHEMA)
         assert doc["slope"] < 0
+
+
+GOOD_EXPONENTS = [1, "4/3", 2, 3, "inf", "1/2"]
+BAD_EXPONENTS = [0, -1, "nan", "inf/2", float("inf"), float("-inf"),
+                 float("nan"), None, [2]]
+
+
+@st.composite
+def section_docs(draw):
+    """Inline --section text: a valid section with up to two fields
+    replaced by hostile values."""
+    n = draw(st.integers(1, 3))
+    doc = {"beta": draw(st.lists(st.floats(1 / 64, 64), min_size=n, max_size=n)),
+           "M": draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))}
+    for key in ("p1", "q1", "p2", "q2"):
+        doc[key] = draw(st.sampled_from(GOOD_EXPONENTS))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["beta", "M", "p1", "q1", "p2", "q2"]))
+        j = draw(st.integers(0, n - 1))
+        if key == "beta":
+            doc["beta"][j] = draw(st.floats())
+        elif key == "M":
+            doc["M"][j] = draw(st.sampled_from([0, -1, "x", None]))
+        else:
+            doc[key] = draw(st.sampled_from(BAD_EXPONENTS))
+    return json.dumps(doc)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestSectionFuzz:
+    @pytest.mark.parametrize("argv, schema", [
+        (["lab", "nuclear"], schemas.LAB_NUCLEAR_SCHEMA),
+        (["lab", "entropy", "--k", "1", "2"], schemas.LAB_ENTROPY_SCHEMA),
+        (["lab", "norm", "--restarts", "1", "--iters", "20"],
+         schemas.LAB_NORM_SCHEMA),
+    ], ids=["nuclear", "entropy", "norm"])
+    @given(text=section_docs())
+    def test_one_json_document(self, argv, schema, text):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(argv + ["--section", text])
+        assert code in (0, 1, 2)
+        doc = json.loads(buf.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA if code == 1 else schema)
+        if code == 0 and "search" in doc:
+            assert doc["search"] <= doc["closed"] * (1 + 1e-9)
+        for row in doc.get("bounds", []) if code == 0 else []:
+            assert row["lower"] <= row["upper"] * (1 + 1e-9)
 
 
 class TestReproduce:

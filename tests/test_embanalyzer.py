@@ -20,7 +20,6 @@ from gsembed import (
     delta_gap,
     dual_star,
     ellr_membership,
-    en_A,
     entropy_rate,
     ext,
     geometric,
@@ -96,6 +95,8 @@ class TestProblems:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             EmbeddingProblem(geometric(1), geometric(0), 0, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="q1 must be positive"):
+            EmbeddingProblem(geometric(1), geometric(0), 1, -INF, 1, 1, 1)
         with pytest.raises(ValueError):
             EmbeddingProblem(geometric(1), geometric(0), 1, 1, 1, 1, 0)
         with pytest.raises(ValueError):
@@ -463,31 +464,3 @@ class TestEntropyRate:
             monkeypatch.setattr(embanalyzer, name, counted)
         embanalyzer.entropy_rate(EmbeddingProblem(sigma, tau, 1, "inf", 2, 2, 1))
         assert calls == {"criterion_sequence": 1, "compactness": 0}
-
-
-class TestEnvelopeFunctional:
-    def test_decaying_ratio_is_certified(self):
-        pr = EmbeddingProblem("2^(2*j)", "1", 1, 2, 2, "inf", 1)
-        res = en_A(pr, k=4)
-        assert res.alpha == HALF
-        assert res.certified and not res.truncated
-        assert 0 < res.value < INF
-
-    def test_monotone_in_k(self):
-        pr = EmbeddingProblem("2^(2*j)", "1", 1, 2, 2, "inf", 1)
-        vals = [en_A(pr, k).value for k in (1, 4, 16)]
-        assert vals == sorted(vals, reverse=True)
-
-    def test_argument_validation(self):
-        pr = EmbeddingProblem("2^(2*j)", "1", 1, 2, 2, "inf", 1)
-        with pytest.raises(ValueError):
-            en_A(pr, 0)
-        flat = EmbeddingProblem("2^(2*j)", "1", 2, 2, 2, 2, 1)
-        with pytest.raises(ValueError):
-            en_A(flat, 1)
-
-    def test_fine_index_hypothesis_reported(self):
-        pr = EmbeddingProblem("2^(2*j)", "1", 1, "inf", 2, 1, 1)
-        res = en_A(pr, 2)
-        assert not res.hypothesis_ok
-        assert res.notes

@@ -4,14 +4,18 @@ import math
 import warnings
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+from conftest import banach_exponents
 from gsembed import (
     EmbeddingProblem,
     FiniteSection,
     INF,
     SectionRangeError,
+    dual_star,
     embedding_norm_closed,
     embedding_norm_search,
     entropy_lower,
@@ -21,8 +25,10 @@ from gsembed import (
     nuclear_norm_oracle,
     nuclear_norm_tong,
     rate_fit,
+    recip,
+    tong,
 )
-from gsembed.seqspacelab import _log_ball_volume
+from gsembed.seqspacelab import _log_ball_volume, _lp_norm
 
 
 def sec(beta, M, p1, q1, p2, q2):
@@ -39,6 +45,10 @@ class TestFiniteSection:
             sec((0.0,), (1,), 1, 1, 1, 1)
         with pytest.raises(ValueError):
             sec((1.0,), (0,), 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sec((math.nan,), (1,), 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="p1 must be positive"):
+            sec((1.0,), (1,), -2, 1, 1, 1)
 
     def test_weights_absorb_integrability_gap(self):
         pr = EmbeddingProblem("2^(2*j)", "1", 1, 1, 2, 2, 1)
@@ -64,11 +74,13 @@ class TestFiniteSection:
         with pytest.raises(ValueError):
             finite_section(pr, -1)
 
-    def test_meta_records_conjugation(self):
-        pr = EmbeddingProblem("2^(2*j)", "1", 1, 1, 2, 2, 1)
-        s = finite_section(pr, 2)
-        assert s.meta["conjugation"] == pytest.approx(
-            (1.0, 2.0 ** -0.5, 0.5))
+    def test_equal_huge_weights_build(self):
+        # sigma = tau: every beta_j is 1 although tau_j alone leaves the
+        # float range at j = 1
+        w = "2^(1100*j)"
+        s = finite_section(EmbeddingProblem(w, w, 2, 2, 2, 2, 1), 1)
+        assert s.beta == (1.0, 1.0)
+        assert embedding_norm_closed(s) == 1.0
 
 
 class TestOperatorNorm:
@@ -201,6 +213,33 @@ class TestNuclearNorm:
         for s in fixtures:
             out = nuclear_norm_oracle(s)
             assert out["coordinate_upper"] >= nuclear_norm_tong(s) - 1e-9
+
+
+@st.composite
+def banach_sections(draw):
+    n = draw(st.integers(1, 4))
+    beta = draw(st.lists(st.floats(2.0 ** -40, 2.0 ** 40), min_size=n, max_size=n))
+    M = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return sec(beta, M, *(draw(banach_exponents) for _ in range(4)))
+
+
+class TestReciprocalRoute:
+    """The section's cached recips and gains against the public exponent
+    laws, bit for bit."""
+
+    @staticmethod
+    def reference(s, law):
+        e = float(recip(law(s.p1, s.p2)))
+        terms = [float(m) ** e / b for b, m in zip(s.beta, s.M)]
+        return _lp_norm(law(s.q1, s.q2))(terms)
+
+    @given(banach_sections())
+    def test_closed_norm(self, s):
+        assert embedding_norm_closed(s) == self.reference(s, dual_star)
+
+    @given(banach_sections())
+    def test_nuclear_norm(self, s):
+        assert nuclear_norm_tong(s) == self.reference(s, tong)
 
 
 class TestBallVolumes:
