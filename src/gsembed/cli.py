@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
@@ -224,16 +223,9 @@ def _cmd_analyze(args) -> Tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # lab subcommands
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("GSEMBED_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def _section_payload(sec: FiniteSection) -> Dict[str, Any]:
     return {
-        "beta": [float(b) for b in sec.beta],
+        "beta": list(sec.beta),
         "M": list(sec.M),
         "p1": _jsonable(sec.p1), "q1": _jsonable(sec.q1),
         "p2": _jsonable(sec.p2), "q2": _jsonable(sec.q2),
@@ -246,33 +238,23 @@ def _read_problem(path: str) -> EmbeddingProblem:
         return EmbeddingProblem.from_dict(json.load(fh))
 
 
-def _load_section(args) -> Tuple[FiniteSection, Optional[EmbeddingProblem]]:
-    if getattr(args, "from_problem", None):
-        problem = _read_problem(args.from_problem)
-        sec = finite_section(problem, levels=args.levels, density=args.density)
-        return sec, problem
-    if getattr(args, "section", None):
+def _load_section(args) -> FiniteSection:
+    if args.from_problem:
+        return finite_section(_read_problem(args.from_problem),
+                              levels=args.levels, density=args.density)
+    if args.section:
         text = args.section
         if not text.lstrip().startswith(("{", "[")):
             with open(text) as fh:
                 text = fh.read()
-        doc = json.loads(text)
-        try:
-            sec = FiniteSection(
-                beta=tuple(float(b) for b in doc["beta"]),
-                M=tuple(int(m) for m in doc["M"]),
-                p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
-            )
-        except TypeError as exc:  # a JSON value of the wrong type
-            raise ValueError(f"malformed section: {exc}") from None
-        return sec, None
+        return FiniteSection.from_dict(json.loads(text))
     raise ValueError("provide a section via --from-problem FILE or --section JSON")
 
 
 def _cmd_lab_norm(args) -> Tuple[dict, int]:
-    sec, _ = _load_section(args)
+    sec = _load_section(args)
     closed = embedding_norm_closed(sec)
-    found = embedding_norm_search(sec, seed=_resolve_seed(args),
+    found = embedding_norm_search(sec, seed=args.seed,
                                   restarts=args.restarts, iters=args.iters)
     payload = {
         "closed": closed,
@@ -284,7 +266,7 @@ def _cmd_lab_norm(args) -> Tuple[dict, int]:
 
 
 def _cmd_lab_nuclear(args) -> Tuple[dict, int]:
-    sec, _ = _load_section(args)
+    sec = _load_section(args)
     payload = {
         "exact": nuclear_norm_tong(sec),
         "oracle": _jsonable(nuclear_norm_oracle(sec)),
@@ -294,7 +276,7 @@ def _cmd_lab_nuclear(args) -> Tuple[dict, int]:
 
 
 def _cmd_lab_entropy(args) -> Tuple[dict, int]:
-    sec, _ = _load_section(args)
+    sec = _load_section(args)
     ks = args.k if args.k else list(range(1, 9))
     bounds = []
     for k in ks:

@@ -9,7 +9,8 @@ exponent r built from the integrability parameters by reciprocal-space
 arithmetic.  Exponents are validated in one place: the Exponents base of
 EmbeddingProblem and of the lab's FiniteSection normalises (p1, q1, p2,
 q2) with ext, rejects values that are not positive or inf, and holds
-recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach().  A problem also derives
+recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach(); its from_dict is the
+one JSON decoder of both models.  A problem also derives
 weight_ratio = sigma^-1 tau once; the criteria, the entropy catalog and
 the lab read these members.
 
@@ -23,7 +24,7 @@ corresponds to the entry log2(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
@@ -31,6 +32,7 @@ from typing import Optional, Union
 from .seqdsl import (
     EvalOverflow,
     SequenceExpr,
+    _pw_block,
     decompose,
     evaluate,
     geometric,
@@ -80,7 +82,7 @@ def ext(x) -> ExtReal:
         if math.isinf(x):
             return x  # -inf is kept for the positivity check to reject
         return Fraction(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an extended parameter")
 
@@ -95,8 +97,12 @@ def recip(x: ExtReal) -> ExtReal:
 
 
 def _exponent(name: str, x) -> ExtReal:
-    """x normalised by ext; it must be positive or inf."""
-    v = ext(x)
+    """x normalised by ext; it must be positive or inf.  Every failure is a
+    ValueError that starts with the name."""
+    try:
+        v = ext(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
     if v != INF and v <= 0:
         raise ValueError(f"{name} must be positive or inf, got {v}")
     return v
@@ -157,7 +163,20 @@ class Exponents:
 
     Base of the frozen dataclasses EmbeddingProblem and FiniteSection, which
     declare the four fields and call _set_exponents from __post_init__.
+    Their __post_init__ is the only validator, and from_dict the only JSON
+    decoder, of both models.
     """
+
+    @classmethod
+    def from_dict(cls, doc):
+        """The model from a decoded JSON object: every field by name, its
+        default when the key is absent (KeyError if it has none), other keys
+        ignored.  Values are not coerced; __post_init__ judges them."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, "
+                             f"got {type(doc).__name__}")
+        return cls(**{f.name: doc[f.name] for f in fields(cls)
+                      if f.name in doc or f.default is MISSING})
 
     def _set_exponents(self) -> None:
         for name in ("p1", "q1", "p2", "q2"):
@@ -195,19 +214,13 @@ class EmbeddingProblem(Exponents):
             w = getattr(self, name)
             if isinstance(w, str):
                 object.__setattr__(self, name, parse(w))
+            elif not isinstance(w, SequenceExpr):
+                raise ValueError(f"{name} must be a weight expression string")
         self._set_exponents()
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if self.scale not in ("B", "F"):
             raise ValueError("scale must be 'B' or 'F'")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EmbeddingProblem":
-        """Problem from a JSON object with sigma, tau, p1, q1, p2, q2 and dim;
-        scale defaults to "B" and other keys are ignored."""
-        return cls(sigma=doc["sigma"], tau=doc["tau"],
-                   p1=doc["p1"], q1=doc["q1"], p2=doc["p2"], q2=doc["q2"],
-                   dim=int(doc["dim"]), scale=doc.get("scale", "B"))
 
     @cached_property
     def weight_ratio(self) -> SequenceExpr:
@@ -321,10 +334,8 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
     ev = {"target": str(target)}
     lead, sparse = ("rate", d.rate), False
     if d.pw:
-        even = odd = d.rate
-        for (s0, s1), expo in d.pw:
-            even += expo * (2 * s1 + s0) / 3
-            odd += expo * (s1 + 2 * s0) / 3
+        even = d.rate + sum(e * _pw_block(*s, 0)[0] for s, e in d.pw)
+        odd = d.rate + sum(e * _pw_block(*s, 1)[0] for s, e in d.pw)
         ev["anchor_rate_even"], ev["anchor_rate_odd"] = str(even), str(odd)
         lead = ("anchor-rate", max(even, odd))
         sparse = lead[1] == 0 and even != odd

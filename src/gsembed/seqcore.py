@@ -273,9 +273,9 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int]
 
     ds = decompose(sigma)
     dn = decompose(growth)
-    if ds.has_pw:
+    if ds.pw:
         raise StandardizeError("sigma must decompose into geometric/log/slowly-varying atoms")
-    if dn.has_pw or dn.explog or dn.iterlog != 0:
+    if dn.pw or dn.explog or dn.iterlog != 0:
         raise StandardizeError("growth scale must be geometric with at most a log-power factor")
     lam = dn.rate
     if lam <= 0:

@@ -144,10 +144,6 @@ class SequenceExpr:
         return 1 + max((cont.depth() for _, cont, _ in self.tables), default=0)
 
     @property
-    def has_pw(self) -> bool:
-        return bool(self.pw)
-
-    @property
     def rate_interval(self) -> tuple:
         lo = hi = self.rate
         for (s0, s1), expo in self.pw:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Optional, Sequence
 
 from .seqdsl import log2_value
@@ -52,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteSection(Exponents):
-    """Truncated diagonal embedding with explicit block weights and sizes."""
+    """Truncated diagonal embedding with explicit block weights and sizes:
+    tuples of float weights in (0, inf) and of positive ints."""
 
     beta: tuple
     M: tuple
@@ -62,12 +64,19 @@ class FiniteSection(Exponents):
     q2: ExtReal
 
     def __post_init__(self):
+        for name in ("beta", "M"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list")
         if len(self.beta) != len(self.M) or not self.M:
             raise ValueError("beta and M must be nonempty and of equal length")
-        if not all(0 < b < math.inf for b in self.beta):
-            raise ValueError("block weights must be positive and finite")
-        if any(not isinstance(m, int) or m < 1 for m in self.M):
-            raise ValueError("block sizes must be positive integers")
+        beta = tuple(float(b) if isinstance(b, Real) and not isinstance(b, bool)
+                     else math.nan for b in self.beta)
+        if not all(0 < b < math.inf for b in beta):
+            raise ValueError("beta: block weights must be positive and finite")
+        if any(type(m) is not int or m < 1 for m in self.M):
+            raise ValueError("M: block sizes must be positive integers")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "M", tuple(self.M))
         self._set_exponents()
 
     @cached_property

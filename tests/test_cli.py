@@ -1,4 +1,4 @@
-"""Command-line surface: payload schemas, exit codes, seed handling."""
+"""Command-line surface: payload schemas, exit codes, hostile input."""
 
 import contextlib
 import io
@@ -196,15 +196,6 @@ class TestLab:
         assert code == 0
         assert doc["section"]["M"] == [1, 2, 4]
 
-    def test_env_seed_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("GSEMBED_SEED", "42")
-        _, doc_env = invoke(capsys, "lab", "norm", "--section", SECTION,
-                            "--seed", "1")
-        monkeypatch.delenv("GSEMBED_SEED")
-        _, doc_flag = invoke(capsys, "lab", "norm", "--section", SECTION,
-                             "--seed", "42")
-        assert doc_env["search"] == doc_flag["search"]
-
     def test_nuclear(self, capsys):
         code, doc = invoke(capsys, "lab", "nuclear", "--section", SECTION)
         assert code == 0
@@ -260,16 +251,42 @@ class TestLab:
         ({"beta": [float("inf")]}, "block weights"),
         ({"p1": -2}, "p1 must be positive"),
         ({"p1": 0}, "p1 must be positive"),
-        ({"p1": None}, "malformed section"),
+        ({"p1": None}, "p1"),
         ({"beta": [5e-324]}, "not JSON compliant"),
+        ({"M": [2.7]}, "M: block sizes"),
+        ({"M": [True]}, "M: block sizes"),
+        ({"beta": "ab"}, "beta must be a list"),
+        ({"p1": float("nan")}, "p1: cannot convert NaN"),
     ], ids=["beta-nan", "beta-inf", "p1-negative", "p1-zero", "p1-null",
-            "norm-beyond-float-range"])
+            "norm-beyond-float-range", "M-fractional", "M-bool", "beta-string",
+            "p1-nan"])
     def test_bad_section_is_error(self, capsys, change, says):
         # one block, so that no zero block hides a negative p1 from the
         # norm search, which used to report search >> closed
         doc = dict({"beta": [1.0], "M": [2], "p1": 2, "q1": 2, "p2": 2,
                     "q2": 2}, **change)
         code, out = invoke(capsys, "lab", "norm", "--section", json.dumps(doc))
+        assert code == 1
+        jsonschema.validate(out, schemas.ERROR_SCHEMA)
+        assert says in out["error"]
+
+    @pytest.mark.parametrize("change, says", [
+        ({"p1": None}, "p1"),
+        ({"dim": 2.7}, "dim must be a positive integer"),
+        ({"dim": True}, "dim must be a positive integer"),
+        ({"sigma": 5}, "sigma must be a weight expression"),
+        ({"q2": True}, "q2: cannot interpret True"),
+        ([], "must be a JSON object"),
+    ], ids=["p1-null", "dim-fractional", "dim-bool", "sigma-number", "q2-bool",
+            "top-level-list"])
+    def test_bad_problem_is_error(self, capsys, tmp_path, change, says):
+        doc = {"sigma": "2^(2*j)", "tau": "1", "p1": 2, "q1": 2, "p2": 2,
+               "q2": 2, "dim": 1}
+        f = tmp_path / "problem.json"
+        f.write_text(json.dumps(dict(doc, **change) if isinstance(change, dict)
+                                else change))
+        code, out = invoke(capsys, "lab", "nuclear", "--from-problem", str(f),
+                           "--levels", "1")
         assert code == 1
         jsonschema.validate(out, schemas.ERROR_SCHEMA)
         assert says in out["error"]
@@ -349,6 +366,54 @@ class TestSectionFuzz:
             assert doc["search"] <= doc["closed"] * (1 + 1e-9)
         for row in doc.get("bounds", []) if code == 0 else []:
             assert row["lower"] <= row["upper"] * (1 + 1e-9)
+
+
+GOOD_WEIGHTS = ["1", "2^(2*j)", "2^(j)*(1+j)^-1", "(1+log(1+j))^2",
+                "pw2(s0=0,s1=1)", "table[1,5] then 2^(j)"]
+BAD_PROBLEM_VALUES = {
+    "weight": [5, 2.5, True, None, [1], {}, "", "2^(", "3^(j)", "(1+j)^x",
+               "table[] then 1"],
+    "dim": [0, -1, 2.7, 2.0, "2", True, None, float("nan"), float("inf"),
+            float("-inf"), [1]],
+    "exponent": BAD_EXPONENTS + [True, "x"],
+    "scale": ["F", "X", None, 1],
+}
+NON_OBJECTS = [[], [{"dim": 1}], "problem", 3, None]
+
+
+@st.composite
+def problem_docs(draw):
+    """--from-problem file text: a valid problem (dim <= 2) with up to two
+    fields replaced by hostile values, or a top-level non-object."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(st.sampled_from(NON_OBJECTS)))
+    doc = {"sigma": draw(st.sampled_from(GOOD_WEIGHTS)),
+           "tau": draw(st.sampled_from(GOOD_WEIGHTS)),
+           "dim": draw(st.integers(1, 2))}
+    for key in ("p1", "q1", "p2", "q2"):
+        doc[key] = draw(st.sampled_from(GOOD_EXPONENTS))
+    kinds = {"sigma": "weight", "tau": "weight", "dim": "dim", "p1": "exponent",
+             "q1": "exponent", "p2": "exponent", "q2": "exponent",
+             "scale": "scale"}
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(kinds)))
+        doc[key] = draw(st.sampled_from(BAD_PROBLEM_VALUES[kinds[key]]))
+    return json.dumps(doc)
+
+
+class TestProblemFuzz:
+    @given(text=problem_docs())
+    def test_one_json_document(self, tmp_path_factory, text):
+        f = tmp_path_factory.getbasetemp() / "fuzz_problem.json"
+        f.write_text(text)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["lab", "nuclear", "--from-problem", str(f),
+                            "--levels", "1"])
+        assert code in (0, 1, 2)
+        doc = json.loads(buf.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA if code == 1
+                            else schemas.LAB_NUCLEAR_SCHEMA)
 
 
 class TestReproduce:
