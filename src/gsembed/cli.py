@@ -81,6 +81,24 @@ def _jsonable(x: Any) -> Any:
     return str(x)
 
 
+def _nonfinite_key(x: Any, key: str = "result") -> Optional[str]:
+    """The key of the first inf or nan float in a payload (an entry of a list
+    reports the list's key), or None when every float is finite."""
+    if isinstance(x, float):
+        return None if math.isfinite(x) else key
+    if isinstance(x, dict):
+        items = x.items()
+    elif isinstance(x, (list, tuple)):
+        items = ((key, v) for v in x)
+    else:
+        return None
+    for k, v in items:
+        found = _nonfinite_key(v, str(k))
+        if found is not None:
+            return found
+    return None
+
+
 def _verdict_payload(v: Verdict) -> Dict[str, Any]:
     return {
         "status": v.status,
@@ -434,6 +452,9 @@ def run(argv=None) -> int:
     try:
         payload, code = args.func(args)
         # a result beyond the float range (inf or nan) is an error too
+        bad = _nonfinite_key(payload)
+        if bad is not None:
+            raise ValueError(f"{bad}: the result leaves the float range")
         text = json.dumps(payload, indent=2, allow_nan=False)
     except (SequenceError, StandardizeError, ModulusRejected, ValueError,
             KeyError, ZeroDivisionError, OverflowError, OSError) as exc:

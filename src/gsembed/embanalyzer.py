@@ -24,6 +24,7 @@ corresponds to the entry log2(t).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
@@ -70,6 +71,12 @@ __all__ = [
 INF = math.inf
 ExtReal = Union[Fraction, float]
 
+# largest decimal exponent |e| that ext reads in a string such as "1e-30";
+# Fraction builds 10^e in full, so "1e99999999" would hang.  The limit is
+# Python's own bound on the digits of an int read from a string.
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)$")
+
 
 def ext(x) -> ExtReal:
     """Normalize an integrability parameter to Fraction or a float infinity."""
@@ -77,6 +84,13 @@ def ext(x) -> ExtReal:
         s = x.strip().lower()
         if s in ("inf", "infinity", "oo"):
             return INF
+        m = _DECIMAL_EXPONENT.search(s)
+        if m:
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
+                    int(digits or "0") > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent above the limit of "
+                                 f"{MAX_DECIMAL_EXPONENT}")
         return Fraction(s)
     if isinstance(x, float):
         if math.isinf(x):

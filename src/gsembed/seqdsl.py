@@ -125,7 +125,9 @@ class SequenceExpr:
     * prod pw2(s0,s1)^e * prod (table[prefix] then continuation)^e.
 
     The lower-case constructors keep it normal: roots ((base, e), ...) hold
-    non-integer constant powers; roots, explog ((kappa, c), ...) and pw
+    the fractional parts, in (0, 1), of non-integer constant powers, whose
+    whole parts are folded into const, so (3)^-1/2 is 1/3 * (3)^1/2; roots,
+    explog ((kappa, c), ...) and pw
     (((s0, s1), e), ...) are sorted; tables ((prefix, continuation, e), ...)
     are sorted by prefix, then by rendered continuation; no exponent is
     zero.
@@ -226,8 +228,8 @@ def product(*xs: SequenceExpr) -> SequenceExpr:
 
 def _combine(terms) -> SequenceExpr:
     """Normal form of the product of x^r over (x, r) in terms: exponents
-    scale and add, integer powers of a root base fold into the constant,
-    zero exponents drop out and atoms are sorted."""
+    scale and add, the integer part of every power of a root base folds
+    into the constant, zero exponents drop out and atoms are sorted."""
     const_ = _ONE
     rate = log_exp = iterlog = _ZERO
     roots: dict = {}
@@ -257,10 +259,13 @@ def _combine(terms) -> SequenceExpr:
             tables[pref, cont] = tables.get((pref, cont), _ZERO) + e * r
     kept = []
     for base, expo in sorted(roots.items()):
-        if expo.denominator == 1:
-            const_ = _fold_const(const_, base, expo.numerator)
-        else:
-            kept.append((base, expo))
+        # the whole part of every root folds into the constant, so a kept
+        # root exponent lies in (0, 1) whatever the grouping of the factors
+        whole = expo.numerator // expo.denominator
+        if whole:
+            const_ = _fold_const(const_, base, whole)
+        if expo != whole:
+            kept.append((base, expo - whole))
     tabs = [(pref, cont, e) for (pref, cont), e in tables.items() if e != 0]
     if len(tabs) > 1:
         tabs.sort(key=lambda t: (t[0], render(t[1])))

@@ -17,14 +17,13 @@ derives two things once, as cached properties: recips = (1/p1, 1/q1, 1/p2,
 1/q2) and gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal
 blocks.  Every routine here reads section.recips and section.gains instead
 of inverting exponents itself.  Every ell_p aggregate goes through one
-rescaling _lp_norm on Python floats, since the blocks are small and numpy's
-per-call overhead would be its whole cost; numpy serves only the norm
-search's seeded start vectors and is imported there.
+rescaling _lp_norm on Python floats, since the blocks are small.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
@@ -49,6 +48,13 @@ __all__ = [
     "RateFit",
     "rate_fit",
 ]
+
+# bounds on embedding_norm_search, checked before anything is allocated: a
+# sweep costs O(n * max M_j) float operations, so the section size n is
+# capped; the default section of `lab norm` (3 levels, dim 3) has n = 585
+MAX_SEARCH_N = 1024
+MAX_SEARCH_RESTARTS = 32
+MAX_SEARCH_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,21 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
     outer aggregates.  Each block norm is recomputed from the entries rather
     than updated by differences, so the returned value is a ratio that some
     vector attains.
-    """
-    import numpy as np
 
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    Each restart starts from half-normal entries drawn from
+    random.Random(seed).  A negative seed, or a section size n, restarts or
+    iters above MAX_SEARCH_N, MAX_SEARCH_RESTARTS or MAX_SEARCH_ITERS,
+    raises ValueError.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    for name, value, cap in (("section size n", section.n, MAX_SEARCH_N),
+                             ("restarts", restarts, MAX_SEARCH_RESTARTS),
+                             ("iters", iters, MAX_SEARCH_ITERS)):
+        if value > cap:
+            raise ValueError(f"norm search: {name} = {value} exceeds the "
+                             f"limit of {cap}")
+    rng = random.Random(seed)
     nblocks = len(section.M)
     beta = section.beta
     rp1, rq1, rp2, rq2 = section.recips
@@ -268,7 +285,7 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
         return local
 
     for _ in range(restarts):
-        blocks = [(np.abs(rng.standard_normal(m)) + 1e-3).tolist()
+        blocks = [[abs(rng.gauss(0.0, 1.0)) + 1e-3 for _ in range(m)]
                   for m in section.M]
         best = max(best, ascend(blocks))
     return best

@@ -25,6 +25,18 @@ def invoke(capsys, *argv):
     return code, json.loads(out)
 
 
+def invoke_fresh(*argv):
+    """One CLI run in a fresh process under a wall-time ceiling, for input
+    that without its cap would run for minutes or exhaust memory."""
+    src = Path(gsembed.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "gsembed.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert time.perf_counter() - t0 < 5.0
+    return proc.returncode, json.loads(proc.stdout)
+
+
 class TestSeq:
     def test_parse_profile(self, capsys):
         code, doc = invoke(capsys, "seq", "parse", "2^(3/2*j)*(1+j)^-1")
@@ -51,16 +63,9 @@ class TestSeq:
                                       "((3^(1000))^1000)^1000",
                                       "(3^(1/2))^4000000"])
     def test_constant_power_cap(self, expr):
-        # a fresh process under a wall-time ceiling: without the cap the
-        # integer power runs for seconds or never finishes
-        src = Path(gsembed.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "gsembed.cli", "seq", "parse", expr],
-                              capture_output=True, text=True, env=env, timeout=20)
-        assert time.perf_counter() - t0 < 5.0
-        assert proc.returncode == 1
-        doc = json.loads(proc.stdout)
+        # without the cap the integer power runs for seconds or never finishes
+        code, doc = invoke_fresh("seq", "parse", expr)
+        assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert "bits" in doc["error"]
 
@@ -175,6 +180,19 @@ class TestAnalyze:
         assert doc["nuclearity"]["status"] == "inconclusive"
         assert doc["nuclearity"]["tag"] == "not-applicable"
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--sigma", "1", "--tau", "1", "--p1", "1e99999999",
+         "--q1", "1", "--p2", "1", "--q2", "1", "--dim", "1"],
+        ["lab", "nuclear", "--section",
+         '{"beta": [1], "M": [1], "p1": "1e-99999999", "q1": 1, "p2": 1, "q2": 1}'],
+    ], ids=["analyze-flag", "section"])
+    def test_huge_decimal_exponent_is_error(self, argv):
+        # Fraction would build 10^99999999 in full
+        code, doc = invoke_fresh(*argv)
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert doc["error"].startswith("p1: decimal exponent")
+
 
 SECTION = json.dumps({"beta": [1.0, 2.0], "M": [1, 2],
                       "p1": 2, "q1": "inf", "p2": 2, "q2": 1})
@@ -252,7 +270,7 @@ class TestLab:
         ({"p1": -2}, "p1 must be positive"),
         ({"p1": 0}, "p1 must be positive"),
         ({"p1": None}, "p1"),
-        ({"beta": [5e-324]}, "not JSON compliant"),
+        ({"beta": [5e-324]}, "closed: the result leaves the float range"),
         ({"M": [2.7]}, "M: block sizes"),
         ({"M": [True]}, "M: block sizes"),
         ({"beta": "ab"}, "beta must be a list"),
@@ -299,6 +317,32 @@ class TestLab:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert "dim" in doc["error"]
+
+    @pytest.mark.parametrize("argv, says", [
+        (["--from-problem", "{problem}", "--levels", "40"], "section size n"),
+        (["--section", '{"beta": [1], "M": [1000000000000], "p1": 2, "q1": 2, '
+                       '"p2": 1, "q2": 2}'], "section size n"),
+        (["--section", SECTION, "--restarts", "1000000000"], "restarts"),
+        (["--section", SECTION, "--iters", "1000000000"], "iters"),
+    ], ids=["levels", "block-size", "restarts", "iters"])
+    def test_norm_search_caps(self, tmp_path, argv, says):
+        # without the caps the search allocates 2^40 or 10^12 floats, or
+        # runs for hours
+        f = tmp_path / "problem.json"
+        f.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": 2,
+                                 "q1": 2, "p2": 1, "q2": 2, "dim": 1}))
+        code, doc = invoke_fresh("lab", "norm",
+                                 *(a.replace("{problem}", str(f)) for a in argv))
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert says in doc["error"] and "limit" in doc["error"]
+
+    def test_negative_seed_is_error(self, capsys):
+        code, doc = invoke(capsys, "lab", "norm", "--section", SECTION,
+                           "--seed", "-1")
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert "non-negative integer" in doc["error"]
 
     def test_missing_section_is_error(self, capsys):
         code, doc = invoke(capsys, "lab", "norm")
@@ -437,34 +481,39 @@ class TestReproduce:
 
 
 class TestImports:
-    def test_numpy_stays_behind_norm_search(self, tmp_path):
-        # numpy costs most of a cold start; only the norm search's seeded
-        # start vectors need it, so every other command runs without it
+    def test_no_command_loads_numpy(self, tmp_path):
+        # gsembed runs on the standard library alone: with every import of
+        # numpy made to fail, each subcommand still succeeds
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": "inf",
                                        "q1": "inf", "p2": "inf", "q2": "inf",
                                        "dim": 1}))
-        without = [
+        argvs = [
             ["analyze", "--sigma", "2^(2*j)", "--tau", "1", "--p1", "1",
              "--q1", "1", "--p2", "inf", "--q2", "inf", "--dim", "1"],
             ["reproduce", "all"],
             ["lab", "nuclear", "--section", SECTION],
             ["lab", "entropy", "--section", SECTION, "--k", "1", "2", "4"],
             ["lab", "ratefit", "--from-problem", str(problem), "--levels", "1", "2"],
+            ["lab", "norm", "--section", SECTION],
+            ["seq", "parse", "2^(3/2*j)*(1+j)^-1"],
+            ["seq", "eval", "2^(j)", "--j", "0", "3"],
+            ["seq", "boyd", "pw2(s0=0,s1=1)"],
+            ["seq", "admissible", "2^(j)*(1+j)"],
+            ["seq", "standardize", "2^(1/2*j)", "--growth", "2^(j)"],
         ]
         script = (
             "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
             "from gsembed import cli\n"
-            "def loads(argv):\n"
+            "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.run(argv) == 0, argv\n"
-            "    return 'numpy' in sys.modules\n"
-            "print(json.dumps([loads(a) for a in json.loads(sys.argv[1])]))\n"
+            "        code = cli.run(argv)\n"
+            "    if code != 0:\n"
+            "        sys.exit(f'{argv} exited {code}')\n"
         )
         src = Path(gsembed.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        argvs = without + [["lab", "norm", "--section", SECTION]]
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [False] * len(without) + [True]
