@@ -1,84 +1,17 @@
 """Embeddings between sequence-modelled smoothness spaces: compactness,
-nuclearity, entropy asymptotics, and a numeric finite-section laboratory."""
+nuclearity, entropy asymptotics, and a numeric finite-section laboratory.
 
-from .seqdsl import (
-    SequenceError,
-    ParseError,
-    PositivityError,
-    DepthError,
-    EvalOverflow,
-    SequenceExpr,
-    geometric,
-    log_power,
-    iter_log,
-    exp_log_pow,
-    pw2,
-    table,
-    const,
-    power,
-    product,
-    parse,
-    render,
-    evaluate,
-    log2_value,
-    function_value,
-    function_log2,
-    strip_tables,
-    decompose,
-    canonicalize,
-    SequenceProfile,
-)
-from .seqcore import (
-    AdmissibilityCertificate,
-    BoydIndices,
-    EquivalenceResult,
-    AsiResult,
-    ModulusConversion,
-    ModulusRejected,
-    StandardizeError,
-    certify_admissible,
-    boyd_indices,
-    boyd_indices_numeric,
-    equivalent,
-    standardize,
-    sequence_from_modulus,
-    is_almost_strongly_increasing,
-)
-from .embanalyzer import (
-    INF,
-    ext,
-    recip,
-    dual_star,
-    tong,
-    delta_gap,
-    EmbeddingProblem,
-    Target,
-    Verdict,
-    Band,
-    RateFormula,
-    criterion_sequence,
-    ellr_membership,
-    membership_partial_sums,
-    compactness,
-    nuclearity,
-    f_space_nuclearity,
-    compact_not_nuclear_band,
-    entropy_rate,
-)
-from .seqspacelab import (
-    FiniteSection,
-    SectionRangeError,
-    finite_section,
-    embedding_norm_closed,
-    embedding_norm_search,
-    nuclear_norm_tong,
-    nuclear_norm_oracle,
-    EntropyBound,
-    entropy_upper,
-    entropy_lower,
-    entropy_properties,
-    RateFit,
-    rate_fit,
-)
+The package exports exactly the names in the __all__ lists of seqdsl,
+seqcore, embanalyzer and seqspacelab, so a name is added or removed in one
+place: its module's list."""
+
+from . import embanalyzer, seqcore, seqdsl, seqspacelab
+from .embanalyzer import *  # noqa: F401,F403
+from .seqcore import *  # noqa: F401,F403
+from .seqdsl import *  # noqa: F401,F403
+from .seqspacelab import *  # noqa: F401,F403
+
+__all__ = [*seqdsl.__all__, *seqcore.__all__, *embanalyzer.__all__,
+           *seqspacelab.__all__]
 
 __version__ = "0.1.0"

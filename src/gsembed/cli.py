@@ -133,7 +133,7 @@ def _cmd_seq_parse(args) -> Tuple[dict, int]:
     prof = canonicalize(e)
     payload = {
         "expr": render(e),
-        "classified": prof.classified,
+        "classified": True,  # the parser accepts only classified expressions
         "canonical": prof.canonical,
         "rate": _jsonable(prof.rate),
         "log_exponent": _jsonable(prof.log_exponent),
@@ -287,7 +287,7 @@ def _cmd_lab_nuclear(args) -> Tuple[dict, int]:
     sec = _load_section(args)
     payload = {
         "exact": nuclear_norm_tong(sec),
-        "oracle": _jsonable(nuclear_norm_oracle(sec)),
+        "oracle": nuclear_norm_oracle(sec),
         "section": _section_payload(sec),
     }
     return payload, 0

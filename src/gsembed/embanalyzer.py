@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .seqdsl import (
+    MAX_NUMERAL_DIGITS,
     EvalOverflow,
     SequenceExpr,
     _pw_block,
@@ -41,7 +42,6 @@ from .seqdsl import (
     power,
     product,
     render,
-    strip_tables,
 )
 from .seqcore import boyd_indices, is_almost_strongly_increasing
 
@@ -52,7 +52,6 @@ __all__ = [
     "recip",
     "dual_star",
     "tong",
-    "delta_gap",
     "EmbeddingProblem",
     "Target",
     "Verdict",
@@ -76,6 +75,7 @@ ExtReal = Union[Fraction, float]
 # Python's own bound on the digits of an int read from a string.
 MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)$")
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def ext(x) -> ExtReal:
@@ -91,6 +91,11 @@ def ext(x) -> ExtReal:
                     int(digits or "0") > MAX_DECIMAL_EXPONENT:
                 raise ValueError(f"decimal exponent above the limit of "
                                  f"{MAX_DECIMAL_EXPONENT}")
+        if len(s) > MAX_NUMERAL_DIGITS and any(
+                len(run) - run.count("_") > MAX_NUMERAL_DIGITS
+                for run in _DIGIT_RUN.findall(s)):
+            raise ValueError(f"numeral with more than {MAX_NUMERAL_DIGITS} "
+                             f"digits in a row")
         return Fraction(s)
     if isinstance(x, float):
         if math.isinf(x):
@@ -162,11 +167,6 @@ def tong(r1, r2) -> ExtReal:
     with equality exactly when {r1, r2} = {1, inf}.
     """
     return _from_recip(_tong_recip(*_tong_params(r1, r2)))
-
-
-def delta_gap(s1, p1, s2, p2, dim: int) -> Fraction:
-    """Differential gap s1 - dim/p1 - s2 + dim/p2 of two smoothness levels."""
-    return Fraction(s1) - dim * recip(ext(p1)) - Fraction(s2) + dim * recip(ext(p2))
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +482,14 @@ def f_space_nuclearity(problem: EmbeddingProblem) -> Verdict:
     criterion sequence: negative upper index suffices, positive lower index
     excludes, anything else is a genuine boundary case."""
     expr, target = criterion_sequence(problem, "nuclear")
-    b = boyd_indices(strip_tables(expr))
-    ev = {"criterion": render(expr), "boyd_exact": b.exact}
-    if b.exact:
-        ev["boyd_lower"], ev["boyd_upper"] = str(b.lower), str(b.upper)
-        if b.upper < 0:
-            return Verdict("holds", expr, target, "boyd-sandwich-f-scale", ev)
-        if b.lower > 0:
-            return Verdict("fails", expr, target, "boyd-sandwich-f-scale", ev)
-    else:
-        ev["boyd_lower_bracket"] = b.lower_bracket
-        ev["boyd_upper_bracket"] = b.upper_bracket
-        if b.upper_bracket[1] < 0:
-            return Verdict("holds", expr, target, "boyd-sandwich-f-scale", ev)
-        if b.lower_bracket[0] > 0:
-            return Verdict("fails", expr, target, "boyd-sandwich-f-scale", ev)
+    # a table-free sequence has exact Boyd indices
+    b = boyd_indices(decompose(expr))
+    ev = {"criterion": render(expr), "boyd_exact": b.exact,
+          "boyd_lower": str(b.lower), "boyd_upper": str(b.upper)}
+    if b.upper < 0:
+        return Verdict("holds", expr, target, "boyd-sandwich-f-scale", ev)
+    if b.lower > 0:
+        return Verdict("fails", expr, target, "boyd-sandwich-f-scale", ev)
     ev["reason"] = "criterion Boyd indices straddle zero; limiting F-scale case"
     return Verdict("inconclusive", expr, target, "boyd-sandwich-f-scale", ev)
 
@@ -548,9 +541,9 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
 
-    crit = strip_tables(crit)
+    crit = decompose(crit)
     asi = is_almost_strongly_increasing(power(crit, Fraction(-1)))
-    ratio = strip_tables(problem.weight_ratio)
+    ratio = decompose(problem.weight_ratio)
     if asi.status == "yes":
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
         if not ratio.pw:

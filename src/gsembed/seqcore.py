@@ -324,7 +324,6 @@ class ModulusConversion:
     sequence: SequenceExpr
     certificate: AdmissibilityCertificate
     level: float  # exponent L of the polynomial envelope
-    constant: float  # constant c of the envelope condition
 
 
 _MODULUS_LEVEL_CAP = 64.0
@@ -335,7 +334,7 @@ def sequence_from_modulus(omega: SequenceExpr) -> ModulusConversion:
 
     omega is given in resampled form: entry j holds the value at t = 2^-j,
     t in (0,1].  The returned sequence is sigma_j = 1/omega(2^-j) together
-    with a certificate d0 = c*2^-L, d1 = 2^L/c derived from the two-sided
+    with a certificate d0 = 2^-L, d1 = 2^L derived from the two-sided
     polynomial envelope that the conversion requires.  Inputs whose window
     ratios force L beyond the cap are rejected with a witness pair (t1,t2).
     """
@@ -351,12 +350,11 @@ def sequence_from_modulus(omega: SequenceExpr) -> ModulusConversion:
             f"modulus violates the polynomial envelope (needs level {L:.3g})",
             witness=(2.0 ** -(j + 1), 2.0 ** -j),
         )
-    c = 1.0
     out = AdmissibilityCertificate(
-        d0=c * 2.0 ** (-L), d1=2.0 ** L / c, window=cert.window, exact=cert.exact,
+        d0=2.0 ** (-L), d1=2.0 ** L, window=cert.window, exact=cert.exact,
         log2_d0=-level, log2_d1=level,
     )
-    return ModulusConversion(sequence=sigma, certificate=out, level=L, constant=c)
+    return ModulusConversion(sequence=sigma, certificate=out, level=L)
 
 
 def _extreme_ratio_index(e: SequenceExpr, window: int) -> int:

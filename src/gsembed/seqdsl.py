@@ -19,7 +19,10 @@ Every expression is stored in one normal form, the monomial `SequenceExpr`:
 a constant, irrational constant powers, one exponent per smooth atom, and
 exponent maps for the pw2 and table atoms.  Products and powers add and
 scale exponents and every map is sorted, so reordering factors gives an
-equal expression.  Constants are capped at MAX_CONST_BITS bits.
+equal expression.  Constants are capped at MAX_CONST_BITS bits, and a
+run of digits in a numeral at MAX_NUMERAL_DIGITS.  decompose, which
+replaces table atoms by their continuations, is the one table-stripping
+call.
 
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
 anchors the value is 2^(j*(2*s1+s0)/3), the exponent then grows with slope
@@ -55,9 +58,6 @@ __all__ = [
     "render",
     "evaluate",
     "log2_value",
-    "function_log2",
-    "function_value",
-    "strip_tables",
     "canonicalize",
     "decompose",
 ]
@@ -68,6 +68,12 @@ MAX_DEPTH = 32
 # a product or power that could pass it raises SequenceError before the
 # integer power is computed
 MAX_CONST_BITS = 1 << 16
+
+# most digits in one run of a numeral (its whole part, fractional part or
+# denominator): Python's own limit on the digits of an int read from a
+# string.  Fraction("0.000...1") builds 10^(fraction digits) before int()
+# refuses them, so the parser and embanalyzer.ext refuse longer runs first.
+MAX_NUMERAL_DIGITS = 4300
 
 # log2 magnitudes beyond this cannot be exponentiated into a float
 _LOG2_FLOAT_LIMIT = 1000.0
@@ -374,80 +380,22 @@ def evaluate(e: SequenceExpr, j: int) -> float:
     return 2.0 ** x
 
 
-def _pw_function_log2(s0: Fraction, s1: Fraction, xj: float) -> float:
-    # real-valued index xj = log2(t); exponent is piecewise linear in it
-    if xj <= 0.0:
-        return 0.0
-    if xj <= 1.0:
-        return float(_pw_block(s0, s1, 0)[0]) * xj
-    l = int(math.floor(math.log2(xj)))
-    jl = 2.0 ** l
-    if 2.0 * jl <= xj:
-        l += 1
-        jl *= 2.0
-    anchor, slope = _pw_block(s0, s1, l)
-    return float(anchor) * jl + float(slope) * (xj - jl)
-
-
-def function_log2(e: SequenceExpr, t: float) -> float:
-    """log2 of the associated function at real argument t >= 1.
-
-    The function agrees with the sequence at t = 2^j via x = log2(t); between
-    dyadic points the geometric and pw2 atoms interpolate their exponents
-    linearly in x, the log-type atoms use the same closed forms at real x.
-    """
-    if t < 1.0:
-        raise ValueError("function argument must be >= 1")
-    x = math.log2(t)
-    acc = float(_log2_fraction(e.const))
-    for base, r in e.roots:
-        acc += float(r) * float(_log2_fraction(base))
-    if e.rate:
-        acc += float(e.rate) * x
-    if e.log_exp:
-        acc += float(e.log_exp) * math.log2(1.0 + x)
-    if e.iterlog:
-        acc += float(e.iterlog) * math.log2(1.0 + math.log2(1.0 + x))
-    for kappa, coeff in e.explog:
-        if x != 0.0:
-            acc += float(coeff) * (math.log2(1.0 + x) ** float(kappa)) * _LOG2_E
-    for (s0, s1), r in e.pw:
-        acc += float(r) * _pw_function_log2(s0, s1, x)
-    for prefix, cont, r in e.tables:
-        jfloor = int(math.floor(x))
-        v = float(_log2_fraction(prefix[jfloor])) if jfloor < len(prefix) \
-            else function_log2(cont, t)
-        acc += float(r) * v
-    return acc
-
-
-def function_value(e: SequenceExpr, t: float) -> float:
-    lg = function_log2(e, t)
-    if abs(lg) > _LOG2_FLOAT_LIMIT:
-        raise EvalOverflow(1 if lg > 0 else -1, lg)
-    return 2.0 ** lg
-
-
-def strip_tables(e: SequenceExpr) -> SequenceExpr:
-    """Replace table atoms by their continuations.
-
-    Finitely many positive entries never change asymptotic quantities
-    (memberships, Boyd indices, equivalence class), so the stripped
-    expression carries the same tail behaviour.
-    """
-    if not e.tables:
-        return e
-    return product(replace(e, tables=()),
-                   *(power(strip_tables(cont), r) for _, cont, r in e.tables))
-
-
 # ---------------------------------------------------------------------------
 # structure analysis
 
 def decompose(e: SequenceExpr) -> SequenceExpr:
     """The table-free monomial whose rate, log_exp, iterlog, explog and pw
-    carry the asymptotic structure of e."""
-    return strip_tables(e)
+    carry the asymptotic structure of e: every table atom is replaced by
+    its continuation.
+
+    Finitely many positive entries never change asymptotic quantities
+    (memberships, Boyd indices, equivalence class), so the result carries
+    the same tail behaviour.
+    """
+    if not e.tables:
+        return e
+    return product(replace(e, tables=()),
+                   *(power(decompose(cont), r) for _, cont, r in e.tables))
 
 
 @dataclass(frozen=True)
@@ -467,7 +415,6 @@ class SequenceProfile:
     boyd_lower: Optional[Fraction]
     boyd_upper: Optional[Fraction]
     canonical: bool
-    classified: bool
 
 
 def canonicalize(e: SequenceExpr) -> SequenceProfile:
@@ -481,13 +428,12 @@ def canonicalize(e: SequenceExpr) -> SequenceProfile:
         # finite prefixes do not move any asymptotic quantity, but the
         # profile only reports what the visible structure proves; window
         # bracketing in seqcore recovers index intervals.
-        return SequenceProfile(None, None, None, None, None, False, True)
+        return SequenceProfile(None, None, None, None, None, False)
     sv = e.sv_nodes
-    sv_expr = product(*sv) if sv else None
-    if e.pw:
-        lo, hi = e.rate_interval
-        return SequenceProfile(None, e.log_exp, sv_expr, lo, hi, False, True)
-    return SequenceProfile(e.rate, e.log_exp, sv_expr, e.rate, e.rate, len(sv) <= 1, True)
+    lo, hi = e.rate_interval
+    return SequenceProfile(None if e.pw else e.rate, e.log_exp,
+                           product(*sv) if sv else None, lo, hi,
+                           not e.pw and len(sv) <= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +481,19 @@ class _Tok:
     value: object = None
 
 
+def _digits_end(src: str, j: int, start: int) -> int:
+    """End of the run of digits at src[j:].  A run longer than
+    MAX_NUMERAL_DIGITS is refused at start, the numeral's offset, before
+    it is read to its end."""
+    run, stop = j, min(len(src), j + MAX_NUMERAL_DIGITS + 1)
+    while j < stop and src[j].isdigit():
+        j += 1
+    if j - run > MAX_NUMERAL_DIGITS:
+        raise ParseError(f"numeral with more than {MAX_NUMERAL_DIGITS} digits "
+                         f"in a row", start)
+    return j
+
+
 def _lex(src: str) -> list:
     toks = []
     i, n = 0, len(src)
@@ -544,13 +503,9 @@ def _lex(src: str) -> list:
             i += 1
             continue
         if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
+            j = _digits_end(src, i, i)
             if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
+                j = _digits_end(src, j + 1, i)
             text = src[i:j]
             val = Fraction(text) if "." in text else Fraction(int(text))
             toks.append(_Tok("NUM", text, i, val))

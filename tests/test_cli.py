@@ -193,6 +193,19 @@ class TestAnalyze:
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert doc["error"].startswith("p1: decimal exponent")
 
+    @pytest.mark.parametrize("argv, says", [
+        (["seq", "parse", "2^(j) * 0." + "0" * 10**5 + "1"],
+         "numeral with more than 4300 digits in a row (at offset 8)"),
+        (["analyze", "--sigma", "1", "--tau", "1", "--p1", "0." + "0" * 10**5 + "1",
+          "--q1", "1", "--p2", "1", "--q2", "1", "--dim", "1"],
+         "p1: numeral with more than 4300 digits in a row"),
+    ], ids=["expression", "analyze-flag"])
+    def test_long_numeral_is_error(self, capsys, argv, says):
+        code, doc = invoke(capsys, *argv)
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert doc["error"] == says
+
 
 SECTION = json.dumps({"beta": [1.0, 2.0], "M": [1, 2],
                       "p1": 2, "q1": "inf", "p2": 2, "q2": 1})
@@ -219,6 +232,15 @@ class TestLab:
         assert code == 0
         jsonschema.validate(doc, schemas.LAB_NUCLEAR_SCHEMA)
         assert doc["oracle"]["coordinate_upper"] >= doc["exact"] - 1e-9
+
+    def test_nuclear_oracle_beyond_float_range_is_error(self, capsys):
+        # sum M_j / beta_j overflows while the Tong norm stays finite
+        section = json.dumps({"beta": [1e-308], "M": [1000], "p1": 1,
+                              "q1": 1, "p2": "inf", "q2": "inf"})
+        code, doc = invoke(capsys, "lab", "nuclear", "--section", section)
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert doc["error"] == "coordinate_upper: the result leaves the float range"
 
     def test_entropy(self, capsys):
         code, doc = invoke(capsys, "lab", "entropy", "--section", SECTION,

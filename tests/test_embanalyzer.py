@@ -17,7 +17,6 @@ from gsembed import (
     compactness,
     criterion_sequence,
     decompose,
-    delta_gap,
     dual_star,
     ellr_membership,
     entropy_rate,
@@ -47,6 +46,15 @@ class TestExponentArithmetic:
         assert ext(0.5) == HALF
         with pytest.raises(TypeError):
             ext(object())
+
+    def test_ext_numeral_digit_cap(self):
+        # without the cap Fraction builds 10^(10^6) before int() refuses
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            ext("0." + "0" * 10**6 + "1")
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            ext("1_" * 4300 + "1")
+        assert ext("0." + "0" * 4299 + "1") == Fraction(1, 10**4300)
+        assert ext("1" * 4300 + "/" + "3" * 4300) > 0
 
     def test_recip_endpoints(self):
         assert recip(INF) == 0
@@ -80,10 +88,6 @@ class TestExponentArithmetic:
             assert recip(t) == recip(s)
         else:
             assert recip(t) > recip(s)
-
-    def test_delta_gap(self):
-        assert delta_gap(2, 1, 0, "inf", 1) == 1
-        assert delta_gap(1, 2, 1, 2, 3) == 0
 
 
 class TestProblems:

@@ -1,20 +1,23 @@
-"""The CLI examples of README.md run as shown.
+"""The examples of README.md run as shown.
 
 Each command line below is quoted from README.md, where it must appear
 verbatim.  It runs through cli.run with problem.json replaced by a
 temporary problem file, must exit 0 with one document valid against its
 subcommand's schema, and must print every value README shows under it.
+The Python block of the Library section runs as a whole, and each value
+its comments show is checked.
 """
 
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from gsembed import cli, schemas
+from gsembed import Band, cli, schemas
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -93,3 +96,25 @@ def test_every_example_is_covered():
     firsts = [l.split("\n", 1)[0] for l, _ in EXAMPLES.values()]
     missed = [l for l in lines if not any(l.startswith(f) for f in firsts)]
     assert missed == ["gsembed lab entropy --section ... --k 1 2 4 8"]
+
+
+# (statement of the Library block, start of its comment, the value shown)
+LIBRARY_SHOWN = [
+    ("compactness(pr).status", '"holds"', "holds"),
+    ("nuclearity(pr).status", '"holds"', "holds"),
+    ("entropy_rate(pr).k_exponent", "Fraction(2, 1)", Fraction(2, 1)),
+    ("compact_not_nuclear_band(2, 3, 1)", "gap window (0, 5/6]",
+     Band(Fraction(0), Fraction(5, 6))),
+]
+
+
+def test_library_example_runs_as_shown():
+    block = README.split("\n## Library\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    commented = dict(l.split("#", 1) for l in block.splitlines() if "#" in l)
+    commented = {k.strip(): v.strip() for k, v in commented.items()}
+    for statement, comment, value in LIBRARY_SHOWN:
+        assert commented[statement].startswith(comment)
+        assert eval(statement, namespace) == value

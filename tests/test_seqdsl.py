@@ -16,8 +16,6 @@ from gsembed import (
     decompose,
     evaluate,
     exp_log_pow,
-    function_log2,
-    function_value,
     geometric,
     iter_log,
     log2_value,
@@ -27,9 +25,10 @@ from gsembed import (
     product,
     pw2,
     render,
-    strip_tables,
     table,
 )
+
+from gsembed.seqdsl import MAX_NUMERAL_DIGITS
 
 from conftest import canonical_exprs, oscillating_exprs
 
@@ -63,10 +62,27 @@ class TestParsing:
 
     def test_table(self):
         e = parse("table[1,2,4] then 2^(j)")
-        assert strip_tables(e) == geometric(1)
+        assert decompose(e) == geometric(1)
         assert evaluate(e, 0) == 1.0
         assert evaluate(e, 2) == 4.0
         assert evaluate(e, 3) == 8.0  # continuation takes over at its own index
+
+    @pytest.mark.parametrize("text, offset", [
+        ("0." + "0" * 10**6 + "1", 0),
+        ("2^(j) * " + "1" * 10**6, 8),
+        ("1." + "0" * (MAX_NUMERAL_DIGITS + 1), 0),
+    ], ids=["fraction-part", "whole-part", "one-past-the-cap"])
+    def test_numeral_digit_cap(self, text, offset):
+        # without the cap Fraction builds 10^(fraction digits) and int()
+        # then fails with a bare ValueError
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert f"more than {MAX_NUMERAL_DIGITS} digits" in str(err.value)
+
+    def test_numeral_at_the_digit_cap(self):
+        tiny = "0." + "0" * (MAX_NUMERAL_DIGITS - 1) + "1"
+        assert parse(tiny) == const(Fraction(1, 10 ** MAX_NUMERAL_DIGITS))
 
     def test_positivity(self):
         with pytest.raises(PositivityError):
@@ -160,15 +176,15 @@ def _partner(a, x, how):
 
 
 def _both_sides(a, b):
-    return (strip_tables(product(power(a, Fraction(-1)), b)),
-            product(power(strip_tables(a), Fraction(-1)), strip_tables(b)))
+    return (decompose(product(power(a, Fraction(-1)), b)),
+            product(power(decompose(a), Fraction(-1)), decompose(b)))
 
 
 ratio_shapes = st.sampled_from(["equal", "times", "reciprocal", "free"])
 
 
 class TestStripRatio:
-    """strip_tables(a^-1 b) against strip_tables(a)^-1 strip_tables(b): a
+    """decompose(a^-1 b) against decompose(a)^-1 decompose(b): a
     problem's criterion and entropy ratio strip the shared weight ratio
     sigma^-1 tau rather than the weights one by one."""
 
@@ -235,15 +251,6 @@ class TestEvaluation:
             evaluate(geometric(-4), 100000)
         assert isinstance(log2_value(geometric(4), 100000), Fraction)
 
-    def test_function_agrees_on_dyadic(self):
-        e = parse("2^(1/2*j)*(1+j)^2")
-        for j in (0, 1, 3, 8):
-            assert abs(function_log2(e, 2.0 ** j) - float(log2_value(e, j))) < 1e-9
-
-    def test_function_value_between(self):
-        e = parse("2^(j)")
-        assert abs(function_value(e, 3.0) - 3.0) < 1e-12
-
 
 class TestDecomposition:
     @given(canonical_exprs())
@@ -261,12 +268,12 @@ class TestDecomposition:
 
     def test_canonicalize_flags(self):
         p = canonicalize(parse("2^(j)*(1+j)^-3"))
-        assert p.canonical and p.classified
+        assert p.canonical
         assert p.rate == 1 and p.log_exponent == -3
         assert p.boyd_lower == p.boyd_upper == 1
 
         posc = canonicalize(pw2(0, 1))
-        assert posc.classified and not posc.canonical
+        assert not posc.canonical
         assert posc.boyd_lower == 0 and posc.boyd_upper == 1
 
     def test_table_blocks_classification(self):
