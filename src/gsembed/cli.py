@@ -4,6 +4,9 @@ Every subcommand prints one JSON document on stdout.  Exit codes separate
 three outcomes: 0 the computation succeeded and any verdict is decided,
 2 the engine could not decide (boundary or out-of-catalog case), 1 an
 actual error (bad flags, malformed expressions, module failures).
+
+A command returns the library's own results, and run turns them into JSON
+with one walk, _jsonable; a dataclass prints as the dict of its fields.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .corpus import run_all
 from .embanalyzer import (
     EmbeddingProblem,
-    RateFormula,
+    Target,
     Verdict,
     compactness,
     entropy_rate,
@@ -59,183 +63,100 @@ __all__ = ["main", "run"]
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers
+# JSON
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return str(x)
+def _fields(x: Any) -> Dict[str, Any]:
+    return {f.name: getattr(x, f.name) for f in fields(x)}
+
+
+def _jsonable(x: Any, key: str = "result") -> Any:
+    """A command's result as JSON values: a Fraction or Target prints as
+    its string, an expression rendered, a dataclass as the dict of its
+    fields.  A float that is not finite raises ValueError naming its key
+    (an entry of a list reports the list's key)."""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
+        if not math.isfinite(x):
+            raise ValueError(f"{key}: the result leaves the float range")
         return x
+    if isinstance(x, (Fraction, Target)):
+        return str(x)
     if isinstance(x, SequenceExpr):
         return render(x)
+    if is_dataclass(x):
+        x = _fields(x)
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {str(k): _jsonable(v, str(k)) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (str, int, bool)) or x is None:
-        return x
-    return str(x)
-
-
-def _nonfinite_key(x: Any, key: str = "result") -> Optional[str]:
-    """The key of the first inf or nan float in a payload (an entry of a list
-    reports the list's key), or None when every float is finite."""
-    if isinstance(x, float):
-        return None if math.isfinite(x) else key
-    if isinstance(x, dict):
-        items = x.items()
-    elif isinstance(x, (list, tuple)):
-        items = ((key, v) for v in x)
-    else:
-        return None
-    for k, v in items:
-        found = _nonfinite_key(v, str(k))
-        if found is not None:
-            return found
-    return None
-
-
-def _verdict_payload(v: Verdict) -> Dict[str, Any]:
-    return {
-        "status": v.status,
-        "tag": v.tag,
-        "target": str(v.target) if v.target is not None else None,
-        "criterion": render(v.tested) if v.tested is not None else None,
-        "evidence": _jsonable(v.evidence),
-    }
-
-
-def _rate_payload(f: RateFormula) -> Dict[str, Any]:
-    return {
-        "kind": f.kind,
-        "k_exponent": _jsonable(f.k_exponent),
-        "log_exponent": _jsonable(f.log_exponent),
-        "residual": f.residual,
-        "ratio": render(f.ratio_expr) if f.ratio_expr is not None else None,
-        "notes": list(f.notes),
-        "tag": f.tag,
-    }
-
-
-def _verdict_code(status: str) -> int:
-    return 0 if status in ("holds", "fails") else 2
+        return [_jsonable(v, key) for v in x]
+    return x
 
 
 # ---------------------------------------------------------------------------
 # seq subcommands
 
-def _cmd_seq_parse(args) -> Tuple[dict, int]:
+def _cmd_seq_parse(args) -> Tuple[Any, int]:
     e = parse(args.expr)
-    prof = canonicalize(e)
-    payload = {
-        "expr": render(e),
-        "classified": True,  # the parser accepts only classified expressions
-        "canonical": prof.canonical,
-        "rate": _jsonable(prof.rate),
-        "log_exponent": _jsonable(prof.log_exponent),
-        "sv_factor": render(prof.sv_factor) if prof.sv_factor is not None else None,
-        "boyd_lower": _jsonable(prof.boyd_lower),
-        "boyd_upper": _jsonable(prof.boyd_upper),
-    }
-    return payload, 0
+    # the parser accepts only classified expressions
+    return {"expr": e, "classified": True, **_fields(canonicalize(e))}, 0
 
 
-def _cmd_seq_eval(args) -> Tuple[dict, int]:
+def _cmd_seq_eval(args) -> Tuple[Any, int]:
     e = parse(args.expr)
-    indices = args.j if args.j else list(range(0, 17))
     values = []
-    for j in indices:
-        lg = log2_value(e, j)
+    for j in args.j or range(17):
         try:
-            val: Optional[float] = evaluate(e, j)
+            val = evaluate(e, j)
         except EvalOverflow:
             val = None
-        values.append({"j": j, "log2": _jsonable(lg), "value": val})
-    return {"expr": render(e), "values": values}, 0
+        values.append({"j": j, "log2": log2_value(e, j), "value": val})
+    return {"expr": e, "values": values}, 0
 
 
-def _cmd_seq_boyd(args) -> Tuple[dict, int]:
-    e = parse(args.expr)
+def _cmd_seq_boyd(args) -> Tuple[Any, int]:
     fn = boyd_indices_numeric if args.numeric else boyd_indices
-    b = fn(e, depth=args.depth)
-    payload = {
-        "exact": b.exact,
-        "lower": _jsonable(b.lower),
-        "upper": _jsonable(b.upper),
-        "lower_bracket": [float(x) for x in b.lower_bracket],
-        "upper_bracket": [float(x) for x in b.upper_bracket],
-        "depth": b.depth,
-    }
-    return payload, 0
+    return fn(parse(args.expr), depth=args.depth), 0
 
 
-def _cmd_seq_admissible(args) -> Tuple[dict, int]:
-    cert = certify_admissible(parse(args.expr), window=args.window)
-    payload = {
-        "d0": cert.d0,
-        "d1": cert.d1,
-        "log2_d0": _jsonable(cert.log2_d0),
-        "log2_d1": _jsonable(cert.log2_d1),
-        "window": cert.window,
-        "exact": cert.exact,
-        "strongly_increasing": cert.strongly_increasing(),
-    }
-    return payload, 0
+def _cmd_seq_admissible(args) -> Tuple[Any, int]:
+    return certify_admissible(parse(args.expr), window=args.window), 0
 
 
-def _cmd_seq_standardize(args) -> Tuple[dict, int]:
+def _cmd_seq_standardize(args) -> Tuple[Any, int]:
     sigma = parse(args.expr)
     growth = parse(args.growth)
     out = standardize(sigma, growth, kappa0=args.kappa0, prefix_len=args.prefix_len)
     kappa0 = args.kappa0
     if kappa0 is None:
         kappa0 = _minimal_kappa0(certify_admissible(growth, 8))
-    return {"result": render(out), "kappa0": kappa0}, 0
+    return {"result": out, "kappa0": kappa0}, 0
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
-def _cmd_analyze(args) -> Tuple[dict, int]:
-    problem = EmbeddingProblem.from_dict(vars(args))
-    kind = args.kind
-    if kind == "compact":
-        v = compactness(problem)
-        return {"compactness": _verdict_payload(v)}, _verdict_code(v.status)
-    if kind == "nuclear":
-        v = nuclearity(problem)
-        return {"nuclearity": _verdict_payload(v)}, _verdict_code(v.status)
-    if kind == "entropy":
-        f = entropy_rate(problem)
-        return {"entropy": _rate_payload(f)}, (2 if f.kind == "inconclusive" else 0)
+# the nuclearity result of classify when the exponents are not Banach
+_NOT_APPLICABLE = Verdict("inconclusive", None, None, "not-applicable",
+                          {"reason": "nuclearity criterion needs Banach exponents"})
 
-    # classify: run everything that applies
-    payload: Dict[str, Any] = {}
-    undecided = False
-    v = compactness(problem)
-    payload["compactness"] = _verdict_payload(v)
-    undecided |= v.status == "inconclusive"
-    if problem.is_banach():
-        n = nuclearity(problem)
-        payload["nuclearity"] = _verdict_payload(n)
-        undecided |= n.status == "inconclusive"
-    else:
-        payload["nuclearity"] = {
-            "status": "inconclusive",
-            "tag": "not-applicable",
-            "target": None,
-            "criterion": None,
-            "evidence": {"reason": "nuclearity criterion needs Banach exponents"},
-        }
-    if problem.scale == "B":
-        f = entropy_rate(problem)
-        payload["entropy"] = _rate_payload(f)
-        undecided |= f.kind == "inconclusive"
-    return payload, (2 if undecided else 0)
+
+def _cmd_analyze(args) -> Tuple[Any, int]:
+    """The check of --kind; classify runs compactness, nuclearity (not
+    applicable unless the exponents are Banach) and entropy on scale B.
+    Exit 2 when a result that applies is inconclusive."""
+    problem = EmbeddingProblem.from_dict(vars(args))
+    every = args.kind == "classify"
+    doc: Dict[str, Any] = {}
+    if every or args.kind == "compact":
+        doc["compactness"] = compactness(problem)
+    if args.kind == "nuclear" or every and problem.is_banach():
+        doc["nuclearity"] = nuclearity(problem)
+    elif every:
+        doc["nuclearity"] = _NOT_APPLICABLE
+    if args.kind == "entropy" or every and problem.scale == "B":
+        doc["entropy"] = entropy_rate(problem)
+    outcomes = [r.status if isinstance(r, Verdict) else r.kind
+                for r in doc.values() if r is not _NOT_APPLICABLE]
+    return doc, (2 if "inconclusive" in outcomes else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +164,10 @@ def _cmd_analyze(args) -> Tuple[dict, int]:
 
 def _section_payload(sec: FiniteSection) -> Dict[str, Any]:
     return {
-        "beta": list(sec.beta),
-        "M": list(sec.M),
-        "p1": _jsonable(sec.p1), "q1": _jsonable(sec.q1),
-        "p2": _jsonable(sec.p2), "q2": _jsonable(sec.q2),
+        "beta": sec.beta,
+        "M": sec.M,
+        "p1": str(sec.p1), "q1": str(sec.q1),
+        "p2": str(sec.p2), "q2": str(sec.q2),
         "n": sec.n,
     }
 
@@ -258,8 +179,7 @@ def _read_problem(path: str) -> EmbeddingProblem:
 
 def _load_section(args) -> FiniteSection:
     if args.from_problem:
-        return finite_section(_read_problem(args.from_problem),
-                              levels=args.levels, density=args.density)
+        return finite_section(_read_problem(args.from_problem), levels=args.levels)
     if args.section:
         text = args.section
         if not text.lstrip().startswith(("{", "[")):
@@ -269,7 +189,7 @@ def _load_section(args) -> FiniteSection:
     raise ValueError("provide a section via --from-problem FILE or --section JSON")
 
 
-def _cmd_lab_norm(args) -> Tuple[dict, int]:
+def _cmd_lab_norm(args) -> Tuple[Any, int]:
     sec = _load_section(args)
     closed = embedding_norm_closed(sec)
     found = embedding_norm_search(sec, seed=args.seed,
@@ -283,7 +203,7 @@ def _cmd_lab_norm(args) -> Tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_lab_nuclear(args) -> Tuple[dict, int]:
+def _cmd_lab_nuclear(args) -> Tuple[Any, int]:
     sec = _load_section(args)
     payload = {
         "exact": nuclear_norm_tong(sec),
@@ -293,11 +213,10 @@ def _cmd_lab_nuclear(args) -> Tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_lab_entropy(args) -> Tuple[dict, int]:
+def _cmd_lab_entropy(args) -> Tuple[Any, int]:
     sec = _load_section(args)
-    ks = args.k if args.k else list(range(1, 9))
     bounds = []
-    for k in ks:
+    for k in args.k or range(1, 9):
         up = entropy_upper(sec, k, dim_cap=args.dim_cap, k_cap=args.k_cap)
         lo = entropy_lower(sec, k)
         bounds.append({
@@ -315,27 +234,17 @@ def _cmd_lab_entropy(args) -> Tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_lab_ratefit(args) -> Tuple[dict, int]:
-    fit = rate_fit(_read_problem(args.from_problem), levels=args.levels,
-                   density=args.density)
-    payload = {
-        "ks": list(fit.ks),
-        "bounds": [float(b) for b in fit.bounds],
-        "slope": fit.slope,
-        "predicted_slope": fit.predicted_slope,
-        "ratio": fit.ratio,
-        "non_decaying": fit.non_decaying,
-    }
-    return payload, 0
+def _cmd_lab_ratefit(args) -> Tuple[Any, int]:
+    return rate_fit(_read_problem(args.from_problem), levels=args.levels), 0
 
 
 # ---------------------------------------------------------------------------
 # reproduce
 
-def _cmd_reproduce(args) -> Tuple[dict, int]:
+def _cmd_reproduce(args) -> Tuple[Any, int]:
     only = None if args.target == "all" else args.target
     report = run_all(only=only)
-    return _jsonable(report), (0 if report["all_pass"] else 1)
+    return report, (0 if report["all_pass"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +269,6 @@ def _add_section_flags(p: argparse.ArgumentParser) -> None:
                    help="inline JSON (or a file path) with beta/M/p1/q1/p2/q2")
     p.add_argument("--levels", type=int, default=3,
                    help="dyadic levels when building from a problem")
-    p.add_argument("--density", type=float, default=1.0,
-                   help="block size scaling factor relative to 2^(j dim)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     lr = labsub.add_parser("ratefit", help="fit the entropy decay exponent")
     lr.add_argument("--from-problem", metavar="FILE", required=True)
     lr.add_argument("--levels", type=int, nargs="+", default=[1, 2, 3, 4])
-    lr.add_argument("--density", type=float, default=1.0)
     lr.set_defaults(func=_cmd_lab_ratefit)
 
     rp = sub.add_parser("reproduce", help="run bundled worked examples")
@@ -450,12 +356,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, code = args.func(args)
+        result, code = args.func(args)
         # a result beyond the float range (inf or nan) is an error too
-        bad = _nonfinite_key(payload)
-        if bad is not None:
-            raise ValueError(f"{bad}: the result leaves the float range")
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = json.dumps(_jsonable(result), indent=2, allow_nan=False)
     except (SequenceError, StandardizeError, ModulusRejected, ValueError,
             KeyError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))

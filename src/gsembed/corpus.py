@@ -8,9 +8,7 @@ suite both run through :func:`run_all`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Any, Dict, List, Optional
 
@@ -40,13 +38,7 @@ def load_cases() -> List[ReproCase]:
 
 
 def _fmt(x: Any) -> Optional[str]:
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return str(x)
+    return None if x is None else str(x)
 
 
 def _passed(got: Dict[str, Any], expect: Dict[str, Any]) -> bool:

@@ -81,6 +81,9 @@ _DIGIT_RUN = re.compile(r"[\d_]+")
 def ext(x) -> ExtReal:
     """Normalize an integrability parameter to Fraction or a float infinity."""
     if isinstance(x, str):
+        if not x.isascii():
+            c = next(c for c in x if not c.isascii())
+            raise ValueError(f"non-ASCII character {c!r} in a numeral")
         s = x.strip().lower()
         if s in ("inf", "infinity", "oo"):
             return INF
@@ -156,8 +159,10 @@ def _tong_params(r1, r2) -> tuple:
 
 
 def dual_star(r1, r2) -> ExtReal:
-    """Exponent r* with 1/r* = (1/r2 - 1/r1)+; equals inf when r1 <= r2."""
-    return _from_recip(_star_recip(recip(ext(r1)), recip(ext(r2))))
+    """Exponent r* with 1/r* = (1/r2 - 1/r1)+; equals inf when r1 <= r2.
+    Both parameters must be positive or inf."""
+    return _from_recip(_star_recip(recip(_exponent("r1", r1)),
+                                   recip(_exponent("r2", r2))))
 
 
 def tong(r1, r2) -> ExtReal:
@@ -264,7 +269,7 @@ class Target:
 @dataclass(frozen=True)
 class Verdict:
     status: str  # holds | fails | inconclusive
-    tested: Optional[SequenceExpr]
+    criterion: Optional[SequenceExpr]
     target: Optional[Target]
     tag: str
     evidence: dict = field(default_factory=dict)
@@ -470,11 +475,11 @@ def _f_scale_sandwich(problem: EmbeddingProblem) -> Verdict:
         "necessary_status": v_nec.status,
     }
     if v_suff.status == "holds":
-        return Verdict("holds", v_suff.tested, v_suff.target, "via-B-sandwich", ev)
+        return Verdict("holds", v_suff.criterion, v_suff.target, "via-B-sandwich", ev)
     if v_nec.status == "fails":
-        return Verdict("fails", v_nec.tested, v_nec.target, "via-B-sandwich", ev)
+        return Verdict("fails", v_nec.criterion, v_nec.target, "via-B-sandwich", ev)
     ev["reason"] = "sandwich bounds disagree; scale-F boundary case"
-    return Verdict("inconclusive", v_suff.tested, v_suff.target, "via-B-sandwich", ev)
+    return Verdict("inconclusive", v_suff.criterion, v_suff.target, "via-B-sandwich", ev)
 
 
 def f_space_nuclearity(problem: EmbeddingProblem) -> Verdict:
@@ -510,8 +515,8 @@ class RateFormula:
     """Asymptotic law e_k ~ k^(-k_exponent) (1+log k)^(-log_exponent) x residual.
 
     kind names the regime; exponents are exact rationals when known and
-    None when the law is carried entirely by ratio_expr/residual.
-    ratio_expr, when set, is the weight-ratio in dyadic index space: its
+    None when the law is carried entirely by ratio/residual.
+    ratio, when set, is the weight-ratio in dyadic index space: its
     value at index log2(k)/dim is the predicted e_k up to constants.
     """
 
@@ -519,7 +524,7 @@ class RateFormula:
     k_exponent: Optional[Fraction]
     log_exponent: Optional[Fraction]
     residual: Optional[str]
-    ratio_expr: Optional[SequenceExpr]
+    ratio: Optional[SequenceExpr]
     tag: str
     notes: tuple = ()
 

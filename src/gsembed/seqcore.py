@@ -17,7 +17,7 @@ index for canonical inputs with |log exponent| <= 8 at depth >= 256.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -67,18 +67,19 @@ class AdmissibilityCertificate:
 
     The bound is proven structurally (exact=True), so it holds for every j,
     not just the scanned window; log2_d0/log2_d1 are Fractions whenever
-    every part of the bound is exact.
+    every part of the bound is exact.  strongly_increasing is d0 > 1.
     """
 
     d0: float
     d1: float
-    window: int
-    exact: bool
     log2_d0: Union[Fraction, float]
     log2_d1: Union[Fraction, float]
+    window: int
+    exact: bool
+    strongly_increasing: bool = field(init=False)
 
-    def strongly_increasing(self) -> bool:
-        return self.d0 > 1
+    def __post_init__(self):
+        object.__setattr__(self, "strongly_increasing", self.d0 > 1)
 
 
 def _ratio_log_range(d: SequenceExpr) -> tuple:
@@ -140,11 +141,11 @@ class BoydIndices:
     """lower/upper are exact rationals when exact=True; the bracket fields
     are always populated (degenerate intervals in the exact case)."""
 
+    exact: bool
     lower: Optional[Fraction]
     upper: Optional[Fraction]
     lower_bracket: tuple
     upper_bracket: tuple
-    exact: bool
     depth: int
 
 
@@ -261,7 +262,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int]
     decomposable sigma and a decomposable, oscillation-free growth scale.
     """
     cert = certify_admissible(growth, 8)
-    if not cert.strongly_increasing():
+    if not cert.strongly_increasing:
         raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
     if kappa0 is None:
         kappa0 = _minimal_kappa0(cert)

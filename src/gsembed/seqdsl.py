@@ -409,12 +409,12 @@ class SequenceProfile:
     slowly varying atom, in which case both indices equal the rate.
     """
 
+    canonical: bool
     rate: Optional[Fraction]
     log_exponent: Optional[Fraction]
     sv_factor: Optional[SequenceExpr]
     boyd_lower: Optional[Fraction]
     boyd_upper: Optional[Fraction]
-    canonical: bool
 
 
 def canonicalize(e: SequenceExpr) -> SequenceProfile:
@@ -428,12 +428,12 @@ def canonicalize(e: SequenceExpr) -> SequenceProfile:
         # finite prefixes do not move any asymptotic quantity, but the
         # profile only reports what the visible structure proves; window
         # bracketing in seqcore recovers index intervals.
-        return SequenceProfile(None, None, None, None, None, False)
+        return SequenceProfile(False, None, None, None, None, None)
     sv = e.sv_nodes
     lo, hi = e.rate_interval
-    return SequenceProfile(None if e.pw else e.rate, e.log_exp,
-                           product(*sv) if sv else None, lo, hi,
-                           not e.pw and len(sv) <= 1)
+    return SequenceProfile(not e.pw and len(sv) <= 1,
+                           None if e.pw else e.rate, e.log_exp,
+                           product(*sv) if sv else None, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def _digits_end(src: str, j: int, start: int) -> int:
     MAX_NUMERAL_DIGITS is refused at start, the numeral's offset, before
     it is read to its end."""
     run, stop = j, min(len(src), j + MAX_NUMERAL_DIGITS + 1)
-    while j < stop and src[j].isdigit():
+    while j < stop and "0" <= src[j] <= "9":
         j += 1
     if j - run > MAX_NUMERAL_DIGITS:
         raise ParseError(f"numeral with more than {MAX_NUMERAL_DIGITS} digits "
@@ -502,7 +502,7 @@ def _lex(src: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = _digits_end(src, i, i)
             if j < n and src[j] == ".":
                 j = _digits_end(src, j + 1, i)

@@ -118,18 +118,16 @@ def _pow2(log2, name: str, level: int) -> float:
         raise SectionRangeError(name, level, log2, "overflows") from None
 
 
-def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0) -> FiniteSection:
+def finite_section(problem: EmbeddingProblem, levels: int) -> FiniteSection:
     """Section of an embedding problem with blocks j = 0..levels.
 
     beta_j = sigma_j / tau_j * 2^(-j dim (1/p1 - 1/p2)) absorbs both weights
     and the block-size mismatch of the integrability change; block sizes are
-    M_j = round(density * 2^(j dim)).  Raises SectionRangeError when a
+    M_j = 2^(j dim).  Raises SectionRangeError when a
     weight or block size at some level leaves the float range.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if density <= 0:
-        raise ValueError("density must be positive")
     d = problem.dim
     rp1, _, rp2, _ = problem.recips
     gap = d * (rp1 - rp2)
@@ -141,7 +139,7 @@ def finite_section(problem: EmbeddingProblem, levels: int, density: float = 1.0)
             raise SectionRangeError("block weight beta_j", j, lg,
                                     "underflows to 0")
         beta.append(b)
-        M.append(max(1, round(density * _pow2(j * d, "block size 2^(j dim)", j))))
+        M.append(round(_pow2(j * d, "block size 2^(j dim)", j)))
     return FiniteSection(tuple(beta), tuple(M), problem.p1, problem.q1,
                          problem.p2, problem.q2)
 
@@ -495,8 +493,7 @@ class RateFit:
 
 
 def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
-             density: float = 1.0, dim_cap: int = 64,
-             k_cap: int = 160) -> RateFit:
+             dim_cap: int = 64, k_cap: int = 160) -> RateFit:
     """Fit the decay exponent of the entropy upper bounds across sections.
 
     For each L the section keeps blocks up to L and the bound is taken at
@@ -509,7 +506,7 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
         raise ValueError("need at least two levels to fit a slope")
     ks, bounds = [], []
     for L in sorted(set(levels)):
-        sec = finite_section(problem, L, density)
+        sec = finite_section(problem, L)
         k = 2 * sec.n
         ks.append(k)
         bounds.append(entropy_upper(sec, k, dim_cap, k_cap).value)

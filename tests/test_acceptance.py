@@ -25,7 +25,6 @@ from gsembed import (
     embedding_norm_closed,
     embedding_norm_search,
     entropy_lower,
-    entropy_rate,
     entropy_upper,
     equivalent,
     exp_log_pow,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given
 
 import gsembed
-from gsembed import cli, schemas
+from gsembed import RateFit, Target, Verdict, cli, parse, schemas
 
 
 def invoke(capsys, *argv):
@@ -297,9 +298,10 @@ class TestLab:
         ({"M": [True]}, "M: block sizes"),
         ({"beta": "ab"}, "beta must be a list"),
         ({"p1": float("nan")}, "p1: cannot convert NaN"),
+        ({"p1": "\u0663"}, "p1: non-ASCII character"),
     ], ids=["beta-nan", "beta-inf", "p1-negative", "p1-zero", "p1-null",
             "norm-beyond-float-range", "M-fractional", "M-bool", "beta-string",
-            "p1-nan"])
+            "p1-nan", "p1-arabic-indic-digit"])
     def test_bad_section_is_error(self, capsys, change, says):
         # one block, so that no zero block hides a negative p1 from the
         # norm search, which used to report search >> closed
@@ -380,7 +382,86 @@ class TestLab:
                            "--levels", "1", "2", "3")
         assert code == 0
         jsonschema.validate(doc, schemas.RATEFIT_SCHEMA)
+        assert set(doc) == {"ks", "bounds", "slope", "predicted_slope", "ratio",
+                            "non_decaying"}
         assert doc["slope"] < 0
+
+
+VERDICT_KEYS = {"status", "criterion", "target", "tag", "evidence"}
+RATE_KEYS = {"kind", "k_exponent", "log_exponent", "residual", "ratio", "tag",
+             "notes"}
+SECTION_KEYS = {"beta", "M", "p1", "q1", "p2", "q2", "n"}
+ANALYZE = ["analyze", "--sigma", "2^(2*j)", "--tau", "1", "--p1", "1", "--q1", "1",
+           "--p2", "inf", "--q2", "inf", "--dim", "1", "--kind"]
+# argv, and the key set of the document and of its sub-documents by path
+DOCUMENT_KEYS = {
+    "seq-parse": (["seq", "parse", "2^(j)"], {(): {
+        "expr", "classified", "canonical", "rate", "log_exponent", "sv_factor",
+        "boyd_lower", "boyd_upper"}}),
+    "seq-eval": (["seq", "eval", "2^(j)", "--j", "1"], {
+        (): {"expr", "values"}, ("values", 0): {"j", "log2", "value"}}),
+    "seq-boyd": (["seq", "boyd", "2^(j)"], {(): {
+        "exact", "lower", "upper", "lower_bracket", "upper_bracket", "depth"}}),
+    "seq-admissible": (["seq", "admissible", "2^(j)"], {(): {
+        "d0", "d1", "log2_d0", "log2_d1", "window", "exact",
+        "strongly_increasing"}}),
+    "seq-standardize": (["seq", "standardize", "2^(1/2*j)", "--growth", "2^(j)"],
+                        {(): {"result", "kappa0"}}),
+    "analyze-compact": (ANALYZE + ["compact"], {
+        (): {"compactness"}, ("compactness",): VERDICT_KEYS}),
+    "analyze-nuclear": (ANALYZE + ["nuclear"], {
+        (): {"nuclearity"}, ("nuclearity",): VERDICT_KEYS}),
+    "analyze-entropy": (ANALYZE + ["entropy"], {
+        (): {"entropy"}, ("entropy",): RATE_KEYS}),
+    "analyze-classify": (ANALYZE + ["classify"], {
+        (): {"compactness", "nuclearity", "entropy"},
+        ("compactness",): VERDICT_KEYS, ("nuclearity",): VERDICT_KEYS,
+        ("entropy",): RATE_KEYS}),
+    "analyze-classify-quasi-banach": (
+        ANALYZE + ["classify", "--p1", "1/2"], {  # the last --p1 counts
+            (): {"compactness", "nuclearity", "entropy"},
+            ("nuclearity",): VERDICT_KEYS}),
+    "lab-norm": (["lab", "norm", "--section", SECTION], {
+        (): {"closed", "search", "gap", "section"}, ("section",): SECTION_KEYS}),
+    "lab-nuclear": (["lab", "nuclear", "--section", SECTION], {
+        (): {"exact", "oracle", "section"}, ("oracle",): {"coordinate_upper"},
+        ("section",): SECTION_KEYS}),
+    "lab-entropy": (["lab", "entropy", "--section", SECTION, "--k", "1"], {
+        (): {"bounds", "norm", "section"},
+        ("bounds", 0): {"k", "upper", "lower", "upper_method", "lower_method"},
+        ("section",): SECTION_KEYS}),
+    "reproduce": (["reproduce", "limiting-log-smoothness"], {
+        (): {"cases", "all_pass"},
+        ("cases", 0): {"id", "title", "source", "citation", "op", "expected",
+                       "got", "passed"}}),
+    "error": (["seq", "parse", "3^(j)"], {(): {"error"}}),
+}
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("argv, keys", DOCUMENT_KEYS.values(), ids=DOCUMENT_KEYS)
+    def test_key_sets(self, capsys, argv, keys):
+        # the schemas require only some of these keys; lab ratefit is
+        # pinned in TestLab.test_ratefit
+        _, doc = invoke(capsys, *argv)
+        for path, want in keys.items():
+            sub = doc
+            for step in path:
+                sub = sub[step]
+            assert set(sub) == want, path
+
+    def test_jsonable_names_a_nonfinite_field(self):
+        fit = RateFit((2, 4), (1.0, math.inf), -1.0, None, None, False)
+        with pytest.raises(ValueError) as err:
+            cli._jsonable(fit)
+        assert str(err.value) == "bounds: the result leaves the float range"
+
+    def test_jsonable_prints_a_verdict(self):
+        v = Verdict("holds", parse("(1+j)^-1"), Target("ell", Fraction(2)),
+                    "sequence-membership", {"value": Fraction(-1, 2)})
+        assert cli._jsonable(v) == {
+            "status": "holds", "criterion": "(1+j)^-1", "target": "ell_2",
+            "tag": "sequence-membership", "evidence": {"value": "-1/2"}}
 
 
 GOOD_EXPONENTS = [1, "4/3", 2, 3, "inf", "1/2"]

@@ -1,6 +1,5 @@
 """Embedding verdicts against hand-computed exponent arithmetic."""
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from gsembed import (
-    Band,
     EmbeddingProblem,
     INF,
     Target,
@@ -56,6 +54,13 @@ class TestExponentArithmetic:
         assert ext("0." + "0" * 4299 + "1") == Fraction(1, 10**4300)
         assert ext("1" * 4300 + "/" + "3" * 4300) > 0
 
+    def test_ext_refuses_non_ascii(self):
+        # Fraction reads the Arabic-Indic digit as 3
+        with pytest.raises(ValueError, match="non-ASCII character"):
+            ext("\u0663")
+        with pytest.raises(ValueError, match="^p1: non-ASCII character"):
+            EmbeddingProblem("1", "1", "\u0663", 2, 2, 2, 1)
+
     def test_recip_endpoints(self):
         assert recip(INF) == 0
         assert recip(Fraction(0)) == INF
@@ -67,6 +72,12 @@ class TestExponentArithmetic:
         assert dual_star("inf", 1) == 1
         assert dual_star(1, "inf") == INF
         assert dual_star(2, 2) == INF
+
+    @pytest.mark.parametrize("r1, r2", [(0, 2), (-1, 2), ("-3", "inf")])
+    def test_dual_star_rejects_what_tong_rejects(self, r1, r2):
+        for fn in (dual_star, tong):
+            with pytest.raises(ValueError, match="r1 must be positive or inf"):
+                fn(r1, r2)
 
     def test_tong_values(self):
         assert tong(1, "inf") == INF

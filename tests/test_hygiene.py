@@ -1,0 +1,32 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# __init__.py re-exports what it imports, so it is not scanned
+SOURCES = sorted(p for d in ("src/gsembed", "tests") for p in (ROOT / d).glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(path: Path) -> list:
+    """'file:line name' for each name an import binds and the module never
+    reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+def test_no_unused_imports():
+    assert SOURCES
+    assert [u for p in SOURCES for u in unused_imports(p)] == []

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -35,7 +34,7 @@ class TestAdmissibility:
         cert = certify_admissible(geometric(Fraction(3, 2)))
         assert cert.exact
         assert cert.log2_d0 == cert.log2_d1 == Fraction(3, 2)
-        assert cert.strongly_increasing()
+        assert cert.strongly_increasing
 
     def test_log_factor_widens_above(self):
         # ratio of 2^j (1+j): largest at j=0 (factor 4), tending to 2
@@ -50,7 +49,7 @@ class TestAdmissibility:
         assert cert.exact
         assert cert.log2_d1 == 0
         assert cert.log2_d0 == -1
-        assert not cert.strongly_increasing()
+        assert not cert.strongly_increasing
 
     def test_pw2_range(self):
         cert = certify_admissible(pw2(0, 1))

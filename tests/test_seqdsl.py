@@ -80,6 +80,17 @@ class TestParsing:
         assert err.value.offset == offset
         assert f"more than {MAX_NUMERAL_DIGITS} digits" in str(err.value)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("2^(j)*\u00b2", 6), ("\u0663", 0), ("2^(\u0663*j)", 3),
+    ], ids=["superscript-two", "arabic-indic-three", "arabic-indic-rate"])
+    def test_only_ascii_digits(self, text, offset):
+        # str.isdigit accepts these, and int() then read them or failed
+        # with a bare ValueError
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert "unexpected character" in str(err.value)
+
     def test_numeral_at_the_digit_cap(self):
         tiny = "0." + "0" * (MAX_NUMERAL_DIGITS - 1) + "1"
         assert parse(tiny) == const(Fraction(1, 10 ** MAX_NUMERAL_DIGITS))

@@ -57,6 +57,8 @@ class TestFiniteSection:
         assert s.beta == pytest.approx((1.0, 2.0 ** 1.5, 8.0))
         assert s.M == (1, 2, 4)
         assert s.n == 7 and s.levels == 2
+        with pytest.raises(ValueError, match="levels"):
+            finite_section(pr, -1)
 
     def test_weight_out_of_float_range(self):
         up = EmbeddingProblem("2^(2*j)", "1", 2, 2, 2, 2, 1)
@@ -65,14 +67,6 @@ class TestFiniteSection:
         down = EmbeddingProblem("2^(-2*j)", "1", 2, 2, 2, 2, 1)
         with pytest.raises(SectionRangeError, match="underflows"):
             finite_section(down, 600)
-
-    def test_density_scales_blocks(self):
-        pr = EmbeddingProblem("2^(j)", "1", 2, 2, 2, 2, 1)
-        assert finite_section(pr, 2, density=2.0).M == (2, 4, 8)
-        with pytest.raises(ValueError):
-            finite_section(pr, 2, density=0.0)
-        with pytest.raises(ValueError):
-            finite_section(pr, -1)
 
     def test_equal_huge_weights_build(self):
         # sigma = tau: every beta_j is 1 although tau_j alone leaves the
