@@ -33,7 +33,6 @@ from .seqcore import (
     StandardizeError,
     _minimal_kappa0,
     boyd_indices,
-    boyd_indices_numeric,
     certify_admissible,
     standardize,
 )
@@ -113,18 +112,17 @@ def _cmd_seq_eval(args) -> Tuple[Any, int]:
 
 
 def _cmd_seq_boyd(args) -> Tuple[Any, int]:
-    fn = boyd_indices_numeric if args.numeric else boyd_indices
-    return fn(parse(args.expr), depth=args.depth), 0
+    return boyd_indices(parse(args.expr)), 0
 
 
 def _cmd_seq_admissible(args) -> Tuple[Any, int]:
-    return certify_admissible(parse(args.expr), window=args.window), 0
+    return certify_admissible(parse(args.expr)), 0
 
 
 def _cmd_seq_standardize(args) -> Tuple[Any, int]:
     sigma = parse(args.expr)
     growth = parse(args.growth)
-    out = standardize(sigma, growth, kappa0=args.kappa0, prefix_len=args.prefix_len)
+    out = standardize(sigma, growth, kappa0=args.kappa0)
     kappa0 = args.kappa0
     if kappa0 is None:
         kappa0 = _minimal_kappa0(certify_admissible(growth, 8))
@@ -217,7 +215,7 @@ def _cmd_lab_entropy(args) -> Tuple[Any, int]:
     sec = _load_section(args)
     bounds = []
     for k in args.k or range(1, 9):
-        up = entropy_upper(sec, k, dim_cap=args.dim_cap, k_cap=args.k_cap)
+        up = entropy_upper(sec, k)
         lo = entropy_lower(sec, k)
         bounds.append({
             "k": k,
@@ -250,6 +248,13 @@ def _cmd_reproduce(args) -> Tuple[Any, int]:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag raises ValueError: run prints it as a JSON error, exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", required=True, help="source weight expression")
     p.add_argument("--tau", required=True, help="target weight expression")
@@ -272,7 +277,7 @@ def _add_section_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsembed",
         description="Decide compactness/nuclearity of weighted sequence-space "
                     "embeddings, compute entropy asymptotics, and verify the "
@@ -294,14 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sb = seqsub.add_parser("boyd", help="Boyd indices, exact or bracketed")
     sb.add_argument("expr")
-    sb.add_argument("--depth", type=int, default=256)
-    sb.add_argument("--numeric", action="store_true",
-                    help="force window scanning even for canonical forms")
     sb.set_defaults(func=_cmd_seq_boyd)
 
     sa = seqsub.add_parser("admissible", help="two-sided consecutive-ratio bounds")
     sa.add_argument("expr")
-    sa.add_argument("--window", type=int, default=8)
     sa.set_defaults(func=_cmd_seq_admissible)
 
     ss = seqsub.add_parser("standardize",
@@ -310,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--growth", required=True,
                     help="strongly increasing scale expression, e.g. '2^(j)'")
     ss.add_argument("--kappa0", type=int, default=None)
-    ss.add_argument("--prefix-len", type=int, default=None)
     ss.set_defaults(func=_cmd_seq_standardize)
 
     an = sub.add_parser("analyze", help="decide an embedding problem")
@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     le = labsub.add_parser("entropy", help="two-sided entropy number bounds")
     _add_section_flags(le)
     le.add_argument("--k", type=int, nargs="+", help="entropy indices (default 1..8)")
-    le.add_argument("--dim-cap", type=int, default=20)
-    le.add_argument("--k-cap", type=int, default=40)
     le.set_defaults(func=_cmd_lab_entropy)
 
     lr = labsub.add_parser("ratefit", help="fit the entropy decay exponent")
@@ -353,9 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result, code = args.func(args)
         # a result beyond the float range (inf or nan) is an error too
         text = json.dumps(_jsonable(result), indent=2, allow_nan=False)

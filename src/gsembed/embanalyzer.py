@@ -379,20 +379,18 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
     return Verdict(status, expr, target, "sequence-membership", ev)
 
 
-def membership_partial_sums(expr: SequenceExpr, target: Target,
-                            max_level: int = 14) -> dict:
+def membership_partial_sums(expr: SequenceExpr, target: Target) -> dict:
     """Numeric condensation probe backing the structural membership test.
 
-    For ell_r returns partial sums of |u_j|^r up to 2^L for a ladder of
-    levels; for c0/ell_inf returns samples u_{2^i}.  Values saturate at inf
-    once the evaluation overflows.
+    For ell_r returns partial sums of |u_j|^r up to 2^L for L = 10, 12, 14;
+    for c0/ell_inf returns samples u_{2^i} for even i <= 14.  Values
+    saturate at inf once the evaluation overflows.
     """
     out: dict = {"target": str(target)}
     if target.kind == "ell" and target.r != INF:
         r = float(target.r)
-        levels = sorted({max_level - 4, max_level - 2, max_level})
         sums, total, nxt = [], 0.0, 0
-        for L in levels:
+        for L in (10, 12, 14):
             hi = 1 << L
             for j in range(nxt, hi + 1):
                 try:
@@ -412,7 +410,7 @@ def membership_partial_sums(expr: SequenceExpr, target: Target,
         out["partial_sums"] = sums
     else:
         samples = []
-        for i in range(0, max_level + 1, 2):
+        for i in range(0, 15, 2):
             try:
                 samples.append((1 << i, evaluate(expr, 1 << i)))
             except EvalOverflow as e:

@@ -11,7 +11,7 @@ structure is fully visible the indices come out exact; table-wrapped inputs
 get one-sided truncated sup/inf estimates that are widened into a
 two-sided interval using the certified ratio envelope.
 The widening constant is calibrated so the interval contains the true
-index for canonical inputs with |log exponent| <= 8 at depth >= 256.
+index for canonical inputs with |log exponent| <= 8 at BOYD_DEPTH = 256.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ __all__ = [
     "sequence_from_modulus",
     "is_almost_strongly_increasing",
 ]
+
+
+BOYD_DEPTH = 256  # the numeric Boyd bracket scans w_0..w_BOYD_DEPTH
 
 
 class StandardizeError(Exception):
@@ -149,34 +152,30 @@ class BoydIndices:
     depth: int
 
 
-def boyd_indices(e: SequenceExpr, depth: int = 256) -> BoydIndices:
+def boyd_indices(e: SequenceExpr) -> BoydIndices:
     """Boyd indices of e, exact from structure or bracketed numerically.
 
-    The numeric path uses truncated sup/inf over k <= depth - j, which only
-    bounds the true shifted-window extremes from one side; the reported
-    interval widens the estimate by 1/8 + 16*log2(depth)/depth and clips it
-    to the certified ratio envelope.
+    The numeric path uses truncated sup/inf over k <= BOYD_DEPTH - j, which
+    only bounds the true shifted-window extremes from one side; the reported
+    interval widens the estimate by 1/8 + 16*log2(BOYD_DEPTH)/BOYD_DEPTH and
+    clips it to the certified ratio envelope.
     """
-    if depth < 64:
-        raise ValueError("depth must be >= 64")
     if not e.tables:
         lo, hi = e.rate_interval
         return BoydIndices(
             lower=lo, upper=hi,
             lower_bracket=(float(lo), float(lo)),
             upper_bracket=(float(hi), float(hi)),
-            exact=True, depth=depth,
+            exact=True, depth=BOYD_DEPTH,
         )
-    return boyd_indices_numeric(e, depth)
+    return boyd_indices_numeric(e)
 
 
-def boyd_indices_numeric(e: SequenceExpr, depth: int = 256) -> BoydIndices:
+def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
     """Window-scan bracket for the Boyd indices, bypassing the structural
     shortcut.  Used directly when an independent numeric check of an exact
     answer is wanted."""
-    if depth < 64:
-        raise ValueError("depth must be >= 64")
-    K = depth
+    K = BOYD_DEPTH
     logs = [float(log2_value(e, j)) for j in range(K + 1)]
     alpha_est = math.inf
     beta_est = -math.inf
@@ -212,14 +211,15 @@ class EquivalenceResult:
     window: int
 
 
-def equivalent(e1: SequenceExpr, e2: SequenceExpr, window: int = 32) -> EquivalenceResult:
+def equivalent(e1: SequenceExpr, e2: SequenceExpr) -> EquivalenceResult:
     """Decide whether e1 and e2 stay within constant factors of each other.
 
-    yes carries band constants from the scanned window inflated by 10%; no
-    carries a witness index where the ratio leaves that band.  The verdict
-    itself comes from exact structure.
+    yes carries band constants from the scanned window (the first 32 terms
+    and every table prefix) inflated by 10%; no carries a witness index
+    where the ratio leaves that band.  The verdict itself comes from exact
+    structure.
     """
-    J = max(window, _max_prefix_len(e1) + 2, _max_prefix_len(e2) + 2)
+    J = max(32, _max_prefix_len(e1) + 2, _max_prefix_len(e2) + 2)
     qs = [_add(log2_value(e1, j), -log2_value(e2, j)) for j in range(J)]
     qmin, qmax = min(qs, key=float), max(qs, key=float)
     c_lower = 2.0 ** float(qmin) / 1.1
@@ -252,14 +252,15 @@ def _minimal_kappa0(cert: AdmissibilityCertificate) -> int:
     return max(1, math.ceil(1.0 / lg - 1e-12))
 
 
-def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int] = None,
-                prefix_len: Optional[int] = None) -> SequenceExpr:
+def standardize(sigma: SequenceExpr, growth: SequenceExpr,
+                kappa0: Optional[int] = None) -> SequenceExpr:
     """Resample sigma along the inverse of a strongly increasing growth scale.
 
     Returns the sequence beta_j = sigma_{k(j)} with
     k(j) = min{k >= 0 : 2^(j-1) <= N_{k+kappa0}}, rendered as an explicit
-    prefix followed by an equivalent closed-form continuation.  Requires a
-    decomposable sigma and a decomposable, oscillation-free growth scale.
+    prefix of max(16, 4*kappa0 + 8) values followed by an equivalent
+    closed-form continuation.  Requires a decomposable sigma and a
+    decomposable, oscillation-free growth scale.
     """
     cert = certify_admissible(growth, 8)
     if not cert.strongly_increasing:
@@ -282,8 +283,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr, kappa0: Optional[int]
     if lam <= 0:
         raise StandardizeError("growth scale must have positive rate")
 
-    if prefix_len is None:
-        prefix_len = max(16, 4 * kappa0 + 8)
+    prefix_len = max(16, 4 * kappa0 + 8)
 
     # k(j) is non-decreasing in j; walk both indices together
     ks = []
@@ -375,11 +375,11 @@ class AsiResult:
     boyd: BoydIndices
 
 
-def is_almost_strongly_increasing(e: SequenceExpr, depth: int = 256) -> AsiResult:
+def is_almost_strongly_increasing(e: SequenceExpr) -> AsiResult:
     """A sequence is almost strongly increasing iff its lower Boyd index is
     positive.  Bracketed indices only ever certify yes; a bracket touching
     zero stays undecided."""
-    b = boyd_indices(e, depth)
+    b = boyd_indices(e)
     if b.exact:
         return AsiResult("yes" if b.lower > 0 else "no", b)
     if b.lower_bracket[0] > 0:

@@ -56,6 +56,11 @@ MAX_SEARCH_N = 1024
 MAX_SEARCH_RESTARTS = 32
 MAX_SEARCH_ITERS = 1000
 
+# bounds on entropy_upper, checked before any work: the greedy refinement
+# costs about k * nblocks^2 big-integer counts, 0.2 s at 64 blocks of size 1
+MAX_ENTROPY_N = 64
+MAX_ENTROPY_K = 160
+
 
 @dataclass(frozen=True)
 class FiniteSection(Exponents):
@@ -352,8 +357,7 @@ def _block_cover_errors(scales: list, ms) -> list:
     return [f * (c / (1 << m)) for (f, c), m in zip(scales, ms)]
 
 
-def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
-                  k_cap: int = 40) -> EntropyBound:
+def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
     """Sound upper bound on the k-th entropy number via lattice coverings.
 
     Budget: 2^(k-1) centers.  Each block gets a symmetric grid with 2^m + 1
@@ -363,14 +367,16 @@ def entropy_upper(section: FiniteSection, k: int, dim_cap: int = 20,
     give a larger radius at k + 1 than at k (sigma 2^(-2/3*j), tau
     2^(-7*j), (p1, q1, p2, q2) = (2/3, 3, 4, 1), dim 1, levels 2: 0.0441
     at k = 9, 0.0500 at k = 10).  One-dimensional sections use the exact
-    interval covering instead.
+    interval covering instead.  k < 1, or a section size n or index k
+    above MAX_ENTROPY_N or MAX_ENTROPY_K, raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if section.n > dim_cap or k > k_cap:
-        raise ValueError(
-            f"section size {section.n} / index {k} beyond caps ({dim_cap}, {k_cap}); "
-            "raise the caps explicitly if the run time is acceptable")
+    for name, value, cap in (("section size n", section.n, MAX_ENTROPY_N),
+                             ("index k", k, MAX_ENTROPY_K)):
+        if value > cap:
+            raise ValueError(f"entropy bound: {name} = {value} exceeds the "
+                             f"limit of {cap}")
     nrm = embedding_norm_closed(section)
     if section.n == 1:
         return EntropyBound(nrm * 2.0 ** (-(k - 1)), k, "exact-1d",
@@ -452,8 +458,7 @@ def entropy_lower(section: FiniteSection, k: int) -> EntropyBound:
                          "log2_vol_target_ball": lv_tgt})
 
 
-def entropy_properties(section: FiniteSection, ks: Sequence[int],
-                       dim_cap: int = 20, k_cap: int = 40) -> dict:
+def entropy_properties(section: FiniteSection, ks: Sequence[int]) -> dict:
     """Consistency report for the entropy bounds over a ladder of indices:
     lower <= upper at each k (sound), the first upper bound equal to the
     operator norm (first_is_norm), and whether the upper bounds are
@@ -463,7 +468,7 @@ def entropy_properties(section: FiniteSection, ks: Sequence[int],
     nrm = embedding_norm_closed(section)
     uppers, lowers = [], []
     for k in ks:
-        uppers.append(entropy_upper(section, k, dim_cap, k_cap).value)
+        uppers.append(entropy_upper(section, k).value)
         lowers.append(entropy_lower(section, k).value)
     report = {
         "ks": tuple(ks),
@@ -492,8 +497,7 @@ class RateFit:
     non_decaying: bool
 
 
-def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
-             dim_cap: int = 64, k_cap: int = 160) -> RateFit:
+def rate_fit(problem: EmbeddingProblem, levels: Sequence[int]) -> RateFit:
     """Fit the decay exponent of the entropy upper bounds across sections.
 
     For each L the section keeps blocks up to L and the bound is taken at
@@ -501,6 +505,7 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
     transitions into its decaying regime.  The slope of log2(bound) against
     log2(k) estimates the entropy decay power; predicted_slope is
     -k_exponent of entropy_rate, None when the catalog gives no exponent.
+    A section beyond MAX_ENTROPY_N raises entropy_upper's ValueError.
     """
     if len(levels) < 2:
         raise ValueError("need at least two levels to fit a slope")
@@ -509,7 +514,7 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int],
         sec = finite_section(problem, L)
         k = 2 * sec.n
         ks.append(k)
-        bounds.append(entropy_upper(sec, k, dim_cap, k_cap).value)
+        bounds.append(entropy_upper(sec, k).value)
 
     # least-squares slope of log2(bound) on log2(k), mean-centred
     xs = [math.log2(k) for k in ks]

@@ -150,7 +150,7 @@ def test_criterion_04_boyd_fixtures_and_brackets():
             kappa = rng.choice([Fraction(1, 4), Fraction(1, 3),
                                 Fraction(1, 2), Fraction(3, 4)])
             parts.append(exp_log_pow(coeff, kappa))
-        nb = boyd_indices_numeric(product(*parts), depth=256)
+        nb = boyd_indices_numeric(product(*parts))
         fr = float(r)
         if not (nb.lower_bracket[0] <= fr <= nb.lower_bracket[1]):
             violations += 1

@@ -18,6 +18,7 @@ from hypothesis import given
 
 import gsembed
 from gsembed import RateFit, Target, Verdict, cli, parse, schemas
+from gsembed.seqspacelab import MAX_ENTROPY_K, MAX_ENTROPY_N
 
 
 def invoke(capsys, *argv):
@@ -93,10 +94,11 @@ class TestSeq:
         assert doc["lower"] == "0" and doc["upper"] == "1"
 
     def test_boyd_numeric_bracket(self, capsys):
-        code, doc = invoke(capsys, "seq", "boyd", "2^(1/2*j)", "--numeric")
+        # a table prefix hides the structure, so the indices are bracketed
+        code, doc = invoke(capsys, "seq", "boyd", "table[1,1,1] then 2^(1/2*j)")
         assert code == 0
         jsonschema.validate(doc, schemas.BOYD_SCHEMA)
-        assert not doc["exact"]
+        assert not doc["exact"] and doc["depth"] == 256
         assert doc["lower_bracket"][0] <= 0.5 <= doc["lower_bracket"][1]
 
     def test_admissible(self, capsys):
@@ -120,6 +122,40 @@ class TestSeq:
                            "--growth", "(1+j)^1")
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+
+
+PROBLEM_FLAGS = ["--sigma", "1", "--tau", "1", "--p1", "1", "--q1", "1",
+                 "--p2", "1", "--q2", "1"]
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("argv, says", [
+        (["lab", "entropy", "--section", "{}", "--dim-cap", "30"],
+         "unrecognized arguments: --dim-cap 30"),
+        (["lab", "entropy", "--section", "{}", "--k-cap", "50"],
+         "unrecognized arguments: --k-cap 50"),
+        (["seq", "boyd", "2^(j)", "--depth", "64"],
+         "unrecognized arguments: --depth 64"),
+        (["seq", "boyd", "2^(j)", "--numeric"], "unrecognized arguments: --numeric"),
+        (["seq", "admissible", "2^(j)", "--window", "16"],
+         "unrecognized arguments: --window 16"),
+        (["seq", "standardize", "2^(j)", "--growth", "4^(j)", "--prefix-len", "20"],
+         "unrecognized arguments: --prefix-len 20"),
+        (["seq", "parse", "2^(j)", "--bogus"], "unrecognized arguments: --bogus"),
+        (["analyze", *PROBLEM_FLAGS, "--dim", "1/2"],
+         "argument --dim: invalid int value: '1/2'"),
+        (["analyze", *PROBLEM_FLAGS, "--dim", "1", "--kind", "x"],
+         "argument --kind: invalid choice: 'x'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["dim-cap", "k-cap", "depth", "numeric", "window", "prefix-len",
+            "unknown", "dim-fraction", "kind", "no-subcommand"])
+    def test_bad_flag_is_error(self, capsys, argv, says):
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert doc["error"].startswith(says)
 
 
 class TestAnalyze:
@@ -252,11 +288,25 @@ class TestLab:
             assert row["lower"] <= row["upper"] * (1 + 1e-9)
 
     def test_entropy_cap_error(self, capsys):
-        big = json.dumps({"beta": [1.0], "M": [64],
-                          "p1": 2, "q1": 2, "p2": 2, "q2": 2})
-        code, doc = invoke(capsys, "lab", "entropy", "--section", big)
-        assert code == 1
-        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        for M, k, says in (([MAX_ENTROPY_N + 1], 1, "section size n"),
+                           ([2], MAX_ENTROPY_K + 1, "index k")):
+            section = json.dumps({"beta": [1.0], "M": M,
+                                  "p1": 2, "q1": 2, "p2": 2, "q2": 2})
+            code, doc = invoke(capsys, "lab", "entropy", "--section", section,
+                               "--k", str(k))
+            assert code == 1
+            jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+            assert says in doc["error"] and "limit" in doc["error"]
+
+    def test_entropy_at_the_limits(self):
+        # the costliest section the limits (n 64, k 160) admit: one block
+        # per coordinate
+        section = json.dumps({"beta": [1.0] * 64, "M": [1] * 64,
+                              "p1": 2, "q1": 2, "p2": 2, "q2": 2})
+        code, doc = invoke_fresh("lab", "entropy", "--section", section,
+                                 "--k", "160")
+        assert code == 0
+        jsonschema.validate(doc, schemas.LAB_ENTROPY_SCHEMA)
 
     @pytest.mark.parametrize("sigma, says", [("2^(2*j)", "overflows"),
                                              ("2^(-2*j)", "underflows")])

@@ -30,3 +30,19 @@ def unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     assert SOURCES
     assert [u for p in SOURCES for u in unused_imports(p)] == []
+
+
+def module_limits(path: Path) -> list:
+    """The MAX_* names that a module's top-level assignments bind."""
+    tree = ast.parse(path.read_text())
+    return [t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+
+
+def test_every_limit_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    limits = [name for p in sorted((ROOT / "src/gsembed").glob("*.py"))
+              for name in module_limits(p)]
+    assert "MAX_SEARCH_N" in limits
+    assert [name for name in limits if f"`{name}`" not in readme] == []

@@ -32,7 +32,7 @@ EXAMPLES = {
                   schemas.PROFILE_SCHEMA),
     "seq-boyd": ('gsembed seq boyd "pw2(s0=0,s1=1)"        # exact indices (0, 1)',
                  schemas.BOYD_SCHEMA),
-    "seq-boyd-numeric": ('gsembed seq boyd "table[1,1,1] then 2^(1/2*j)" --numeric',
+    "seq-boyd-numeric": ('gsembed seq boyd "table[1,1,1] then 2^(1/2*j)"',
                          schemas.BOYD_SCHEMA),
     "seq-eval": ('gsembed seq eval "2^(j)*(1+j)" --j 0 4 16', schemas.EVAL_SCHEMA),
     "seq-admissible": ('gsembed seq admissible "2^(j)*(1+j)"',

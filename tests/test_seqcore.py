@@ -102,7 +102,7 @@ class TestBoyd:
     @given(canonical_exprs())
     def test_numeric_bracket_contains_exact(self, triple):
         e, r, _ = triple
-        nb = boyd_indices_numeric(e, depth=256)
+        nb = boyd_indices_numeric(e)
         assert nb.lower_bracket[0] <= float(r) <= nb.lower_bracket[1]
         assert nb.upper_bracket[0] <= float(r) <= nb.upper_bracket[1]
 
@@ -111,7 +111,7 @@ class TestBoyd:
         # dyadic oscillation only carries a containment promise for the
         # ratio envelope; the point estimates stay inside it and ordered
         e, s0, s1, r = quad
-        nb = boyd_indices_numeric(e, depth=256)
+        nb = boyd_indices_numeric(e)
         cert = certify_admissible(e)
         assert float(cert.log2_d0) - 1e-9 <= nb.lower_bracket[0]
         assert nb.upper_bracket[1] <= float(cert.log2_d1) + 1e-9

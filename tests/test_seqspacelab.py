@@ -28,7 +28,8 @@ from gsembed import (
     recip,
     tong,
 )
-from gsembed.seqspacelab import _log_ball_volume, _lp_norm
+from gsembed.seqspacelab import (MAX_ENTROPY_K, MAX_ENTROPY_N, _log_ball_volume,
+                                 _lp_norm)
 
 
 def sec(beta, M, p1, q1, p2, q2):
@@ -261,10 +262,10 @@ class TestEntropyBounds:
         s = sec((1.0,), (2,), 2, 2, 2, 2)
         with pytest.raises(ValueError):
             entropy_upper(s, 0)
-        with pytest.raises(ValueError):
-            entropy_upper(s, 50)
-        big = sec((1.0,), (30,), 2, 2, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="index k .* limit"):
+            entropy_upper(s, MAX_ENTROPY_K + 1)
+        big = sec((1.0,), (MAX_ENTROPY_N + 1,), 2, 2, 2, 2)
+        with pytest.raises(ValueError, match="section size n .* limit"):
             entropy_upper(big, 1)
         with pytest.raises(ValueError):
             entropy_lower(s, 0)
@@ -292,6 +293,11 @@ class TestEntropyBounds:
         s = sec((1.0, 3.0), (2, 4), 2, 1, 2, 2)
         rep = entropy_properties(s, ks=(1, 2, 4, 8))
         assert rep["sound"] and rep["monotone"] and rep["first_is_norm"]
+        # up to the limits, n = 21, 40 and 64 (64 blocks of size 1 too)
+        for M in ((1, 4, 16), (8, 32), (1,) * 64, (4, 20, 40)):
+            s = sec(tuple(1.0 + 0.25 * j for j in range(len(M))), M, 2, 1, 4, 2)
+            rep = entropy_properties(s, ks=(1, 2, 40, 80, 160))
+            assert rep["sound"] and rep["first_is_norm"], M
 
     def test_errors_beyond_float_powers(self):
         # every trial radius squares a block error of about 1e200; the
