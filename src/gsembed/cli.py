@@ -31,7 +31,6 @@ from .embanalyzer import (
 from .seqcore import (
     ModulusRejected,
     StandardizeError,
-    _minimal_kappa0,
     boyd_indices,
     certify_admissible,
     standardize,
@@ -120,13 +119,8 @@ def _cmd_seq_admissible(args) -> Tuple[Any, int]:
 
 
 def _cmd_seq_standardize(args) -> Tuple[Any, int]:
-    sigma = parse(args.expr)
-    growth = parse(args.growth)
-    out = standardize(sigma, growth, kappa0=args.kappa0)
-    kappa0 = args.kappa0
-    if kappa0 is None:
-        kappa0 = _minimal_kappa0(certify_admissible(growth, 8))
-    return {"result": out, "kappa0": kappa0}, 0
+    return standardize(parse(args.expr), parse(args.growth),
+                       kappa0=args.kappa0), 0
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "EquivalenceResult",
     "AsiResult",
     "ModulusConversion",
+    "Standardized",
     "StandardizeError",
     "ModulusRejected",
     "certify_admissible",
@@ -252,15 +253,25 @@ def _minimal_kappa0(cert: AdmissibilityCertificate) -> int:
     return max(1, math.ceil(1.0 / lg - 1e-12))
 
 
+@dataclass(frozen=True)
+class Standardized:
+    """A standardized sequence (result) and the kappa0 it was resampled
+    with."""
+
+    result: SequenceExpr
+    kappa0: int
+
+
 def standardize(sigma: SequenceExpr, growth: SequenceExpr,
-                kappa0: Optional[int] = None) -> SequenceExpr:
+                kappa0: Optional[int] = None) -> Standardized:
     """Resample sigma along the inverse of a strongly increasing growth scale.
 
-    Returns the sequence beta_j = sigma_{k(j)} with
+    The result is the sequence beta_j = sigma_{k(j)} with
     k(j) = min{k >= 0 : 2^(j-1) <= N_{k+kappa0}}, rendered as an explicit
     prefix of max(16, 4*kappa0 + 8) values followed by an equivalent
-    closed-form continuation.  Requires a decomposable sigma and a
-    decomposable, oscillation-free growth scale.
+    closed-form continuation.  Without kappa0 the smallest one with
+    d0^kappa0 >= 2 is used, and returned with the result.  Requires a
+    decomposable sigma and a decomposable, oscillation-free growth scale.
     """
     cert = certify_admissible(growth, 8)
     if not cert.strongly_increasing:
@@ -271,7 +282,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
         raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
 
     if sigma == const(sigma.const):
-        return sigma
+        return Standardized(sigma, kappa0)
 
     ds = decompose(sigma)
     dn = decompose(growth)
@@ -317,7 +328,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     if abs(shift) > 1e-12:
         cont = product(const(2.0 ** shift), cont)
 
-    return table(prefix_vals, cont)
+    return Standardized(table(prefix_vals, cont), kappa0)
 
 
 @dataclass(frozen=True)

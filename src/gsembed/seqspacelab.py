@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 # bounds on embedding_norm_search, checked before anything is allocated: a
-# sweep costs O(n * max M_j) float operations, so the section size n is
-# capped; the default section of `lab norm` (3 levels, dim 3) has n = 585
+# trial move costs O(1) float operations and a sweep O(n), so the section
+# size n is capped; the default section of `lab norm` (3 levels, dim 3) has
+# n = 585 and takes about 0.3 s per restart
 MAX_SEARCH_N = 1024
 MAX_SEARCH_RESTARTS = 32
 MAX_SEARCH_ITERS = 1000
@@ -185,6 +186,46 @@ def _lp_norm(p: ExtReal):
     return norm
 
 
+# a trial power sum that keeps less than this share of the old sum has lost
+# up to 1/_KEEP ulps of it to cancellation, about 2e-13 relative; more would
+# reach the 1e-12 margin by which the ascent accepts a move
+_KEEP = 1e-3
+
+
+def _power_sum(x: list, p: float) -> float:
+    """Sum of the entries of x to the power p, nan where it leaves
+    (0, inf); the max of x for p = inf."""
+    if p == INF:
+        return max(x)
+    try:
+        total = sum([v ** p for v in x])
+    except OverflowError:
+        return math.nan
+    return total if 0.0 < total < INF else math.nan
+
+
+def _moved(p: float, total: float, x: list, old: float, new: float,
+           norm) -> tuple:
+    """The power sum (max for p = inf) and the ell_p norm of block x after
+    one entry moved from old to new, updated from the block's old total in
+    O(1).  x already holds new.  A max recomputes only when its holder
+    drops; a sum recomputes from the entries with norm when the difference
+    overflows, leaves (0, inf) or cancels below _KEEP of the old sum (a nan
+    total always recomputes)."""
+    if p == INF:
+        if new >= total:
+            return new, new
+        top = total if old < total else max(x)
+        return top, top
+    try:
+        s = total - old ** p + new ** p
+    except OverflowError:
+        s = math.nan
+    if _KEEP * total < s < INF:
+        return s, s ** (1.0 / p)
+    return _power_sum(x, p), norm(x)
+
+
 def embedding_norm_search(section: FiniteSection, seed: int = 0,
                           restarts: int = 3, iters: int = 200) -> float:
     """Numeric maximization of ||x||_target / ||x||_source.
@@ -194,11 +235,15 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
     polishes with random-restart multiplicative coordinate ascent.  Serves
     as an independent check of embedding_norm_closed from below.
 
-    The ascent caches every block's source norm beta_j ||x_j||_p1 and target
-    norm ||x_j||_p2, so a trial move on an entry of block j costs
-    O(M_j + nblocks) float operations: block j's two norms, then the two
-    outer aggregates.  Each block norm is recomputed from the entries rather
-    than updated by differences, so the returned value is a ratio that some
+    The ascent keeps four aggregates: per block the power sums of the
+    entries to p1 and to p2, and over the blocks the power sums of the
+    source norms beta_j ||x_j||_p1 to q1 and of the target norms ||x_j||_p2
+    to q2 (a max for an infinite index).  A trial move updates all four by
+    difference (_moved), so it costs O(1) float operations, and a sweep
+    O(n).  An aggregate is recomputed from its entries only when a max's
+    holder drops or a sum overflows or cancels.  Every sweep ends by
+    recomputing all of them from the entries, so the differences never
+    drift beyond one sweep and the returned value is a ratio that some
     vector attains.
 
     Each restart starts from half-normal entries drawn from
@@ -259,11 +304,21 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
             blocks.append([w * (v / unit) for v in shape])
         best = max(best, ratio(*block_norms(blocks)))
 
-    def ascend(blocks: list) -> float:
-        # _lp_norm takes no absolute values: entries stay positive, since
-        # they start positive and are only multiplied by positive factors
+    fp1, fp2, fq1, fq2 = (float(e) for e in (section.p1, section.p2,
+                                             section.q1, section.q2))
+
+    def state(blocks: list) -> tuple:
+        # block norms, the four aggregates and the ratio, from the entries
         src, tgt = block_norms(blocks)
-        local = ratio(src, tgt)
+        return (src, tgt, [_power_sum(x, fp1) for x in blocks],
+                [_power_sum(x, fp2) for x in blocks], _power_sum(src, fq1),
+                _power_sum(tgt, fq2), ratio(src, tgt))
+
+    def ascend(blocks: list) -> float:
+        # _lp_norm and _power_sum take no absolute values: entries stay
+        # positive, since they start positive and are only multiplied by
+        # positive factors
+        src, tgt, sums1, sums2, out1, out2, local = state(blocks)
         step = 0.5
         sweeps = 0
         while step > 1e-4 and sweeps < iters:
@@ -274,15 +329,23 @@ def embedding_norm_search(section: FiniteSection, seed: int = 0,
                 for i in range(len(x)):
                     for f in (1.0 + step, 1.0 / (1.0 + step)):
                         old, old_src, old_tgt = x[i], src[j], tgt[j]
-                        x[i] = old * f if old != 0 else step
-                        src[j] = bj * inner1(x)
-                        tgt[j] = inner2(x)
-                        cand = ratio(src, tgt)
+                        x[i] = new = old * f if old != 0 else step
+                        s1, n1 = _moved(fp1, sums1[j], x, old, new, inner1)
+                        s2, n2 = _moved(fp2, sums2[j], x, old, new, inner2)
+                        src[j] = new_src = bj * n1
+                        tgt[j] = n2
+                        o1, d = _moved(fq1, out1, src, old_src, new_src, outer1)
+                        o2, u = _moved(fq2, out2, tgt, old_tgt, n2, outer2)
+                        cand = u / d if d != 0.0 else 0.0
                         if cand > local * (1 + 1e-12):
                             local = cand
+                            sums1[j], sums2[j] = s1, s2
+                            out1, out2 = o1, o2
                             improved = True
                         else:
                             x[i], src[j], tgt[j] = old, old_src, old_tgt
+            # the differences drift, so each sweep restarts from the entries
+            src, tgt, sums1, sums2, out1, out2, local = state(blocks)
             if not improved:
                 step *= 0.5
         return local
@@ -505,12 +568,14 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int]) -> RateFit:
     transitions into its decaying regime.  The slope of log2(bound) against
     log2(k) estimates the entropy decay power; predicted_slope is
     -k_exponent of entropy_rate, None when the catalog gives no exponent.
-    A section beyond MAX_ENTROPY_N raises entropy_upper's ValueError.
+    Fewer than two distinct levels raise ValueError, and a section beyond
+    MAX_ENTROPY_N raises entropy_upper's ValueError.
     """
+    levels = sorted(set(levels))
     if len(levels) < 2:
         raise ValueError("need at least two levels to fit a slope")
     ks, bounds = [], []
-    for L in sorted(set(levels)):
+    for L in levels:
         sec = finite_section(problem, L)
         k = 2 * sec.n
         ks.append(k)

@@ -168,11 +168,11 @@ def test_criterion_05_standardization():
               for b in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))]
     assert len(sigmas) == 20
     for sigma in sigmas:
-        out = standardize(sigma, growth, kappa0=1)
+        out = standardize(sigma, growth, kappa0=1).result
         if equivalent(out, sigma).status != "yes":
             failures += 1
     for s in (1, 2, 3):
-        out = standardize(parse(f"2^({s}*j)"), parse("4^(j)"), kappa0=1)
+        out = standardize(parse(f"2^({s}*j)"), parse("4^(j)"), kappa0=1).result
         target = product(geometric(Fraction(s, 2)))
         if equivalent(out, target).status != "yes":
             failures += 1

@@ -123,6 +123,19 @@ class TestSeq:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["2^(j)", "--growth", "4^(j)"],
+         '{\n  "result": "table[1,1,1,1,2,2,4,4,8,8,16,16,32,32,64,64] then '
+         '1/2 * 2^(1/2*j)",\n  "kappa0": 1\n}\n'),
+        (["2^(j)", "--growth", "4^(j)", "--kappa0", "2"],
+         '{\n  "result": "table[1,1,1,1,1,1,2,2,4,4,8,8,16,16,32,32] then '
+         '1/4 * 2^(1/2*j)",\n  "kappa0": 2\n}\n'),
+        (["3", "--growth", "2^(j)"], '{\n  "result": "3",\n  "kappa0": 1\n}\n'),
+    ], ids=["minimal-kappa0", "given-kappa0", "constant"])
+    def test_standardize_document(self, capsys, argv, stdout):
+        assert cli.run(["seq", "standardize", *argv]) == 0
+        assert capsys.readouterr().out == stdout
+
 
 PROBLEM_FLAGS = ["--sigma", "1", "--tau", "1", "--p1", "1", "--q1", "1",
                  "--p2", "1", "--q2", "1"]
@@ -435,6 +448,17 @@ class TestLab:
         assert set(doc) == {"ks", "bounds", "slope", "predicted_slope", "ratio",
                             "non_decaying"}
         assert doc["slope"] < 0
+
+    def test_ratefit_repeated_level_is_error(self, capsys, tmp_path):
+        f = tmp_path / "problem.json"
+        f.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": "inf",
+                                 "q1": "inf", "p2": "inf", "q2": "inf",
+                                 "dim": 1}))
+        code, doc = invoke(capsys, "lab", "ratefit", "--from-problem", str(f),
+                           "--levels", "2", "2")
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert "need at least two levels" in doc["error"]
 
 
 VERDICT_KEYS = {"status", "criterion", "target", "tag", "evidence"}

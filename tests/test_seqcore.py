@@ -143,11 +143,11 @@ class TestEquivalence:
 class TestStandardize:
     def test_dyadic_growth_is_identity_like(self):
         sigma = parse("2^(3/2*j)*(1+j)")
-        out = standardize(sigma, parse("2^(j)"), kappa0=1)
+        out = standardize(sigma, parse("2^(j)"), kappa0=1).result
         assert equivalent(out, sigma).status == "yes"
 
     def test_quartic_growth_halves_rate(self):
-        out = standardize(parse("2^(j)"), parse("4^(j)"), kappa0=1)
+        out = standardize(parse("2^(j)"), parse("4^(j)"), kappa0=1).result
         # k(j) = max(0, ceil((j-3)/2)) gives the frozen prefix
         assert decompose(out) != out
         vals = [evaluate(out, j) for j in range(8)]
@@ -157,7 +157,7 @@ class TestStandardize:
     @given(canonical_exprs())
     def test_equivalence_property(self, triple):
         sigma, _, _ = triple
-        out = standardize(sigma, geometric(1), kappa0=1)
+        out = standardize(sigma, geometric(1), kappa0=1).result
         assert equivalent(out, sigma).status == "yes"
 
     def test_rejects_flat_growth(self):
@@ -167,8 +167,15 @@ class TestStandardize:
     def test_rejects_small_kappa0(self):
         with pytest.raises(StandardizeError):
             standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=1)
-        out = standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=4)
+        out = standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=4).result
         assert equivalent(out, parse("2^(4*j)")).status == "yes"
+
+    def test_returns_minimal_kappa0(self):
+        # d0 = 2^(1/4) needs kappa0 = 4 for d0^kappa0 >= 2
+        out = standardize(parse("2^(j)"), parse("2^(1/4*j)"))
+        assert out.kappa0 == 4
+        assert equivalent(out.result, parse("2^(4*j)")).status == "yes"
+        assert standardize(parse("3"), parse("2^(j)")).kappa0 == 1
 
     def test_rejects_oscillating_sigma(self):
         with pytest.raises(StandardizeError):

@@ -1,6 +1,8 @@
 """Finite-section laboratory against closed-form oracles."""
 
 import math
+import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -29,7 +31,7 @@ from gsembed import (
     tong,
 )
 from gsembed.seqspacelab import (MAX_ENTROPY_K, MAX_ENTROPY_N, _log_ball_volume,
-                                 _lp_norm)
+                                 _lp_norm, _moved, _power_sum)
 
 
 def sec(beta, M, p1, q1, p2, q2):
@@ -157,12 +159,50 @@ class TestOperatorNorm:
         (sec((1.5,), (12,), 3, 1, Fraction(3, 2), 2), 6, 1.5262856567377756),
         (finite_section(EmbeddingProblem("2^(j)", "1", 2, 3, 4, 2, 2), 1), 7,
          1.0198244513277528),
+        # a max-tracked target block, a max-tracked source block under
+        # finite outer indices, and p1 = 20 over weights 800 apart, where
+        # trial power sums cancel and the block is recomputed
+        (sec((0.8, 1.7, 0.4), (3, 4, 2), Fraction(3, 2), 2, INF, 3), 8, 2.5),
+        (sec((1.2, 0.5, 2.5), (4, 3, 2), INF, 4, 2, Fraction(3, 2)), 9,
+         3.71884878786839),
+        (sec((0.05, 3.0, 40.0), (7, 2, 3), 20, Fraction(3, 2), 3, 2), 11,
+         34.71158463719866),
     ]
 
     @pytest.mark.parametrize("s, seed, value", PINNED)
     def test_search_pinned_values(self, s, seed, value):
         found = embedding_norm_search(s, seed=seed, restarts=2, iters=60)
         assert found == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3, 2.0, 8.0, 24.0, INF])
+    def test_trial_update_matches_recompute(self, p):
+        # the O(1) update of a block's power sum (max for p = inf) and norm
+        # after one move, against both recomputed from the entries; entries
+        # spread over e^(+-36) make the sums for p = 24 cancel and overflow,
+        # and moves lower the max
+        rng = random.Random(5)
+        norm = _lp_norm(p)
+        for _ in range(300):
+            x = [rng.lognormvariate(0.0, 12.0) for _ in range(rng.randint(1, 12))]
+            total = _power_sum(x, p)
+            i = rng.randrange(len(x))
+            old = x[i]
+            x[i] = new = old * rng.choice((1.5, 1 / 1.5))
+            s, n = _moved(p, total, x, old, new, norm)
+            assert s == pytest.approx(_power_sum(x, p), rel=1e-12, nan_ok=True)
+            assert n == pytest.approx(norm(x), rel=1e-12)
+
+    def test_search_default_lab_norm_section(self):
+        # the largest section `lab norm --from-problem` builds by default
+        # (dim 3, 3 levels, one block of 512): a trial move that recomputed
+        # its block made one restart take about 8 s
+        s = finite_section(EmbeddingProblem("2^(j)", "1", 4, 2, 2, 1, 3), 3)
+        assert s.n == 585
+        closed = embedding_norm_closed(s)
+        t0 = time.perf_counter()
+        found = embedding_norm_search(s, restarts=1)
+        assert time.perf_counter() - t0 < 2.0
+        assert 0.99 * closed <= found <= closed * (1 + 1e-9)
 
 
 class TestNuclearNorm:
@@ -316,8 +356,9 @@ class TestEntropyBounds:
 class TestRateFit:
     def test_needs_two_levels(self):
         pr = EmbeddingProblem("2^(j)", "1", INF, INF, INF, INF, 1)
-        with pytest.raises(ValueError):
-            rate_fit(pr, levels=[2])
+        for levels in ([2], [2, 2]):
+            with pytest.raises(ValueError, match="two levels"):
+                rate_fit(pr, levels=levels)
 
     def test_cube_slope_tracks_smoothness_gap(self):
         pr = EmbeddingProblem("2^(j)", "1", INF, INF, INF, INF, 1)
