@@ -29,7 +29,6 @@ from .embanalyzer import (
     nuclearity,
 )
 from .seqcore import (
-    ModulusRejected,
     StandardizeError,
     boyd_indices,
     certify_admissible,
@@ -350,7 +349,7 @@ def run(argv=None) -> int:
         result, code = args.func(args)
         # a result beyond the float range (inf or nan) is an error too
         text = json.dumps(_jsonable(result), indent=2, allow_nan=False)
-    except (SequenceError, StandardizeError, ModulusRejected, ValueError,
+    except (SequenceError, StandardizeError, ValueError,
             KeyError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1

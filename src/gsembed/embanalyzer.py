@@ -34,7 +34,7 @@ from .seqdsl import (
     MAX_NUMERAL_DIGITS,
     EvalOverflow,
     SequenceExpr,
-    _pw_block,
+    _OSC_ANCHORS,
     decompose,
     evaluate,
     geometric,
@@ -328,16 +328,15 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
     is zero only ell_inf holds: the sequence has a positive limit, or for
     finite r its r-th powers sum like the harmonic series.
 
-    A pw2 monomial is decided along the two anchor subsequences j_l = 2^l
-    of the dyadic block structure shared by all oscillating atoms: rate is
-    the larger of the two exact anchor rates.  When it is zero and the
-    other is negative, the zero anchors are exponentially sparse and the
-    sequence decays geometrically away from them, so a block contributes a
-    bounded multiple of its anchor term.  Along j = 2^l the log power is
-    geometric in l and the iterated log is the power l^iterlog, so the key
-    shifts one level: (log_exp, explog coefficients..., iterlog + s).  When
-    both anchor rates are zero the exponents cancel identically and the
-    smooth key decides densely.
+    A monomial with osc != 0 is decided along the two anchor subsequences
+    j_l = 2^l of pw2(s0=0,s1=1): its anchor rates are rate + osc*2/3 at
+    even l and rate + osc/3 at odd l, and rate is the larger of the two.
+    When it is zero the other is negative, so the zero anchors are
+    exponentially sparse and the sequence decays geometrically away from
+    them: a block contributes a bounded multiple of its anchor term.  Along
+    j = 2^l the log power is geometric in l and the iterated log is the
+    power l^iterlog, so the key shifts one level: (log_exp, explog
+    coefficients..., iterlog + s).
 
     evidence["decided_by"] names the entry that fired, one of
 
@@ -346,18 +345,17 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
         anchor-log, anchor-explog, anchor-iterlog,
         anchor-limit                               sparse zero anchors
 
-    and evidence["value"] holds that entry as a Fraction.  A pw2 monomial
-    also reports anchor_rate_even and anchor_rate_odd.
+    and evidence["value"] holds that entry as a Fraction.  A monomial with
+    osc != 0 also reports anchor_rate_even and anchor_rate_odd.
     """
     d = decompose(expr)
     ev = {"target": str(target)}
     lead, sparse = ("rate", d.rate), False
-    if d.pw:
-        even = d.rate + sum(e * _pw_block(*s, 0)[0] for s, e in d.pw)
-        odd = d.rate + sum(e * _pw_block(*s, 1)[0] for s, e in d.pw)
+    if d.osc:
+        even, odd = (d.rate + d.osc * a for a in _OSC_ANCHORS)
         ev["anchor_rate_even"], ev["anchor_rate_odd"] = str(even), str(odd)
         lead = ("anchor-rate", max(even, odd))
-        sparse = lead[1] == 0 and even != odd
+        sparse = lead[1] == 0
     pre = "anchor-" if sparse else ""
 
     def key():  # lazy: most sequences are decided by their rate
@@ -549,7 +547,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     ratio = decompose(problem.weight_ratio)
     if asi.status == "yes":
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
-        if not ratio.pw:
+        if not ratio.osc:
             u = -ratio.rate / problem.dim
             v = -ratio.log_exp
             residual = None
@@ -564,7 +562,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
 
     rp1, rq1, rp2, rq2 = problem.recips
     qstar_recip = _star_recip(rq1, rq2)
-    if not crit.pw and crit.rate == 0:
+    if not crit.osc and crit.rate == 0:
         pure_log = not crit.explog and crit.iterlog == 0
         beta = -crit.log_exp
         if pure_log and rp1 == rp2:

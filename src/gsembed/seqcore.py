@@ -109,8 +109,8 @@ def _ratio_log_range(d: SequenceExpr) -> tuple:
         add(Fraction(0), d.iterlog)
     for kappa, coeff in d.explog:
         add(0.0, float(coeff) * math.log2(math.e))
-    for (s0, s1), expo in d.pw:
-        add(s0 * expo, s1 * expo)
+    if d.osc:
+        add(Fraction(0), d.osc)  # log2 steps of pw2(s0=0,s1=1) lie in [0, 1]
     return lo, hi
 
 
@@ -286,9 +286,9 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
 
     ds = decompose(sigma)
     dn = decompose(growth)
-    if ds.pw:
+    if ds.osc:
         raise StandardizeError("sigma must decompose into geometric/log/slowly-varying atoms")
-    if dn.pw or dn.explog or dn.iterlog != 0:
+    if dn.osc or dn.explog or dn.iterlog != 0:
         raise StandardizeError("growth scale must be geometric with at most a log-power factor")
     lam = dn.rate
     if lam <= 0:

@@ -16,18 +16,21 @@ works in log2 space, so membership and index computations downstream never
 leave exact arithmetic unless an atom forces a float.
 
 Every expression is stored in one normal form, the monomial `SequenceExpr`:
-a constant, irrational constant powers, one exponent per smooth atom, and
-exponent maps for the pw2 and table atoms.  Products and powers add and
-scale exponents and every map is sorted, so reordering factors gives an
-equal expression.  Constants are capped at MAX_CONST_BITS bits, and a
-run of digits in a numeral at MAX_NUMERAL_DIGITS.  decompose, which
-replaces table atoms by their continuations, is the one table-stripping
-call.
+a constant, irrational constant powers, one exponent per smooth atom, one
+exponent of the basic oscillation pw2(s0=0,s1=1), and an exponent map for
+the table atoms.  Products and powers add and scale exponents and every
+map is sorted, so reordering factors gives an equal expression.
+Constants are capped at MAX_CONST_BITS bits, and a run of digits in a
+numeral at MAX_NUMERAL_DIGITS.  decompose, which replaces table atoms by
+their continuations, is the one table-stripping call.
 
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
 anchors the value is 2^(j*(2*s1+s0)/3), the exponent then grows with slope
 s0 until the next anchor, where it equals 2^(j*(s1+2*s0)/3) and continues
-with slope s1.  Its upper and lower asymptotic rates are s1 and s0.
+with slope s1.  Its upper and lower asymptotic rates are s1 and s0.  Its
+log2 is exactly s0*j + (s1-s0) * log2 pw2(s0=0,s1=1)_j, so it is stored and
+printed as 2^(s0*j) * (pw2(s0=0,s1=1))^(s1-s0), and equal sequences have
+equal normal forms.
 """
 
 from __future__ import annotations
@@ -128,15 +131,15 @@ def _as_fraction(x) -> Fraction:
 class SequenceExpr:
     """A weight sequence as the monomial const * prod (base)^e * 2^(rate*j)
     * (1+j)^log_exp * (1+log(1+j))^iterlog * prod exp(c*log(1+j)^kappa)
-    * prod pw2(s0,s1)^e * prod (table[prefix] then continuation)^e.
+    * pw2(0,1)^osc * prod (table[prefix] then continuation)^e.
 
     The lower-case constructors keep it normal: roots ((base, e), ...) hold
     the fractional parts, in (0, 1), of non-integer constant powers, whose
-    whole parts are folded into const, so (3)^-1/2 is 1/3 * (3)^1/2; roots,
-    explog ((kappa, c), ...) and pw
-    (((s0, s1), e), ...) are sorted; tables ((prefix, continuation, e), ...)
-    are sorted by prefix, then by rendered continuation; no exponent is
-    zero.
+    whole parts are folded into const, so (3)^-1/2 is 1/3 * (3)^1/2; roots
+    and explog ((kappa, c), ...) are sorted; tables
+    ((prefix, continuation, e), ...) are sorted by prefix, then by rendered
+    continuation; no exponent is zero.  pw2(s0,s1) adds s0 to rate and
+    s1 - s0 to osc.
     """
 
     const: Fraction = _ONE
@@ -145,7 +148,7 @@ class SequenceExpr:
     log_exp: Fraction = _ZERO
     iterlog: Fraction = _ZERO
     explog: tuple = ()
-    pw: tuple = ()
+    osc: Fraction = _ZERO
     tables: tuple = ()
 
     def depth(self) -> int:
@@ -153,11 +156,7 @@ class SequenceExpr:
 
     @property
     def rate_interval(self) -> tuple:
-        lo = hi = self.rate
-        for (s0, s1), expo in self.pw:
-            a, b = sorted((s0 * expo, s1 * expo))
-            lo, hi = lo + a, hi + b
-        return lo, hi
+        return tuple(sorted((self.rate, self.rate + self.osc)))
 
     @property
     def sv_nodes(self) -> tuple:
@@ -201,7 +200,7 @@ def pw2(s0, s1) -> SequenceExpr:
     s0, s1 = _as_fraction(s0), _as_fraction(s1)
     if not (0 <= s0 < s1):
         raise SequenceError("pw2 requires 0 <= s0 < s1")
-    return SequenceExpr(pw=(((s0, s1), _ONE),))
+    return SequenceExpr(rate=s0, osc=s1 - s0)
 
 
 def table(prefix, continuation: SequenceExpr) -> SequenceExpr:
@@ -237,10 +236,9 @@ def _combine(terms) -> SequenceExpr:
     scale and add, the integer part of every power of a root base folds
     into the constant, zero exponents drop out and atoms are sorted."""
     const_ = _ONE
-    rate = log_exp = iterlog = _ZERO
+    rate = log_exp = iterlog = osc = _ZERO
     roots: dict = {}
     explog: dict = {}
-    pw: dict = {}
     tables: dict = {}  # equal tables merge, so a table cancels against its reciprocal
     for x, r in terms:
         # zero exponents are skipped: Fraction arithmetic dominates the cost
@@ -259,8 +257,8 @@ def _combine(terms) -> SequenceExpr:
             iterlog += x.iterlog * r
         for k, c in x.explog:
             explog[k] = explog.get(k, _ZERO) + c * r
-        for s, e in x.pw:
-            pw[s] = pw.get(s, _ZERO) + e * r
+        if x.osc:
+            osc += x.osc * r
         for pref, cont, e in x.tables:
             tables[pref, cont] = tables.get((pref, cont), _ZERO) + e * r
     kept = []
@@ -278,8 +276,7 @@ def _combine(terms) -> SequenceExpr:
     return SequenceExpr(
         const_, tuple(kept), rate, log_exp, iterlog,
         tuple(sorted((k, c) for k, c in explog.items() if c != 0)),
-        tuple(sorted((s, e) for s, e in pw.items() if e != 0)),
-        tuple(tabs),
+        osc, tuple(tabs),
     )
 
 
@@ -320,20 +317,18 @@ def _scale(r: Fraction, v):
     return r * v if isinstance(v, Fraction) else float(r) * v
 
 
-def _pw_block(s0: Fraction, s1: Fraction, l: int) -> tuple:
-    """(exponent per unit index at the anchor j_l = 2^l, slope after it)."""
-    if l % 2 == 0:
-        return Fraction(2 * s1 + s0, 3), s0
-    return Fraction(s1 + 2 * s0, 3), s1
+# exponent per unit index of pw2(s0=0,s1=1) at its anchors j_l = 2^l, for
+# even and odd l; the slope after an anchor is l % 2
+_OSC_ANCHORS = (Fraction(2, 3), Fraction(1, 3))
 
 
-def _pw_log2(s0: Fraction, s1: Fraction, j: int) -> Fraction:
+def _osc_log2(j: int) -> Fraction:
+    """log2 of pw2(s0=0,s1=1) at index j."""
     if j == 0:
-        return Fraction(0)
+        return _ZERO
     l = j.bit_length() - 1  # anchor j_l = 2^l <= j < 2^(l+1)
     jl = 1 << l
-    anchor, slope = _pw_block(s0, s1, l)
-    return anchor * jl + slope * (j - jl)
+    return _OSC_ANCHORS[l % 2] * jl + (l % 2) * (j - jl)
 
 
 def log2_value(e: SequenceExpr, j: int) -> Union[Fraction, float]:
@@ -359,8 +354,8 @@ def log2_value(e: SequenceExpr, j: int) -> Union[Fraction, float]:
         for kappa, coeff in e.explog:
             if j > 0:
                 acc = _add(acc, float(coeff) * (float(lm) ** float(kappa)) * _LOG2_E)
-    for (s0, s1), r in e.pw:
-        acc = _add(acc, r * _pw_log2(s0, s1, j))
+    if e.osc:
+        acc = _add(acc, e.osc * _osc_log2(j))
     for prefix, cont, r in e.tables:
         v = _log2_fraction(prefix[j]) if j < len(prefix) else log2_value(cont, j)
         acc = _add(acc, _scale(r, v))
@@ -375,8 +370,6 @@ def evaluate(e: SequenceExpr, j: int) -> float:
         raise EvalOverflow(+1, lg)
     if x < -_LOG2_FLOAT_LIMIT:
         raise EvalOverflow(-1, lg)
-    if isinstance(lg, Fraction) and lg.denominator == 1:
-        return math.ldexp(1.0, lg.numerator)
     return 2.0 ** x
 
 
@@ -384,7 +377,7 @@ def evaluate(e: SequenceExpr, j: int) -> float:
 # structure analysis
 
 def decompose(e: SequenceExpr) -> SequenceExpr:
-    """The table-free monomial whose rate, log_exp, iterlog, explog and pw
+    """The table-free monomial whose rate, log_exp, iterlog, explog and osc
     carry the asymptotic structure of e: every table atom is replaced by
     its continuation.
 
@@ -431,8 +424,8 @@ def canonicalize(e: SequenceExpr) -> SequenceProfile:
         return SequenceProfile(False, None, None, None, None, None)
     sv = e.sv_nodes
     lo, hi = e.rate_interval
-    return SequenceProfile(not e.pw and len(sv) <= 1,
-                           None if e.pw else e.rate, e.log_exp,
+    return SequenceProfile(not e.osc and len(sv) <= 1,
+                           None if e.osc else e.rate, e.log_exp,
                            product(*sv) if sv else None, lo, hi)
 
 
@@ -451,9 +444,9 @@ def render(e: SequenceExpr) -> str:
         parts.append(f"(1+log(1+j))^{e.iterlog}")
     for k, c in e.explog:
         parts.append(f"exp({c}*log(1+j)^{k})")
-    for (s0, s1), r in e.pw:
-        atom = f"pw2(s0={s0},s1={s1})"
-        parts.append(atom if r == 1 else f"({atom})^{r}")
+    if e.osc:
+        atom = "pw2(s0=0,s1=1)"
+        parts.append(atom if e.osc == 1 else f"({atom})^{e.osc}")
     # a lone table prints bare; next to other factors or powered it is
     # parenthesized, since its continuation extends to the end of input
     lone = not parts and len(e.tables) == 1

@@ -92,6 +92,10 @@ class TestSeq:
         jsonschema.validate(doc, schemas.BOYD_SCHEMA)
         assert doc["exact"]
         assert doc["lower"] == "0" and doc["upper"] == "1"
+        # the oscillations cancel: the sequence is the constant 1
+        code, doc = invoke(capsys, "seq", "boyd", "pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2")
+        assert code == 0
+        assert (doc["exact"], doc["lower"], doc["upper"]) == (True, "0", "0")
 
     def test_boyd_numeric_bracket(self, capsys):
         # a table prefix hides the structure, so the indices are bracketed

@@ -202,10 +202,11 @@ class TestMembership:
         v = ellr_membership(e, Target("ell", Fraction(2)))
         assert v.status == ("holds" if r < 0 else "fails")
 
-    # every branch of the membership rule, on smooth and pw2 monomials; the
-    # pw2 anchor rates are rate + (2*s1 + s0)/3 (even) and rate + (s1 + 2*s0)/3
-    # (odd), so pw2(s0=0,s1=3)*2^(-2*j) has anchor rates 0 and -1 (sparse)
-    # and pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2 has both zero
+    # every branch of the membership rule, on smooth and pw2 monomials; a
+    # monomial with oscillation exponent osc has anchor rates rate + osc*2/3
+    # (even) and rate + osc/3 (odd), so pw2(s0=0,s1=3)*2^(-2*j) has anchor
+    # rates 0 and -1 (sparse), while pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2 has
+    # osc = 3 - 6/2 = 0: it is the constant 1, and the smooth rule decides
     SPARSE = "pw2(s0=0,s1=3)*2^(-2*j)"
     FLAT = "pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2"
 
@@ -250,7 +251,7 @@ class TestMembership:
         ("pw2(s0=0,s1=3)*2^(-3/2*j)*(1+j)^-9", "2", "fails"),
         ("(pw2(s0=1,s1=2))^-1*2^(5/3*j)", "inf", "fails"),
         ("pw2(s0=0,s1=3)*2^(-1*j)", "2", "fails"),
-        # pw2, both anchor rates zero: the dense smooth rule decides
+        # pw2 powers whose oscillation cancels: the smooth rule decides
         (FLAT + "*(1+j)^-1", "2", "holds"),
         (FLAT + "*(1+j)^-1/2", "2", "fails"),
         (FLAT + "*(1+j)^-1/2*(1+log(1+j))^-1", "2", "holds"),
@@ -308,7 +309,7 @@ class TestMembership:
         tgt = Target("c0") if target == "c0" else Target("ell", ext(target))
         ev = ellr_membership(parse(text), tgt).evidence
         assert (ev["decided_by"], ev["value"]) == (rule, Fraction(value))
-        assert ("anchor_rate_even" in ev) == ("pw2" in text)
+        assert ("anchor_rate_even" in ev) == (decompose(parse(text)).osc != 0)
 
     def test_partial_sums_track_convergence(self):
         out = membership_partial_sums(geometric(-1), Target("ell", Fraction(1)))
@@ -452,6 +453,16 @@ class TestEntropyRate:
         r = entropy_rate(pr)
         assert r.kind == "limiting-sv-integral"
         assert "integral" in r.residual
+
+    @pytest.mark.parametrize("sigma, tau", [
+        ("2^(j)", "1"),
+        # the weight ratio is 2^(-j): the oscillations cancel
+        ("2^(2*j)*pw2(s0=0,s1=1)", "pw2(s0=1,s1=2)"),
+    ])
+    def test_non_limiting_geometric_ratio(self, sigma, tau):
+        r = entropy_rate(EmbeddingProblem(sigma, tau, 2, 2, 2, 2, 1))
+        assert (r.kind, r.k_exponent, r.log_exponent) == ("non-limiting", 1, 0)
+        assert r.residual is None
 
     def test_not_compact(self):
         pr = EmbeddingProblem("1", "2^(j)", 2, 2, 2, 2, 1)

@@ -30,6 +30,8 @@ ANALYZE_SCHEMA = {"type": "object", "required": ["compactness"],
 EXAMPLES = {
     "seq-parse": ('gsembed seq parse "2^(3/2*j)*(1+j)^-1"',
                   schemas.PROFILE_SCHEMA),
+    "seq-parse-pw2": ('gsembed seq parse "pw2(s0=1,s1=2)"       # stored as '
+                      '2^(1*j) * pw2(s0=0,s1=1)', schemas.PROFILE_SCHEMA),
     "seq-boyd": ('gsembed seq boyd "pw2(s0=0,s1=1)"        # exact indices (0, 1)',
                  schemas.BOYD_SCHEMA),
     "seq-boyd-numeric": ('gsembed seq boyd "table[1,1,1] then 2^(1/2*j)"',

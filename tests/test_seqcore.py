@@ -95,6 +95,12 @@ class TestBoyd:
         assert b2.exact
         assert b2.lower == Fraction(-1, 2) and b2.upper == 1
 
+        # oscillations that cancel leave a geometric sequence
+        b3 = boyd_indices(parse("pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2"))
+        assert b3.exact and b3.lower == b3.upper == 0
+        b4 = boyd_indices(parse("pw2(s0=0,s1=1)*(pw2(s0=1,s1=2))^-1"))
+        assert b4.exact and b4.lower == b4.upper == -1
+
     def test_log_factors_are_invisible(self):
         b = boyd_indices(parse("(1+j)^4*(1+log(1+j))^-2"))
         assert b.exact and b.lower == b.upper == 0
@@ -133,6 +139,10 @@ class TestEquivalence:
     def test_iterated_log_divergence(self):
         r = equivalent(iter_log(2), const(1))
         assert r.status == "no"
+
+    def test_pw2_shares_one_normal_form(self):
+        r = equivalent(parse("pw2(s0=1,s1=2)"), parse("pw2(s0=0,s1=1)*2^(j)"))
+        assert r.status == "yes"
 
     def test_table_prefix_ignored(self):
         e = parse("2^(j)")
@@ -212,6 +222,8 @@ class TestAsi:
         assert is_almost_strongly_increasing(log_power(3)).status == "no"
         assert is_almost_strongly_increasing(pw2(0, 1)).status == "no"
         assert is_almost_strongly_increasing(product(pw2(0, 1), geometric(1))).status == "yes"
+        flat = parse("pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2")
+        assert is_almost_strongly_increasing(product(flat, geometric(1))).status == "yes"
 
     def test_numeric_certifies_yes(self):
         e = table([1, 2], parse("2^(j)"))

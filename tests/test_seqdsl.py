@@ -30,7 +30,7 @@ from gsembed import (
 
 from gsembed.seqdsl import MAX_NUMERAL_DIGITS
 
-from conftest import canonical_exprs, oscillating_exprs
+from conftest import canonical_exprs, oscillating_exprs, rates, small_fractions
 
 
 class TestParsing:
@@ -133,6 +133,10 @@ class TestNormalForm:
             parse("pw2(s0=1,s1=2)*pw2(s0=0,s1=1)")
         assert parse("(1+j)*2^(j)*exp(1*log(1+j)^1/2)") == \
             parse("exp(1*log(1+j)^1/2)*2^(j)*(1+j)")
+        # pw2(s0,s1) is 2^(s0*j) * (pw2(s0=0,s1=1))^(s1-s0)
+        assert parse("pw2(s0=1,s1=2)") == parse("2^(j)*pw2(s0=0,s1=1)")
+        assert parse("pw2(s0=0,s1=1)*pw2(s0=1,s1=3)") == parse("pw2(s0=1,s1=4)")
+        assert render(parse("pw2(s0=1,s1=3)")) == "2^(1*j) * (pw2(s0=0,s1=1))^2"
 
     def test_constant_roots_merge(self):
         e = parse("(3)^1/2 * (3)^1/2")
@@ -149,6 +153,27 @@ class TestNormalForm:
         c = parse("(table[1] then 2^(j))*(table[1] then 1)")
         assert c == parse("(table[1] then 1)*(table[1] then 2^(j))")
         assert parse(render(c)) == c
+
+    @given(st.lists(st.tuples(small_fractions(0, 2), small_fractions(1, 3).filter(bool),
+                              small_fractions(-2, 2)), min_size=1, max_size=4), rates)
+    def test_pw2_products_reduce(self, atoms, r):
+        # a product of pw2 powers is one geometric factor times one power
+        # of pw2(s0=0,s1=1), and its log2 is the sum of the atoms' own
+        e = product(geometric(r), *(power(pw2(s0, s0 + g), x) for s0, g, x in atoms))
+        assert e == product(geometric(r + sum(x * s0 for s0, g, x in atoms)),
+                            power(pw2(0, 1), sum(x * g for s0, g, x in atoms)))
+
+        def pw2_log2(s0, s1, j):  # the block construction of the docstring
+            if j == 0:
+                return 0
+            l = j.bit_length() - 1
+            if l % 2 == 0:
+                return Fraction(2 * s1 + s0, 3) * 2 ** l + s0 * (j - 2 ** l)
+            return Fraction(s1 + 2 * s0, 3) * 2 ** l + s1 * (j - 2 ** l)
+
+        for j in range(65):
+            assert log2_value(e, j) == r * j + sum(
+                x * pw2_log2(s0, s0 + g, j) for s0, g, x in atoms)
 
     def test_reciprocal_cancels(self):
         assert parse("pw2(s0=0,s1=1)/pw2(s0=0,s1=1)") == const(1)
