@@ -3,10 +3,17 @@
 Every subcommand prints one JSON document on stdout.  Exit codes separate
 three outcomes: 0 the computation succeeded and any verdict is decided,
 2 the engine could not decide (boundary or out-of-catalog case), 1 an
-actual error (bad flags, malformed expressions, module failures).
+actual error (bad flags, malformed expressions, module failures, or a
+stdout whose reader has gone).
 
 A command returns the library's own results, and run turns them into JSON
-with one walk, _jsonable; a dataclass prints as the dict of its fields.
+with one walk, _jsonable; a record prints as the dict of its fields.
+
+Start-up is most of a command's run, so this module imports only seqdsl,
+which every command parses with, and each command imports what it runs
+inside its own function: seq parse and seq eval load nothing more,
+seq boyd/admissible/standardize add seqcore, analyze adds embanalyzer,
+lab adds seqspacelab, and reproduce adds corpus.
 """
 
 from __future__ import annotations
@@ -14,26 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, is_dataclass
-from fractions import Fraction
-from typing import Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
-from .corpus import run_all
-from .embanalyzer import (
-    EmbeddingProblem,
-    Target,
-    Verdict,
-    compactness,
-    entropy_rate,
-    nuclearity,
-)
-from .seqcore import (
-    StandardizeError,
-    boyd_indices,
-    certify_admissible,
-    standardize,
-)
 from .seqdsl import (
     EvalOverflow,
     SequenceError,
@@ -44,17 +36,10 @@ from .seqdsl import (
     parse,
     render,
 )
-from .seqspacelab import (
-    FiniteSection,
-    embedding_norm_closed,
-    embedding_norm_search,
-    entropy_lower,
-    entropy_upper,
-    finite_section,
-    nuclear_norm_oracle,
-    nuclear_norm_tong,
-    rate_fit,
-)
+
+if TYPE_CHECKING:  # annotations only; each command imports what it runs
+    from .embanalyzer import EmbeddingProblem
+    from .seqspacelab import FiniteSection
 
 __all__ = ["main", "run"]
 
@@ -62,25 +47,24 @@ __all__ = ["main", "run"]
 # ---------------------------------------------------------------------------
 # JSON
 
-def _fields(x: Any) -> Dict[str, Any]:
-    return {f.name: getattr(x, f.name) for f in fields(x)}
-
-
 def _jsonable(x: Any, key: str = "result") -> Any:
-    """A command's result as JSON values: a Fraction or Target prints as
-    its string, an expression rendered, a dataclass as the dict of its
+    """A command's result as JSON values: a value whose class defines its
+    own __str__ (a Fraction, a Target) prints as that string, an expression
+    rendered, a record (NamedTuple or dataclass) as the dict of its
     fields.  A float that is not finite raises ValueError naming its key
     (an entry of a list reports the list's key)."""
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"{key}: the result leaves the float range")
         return x
-    if isinstance(x, (Fraction, Target)):
+    if type(x).__str__ is not object.__str__:
         return str(x)
     if isinstance(x, SequenceExpr):
         return render(x)
-    if is_dataclass(x):
-        x = _fields(x)
+    if hasattr(x, "_asdict"):
+        x = x._asdict()
+    elif is_dataclass(x):
+        x = {f.name: getattr(x, f.name) for f in fields(x)}
     if isinstance(x, dict):
         return {str(k): _jsonable(v, str(k)) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -94,7 +78,7 @@ def _jsonable(x: Any, key: str = "result") -> Any:
 def _cmd_seq_parse(args) -> Tuple[Any, int]:
     e = parse(args.expr)
     # the parser accepts only classified expressions
-    return {"expr": e, "classified": True, **_fields(canonicalize(e))}, 0
+    return {"expr": e, "classified": True, **canonicalize(e)._asdict()}, 0
 
 
 def _cmd_seq_eval(args) -> Tuple[Any, int]:
@@ -110,14 +94,20 @@ def _cmd_seq_eval(args) -> Tuple[Any, int]:
 
 
 def _cmd_seq_boyd(args) -> Tuple[Any, int]:
+    from .seqcore import boyd_indices
+
     return boyd_indices(parse(args.expr)), 0
 
 
 def _cmd_seq_admissible(args) -> Tuple[Any, int]:
+    from .seqcore import certify_admissible
+
     return certify_admissible(parse(args.expr)), 0
 
 
 def _cmd_seq_standardize(args) -> Tuple[Any, int]:
+    from .seqcore import standardize
+
     return standardize(parse(args.expr), parse(args.growth),
                        kappa0=args.kappa0), 0
 
@@ -125,15 +115,16 @@ def _cmd_seq_standardize(args) -> Tuple[Any, int]:
 # ---------------------------------------------------------------------------
 # analyze
 
-# the nuclearity result of classify when the exponents are not Banach
-_NOT_APPLICABLE = Verdict("inconclusive", None, None, "not-applicable",
-                          {"reason": "nuclearity criterion needs Banach exponents"})
-
-
 def _cmd_analyze(args) -> Tuple[Any, int]:
     """The check of --kind; classify runs compactness, nuclearity (not
     applicable unless the exponents are Banach) and entropy on scale B.
     Exit 2 when a result that applies is inconclusive."""
+    from .embanalyzer import (EmbeddingProblem, Verdict, compactness,
+                              entropy_rate, nuclearity)
+
+    # the nuclearity result of classify when the exponents are not Banach
+    not_applicable = Verdict("inconclusive", None, None, "not-applicable",
+                             {"reason": "nuclearity criterion needs Banach exponents"})
     problem = EmbeddingProblem.from_dict(vars(args))
     every = args.kind == "classify"
     doc: Dict[str, Any] = {}
@@ -142,11 +133,11 @@ def _cmd_analyze(args) -> Tuple[Any, int]:
     if args.kind == "nuclear" or every and problem.is_banach():
         doc["nuclearity"] = nuclearity(problem)
     elif every:
-        doc["nuclearity"] = _NOT_APPLICABLE
+        doc["nuclearity"] = not_applicable
     if args.kind == "entropy" or every and problem.scale == "B":
         doc["entropy"] = entropy_rate(problem)
     outcomes = [r.status if isinstance(r, Verdict) else r.kind
-                for r in doc.values() if r is not _NOT_APPLICABLE]
+                for r in doc.values() if r is not not_applicable]
     return doc, (2 if "inconclusive" in outcomes else 0)
 
 
@@ -164,11 +155,15 @@ def _section_payload(sec: FiniteSection) -> Dict[str, Any]:
 
 
 def _read_problem(path: str) -> EmbeddingProblem:
+    from .embanalyzer import EmbeddingProblem
+
     with open(path) as fh:
         return EmbeddingProblem.from_dict(json.load(fh))
 
 
 def _load_section(args) -> FiniteSection:
+    from .seqspacelab import FiniteSection, finite_section
+
     if args.from_problem:
         return finite_section(_read_problem(args.from_problem), levels=args.levels)
     if args.section:
@@ -181,6 +176,8 @@ def _load_section(args) -> FiniteSection:
 
 
 def _cmd_lab_norm(args) -> Tuple[Any, int]:
+    from .seqspacelab import embedding_norm_closed, embedding_norm_search
+
     sec = _load_section(args)
     closed = embedding_norm_closed(sec)
     found = embedding_norm_search(sec, seed=args.seed,
@@ -195,6 +192,8 @@ def _cmd_lab_norm(args) -> Tuple[Any, int]:
 
 
 def _cmd_lab_nuclear(args) -> Tuple[Any, int]:
+    from .seqspacelab import nuclear_norm_oracle, nuclear_norm_tong
+
     sec = _load_section(args)
     payload = {
         "exact": nuclear_norm_tong(sec),
@@ -205,6 +204,8 @@ def _cmd_lab_nuclear(args) -> Tuple[Any, int]:
 
 
 def _cmd_lab_entropy(args) -> Tuple[Any, int]:
+    from .seqspacelab import embedding_norm_closed, entropy_lower, entropy_upper
+
     sec = _load_section(args)
     bounds = []
     for k in args.k or range(1, 9):
@@ -226,6 +227,8 @@ def _cmd_lab_entropy(args) -> Tuple[Any, int]:
 
 
 def _cmd_lab_ratefit(args) -> Tuple[Any, int]:
+    from .seqspacelab import rate_fit
+
     return rate_fit(_read_problem(args.from_problem), levels=args.levels), 0
 
 
@@ -233,6 +236,8 @@ def _cmd_lab_ratefit(args) -> Tuple[Any, int]:
 # reproduce
 
 def _cmd_reproduce(args) -> Tuple[Any, int]:
+    from .corpus import run_all
+
     only = None if args.target == "all" else args.target
     report = run_all(only=only)
     return report, (0 if report["all_pass"] else 1)
@@ -349,11 +354,18 @@ def run(argv=None) -> int:
         result, code = args.func(args)
         # a result beyond the float range (inf or nan) is an error too
         text = json.dumps(_jsonable(result), indent=2, allow_nan=False)
-    except (SequenceError, StandardizeError, ValueError,
-            KeyError, ZeroDivisionError, OverflowError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}))
+    except (SequenceError, ValueError, KeyError, ZeroDivisionError,
+            OverflowError, OSError) as exc:
+        text, code = json.dumps({"error": str(exc)}), 1
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone; with stdout on os.devnull the interpreter's
+        # final flush of what is left stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    print(text)
     return code
 
 

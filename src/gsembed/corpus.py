@@ -8,9 +8,8 @@ suite both run through :func:`run_all`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .embanalyzer import (
     EmbeddingProblem,
@@ -23,8 +22,7 @@ from .embanalyzer import (
 __all__ = ["ReproCase", "load_cases", "run_case", "run_all"]
 
 
-@dataclass(frozen=True)
-class ReproCase:
+class ReproCase(NamedTuple):
     id: str
     title: str
     source: str

@@ -12,7 +12,9 @@ q2) with ext, rejects values that are not positive or inf, and holds
 recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach(); its from_dict is the
 one JSON decoder of both models.  A problem also derives
 weight_ratio = sigma^-1 tau once; the criteria, the entropy catalog and
-the lab read these members.
+the lab read these members.  Only entropy_rate and f_space_nuclearity read
+Boyd indices, so they import seqcore themselves, and the lab's section
+commands, which call neither, never load it.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .seqdsl import (
     MAX_NUMERAL_DIGITS,
@@ -43,7 +45,6 @@ from .seqdsl import (
     product,
     render,
 )
-from .seqcore import boyd_indices, is_almost_strongly_increasing
 
 __all__ = [
     "INF",
@@ -266,17 +267,15 @@ class Target:
         return "ell_inf" if self.r == INF else f"ell_{self.r}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # holds | fails | inconclusive
     criterion: Optional[SequenceExpr]
     target: Optional[Target]
     tag: str
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """Half-open interval of gap values (lower, upper] where an embedding is
     compact but not nuclear."""
 
@@ -482,6 +481,8 @@ def f_space_nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity on scale F via the Boyd indices of the nuclearity
     criterion sequence: negative upper index suffices, positive lower index
     excludes, anything else is a genuine boundary case."""
+    from .seqcore import boyd_indices
+
     expr, target = criterion_sequence(problem, "nuclear")
     # a table-free sequence has exact Boyd indices
     b = boyd_indices(decompose(expr))
@@ -506,8 +507,7 @@ def compact_not_nuclear_band(p1, p2, dim: int) -> Band:
 # ---------------------------------------------------------------------------
 # entropy asymptotics
 
-@dataclass(frozen=True)
-class RateFormula:
+class RateFormula(NamedTuple):
     """Asymptotic law e_k ~ k^(-k_exponent) (1+log k)^(-log_exponent) x residual.
 
     kind names the regime; exponents are exact rationals when known and
@@ -534,6 +534,8 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     equal p, the slowly-varying integral formula for q1 > q2, and the
     three-branch coupled-log law for p1 < p2 with q2 <= q1.
     """
+    from .seqcore import is_almost_strongly_increasing
+
     if problem.scale != "B":
         return RateFormula("inconclusive", None, None, None, None,
                            "entropy-rate", ("entropy catalog covers scale B only",))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .seqdsl import (
     SequenceExpr,
@@ -55,8 +55,9 @@ __all__ = [
 BOYD_DEPTH = 256  # the numeric Boyd bracket scans w_0..w_BOYD_DEPTH
 
 
-class StandardizeError(Exception):
-    pass
+class StandardizeError(ValueError):
+    """standardize cannot resample: the growth scale or sigma is outside
+    its scope, or kappa0 is too small."""
 
 
 class ModulusRejected(Exception):
@@ -140,8 +141,7 @@ def _max_prefix_len(e: SequenceExpr) -> int:
                default=0)
 
 
-@dataclass(frozen=True)
-class BoydIndices:
+class BoydIndices(NamedTuple):
     """lower/upper are exact rationals when exact=True; the bracket fields
     are always populated (degenerate intervals in the exact case)."""
 
@@ -203,8 +203,7 @@ def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     status: str  # yes | no | undecided
     c_lower: Optional[float]
     c_upper: Optional[float]
@@ -253,8 +252,7 @@ def _minimal_kappa0(cert: AdmissibilityCertificate) -> int:
     return max(1, math.ceil(1.0 / lg - 1e-12))
 
 
-@dataclass(frozen=True)
-class Standardized:
+class Standardized(NamedTuple):
     """A standardized sequence (result) and the kappa0 it was resampled
     with."""
 
@@ -331,8 +329,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     return Standardized(table(prefix_vals, cont), kappa0)
 
 
-@dataclass(frozen=True)
-class ModulusConversion:
+class ModulusConversion(NamedTuple):
     sequence: SequenceExpr
     certificate: AdmissibilityCertificate
     level: float  # exponent L of the polynomial envelope
@@ -380,8 +377,7 @@ def _extreme_ratio_index(e: SequenceExpr, window: int) -> int:
     return best_j
 
 
-@dataclass(frozen=True)
-class AsiResult:
+class AsiResult(NamedTuple):
     status: str  # yes | no | undecided
     boyd: BoydIndices
 

@@ -20,8 +20,9 @@ a constant, irrational constant powers, one exponent per smooth atom, one
 exponent of the basic oscillation pw2(s0=0,s1=1), and an exponent map for
 the table atoms.  Products and powers add and scale exponents and every
 map is sorted, so reordering factors gives an equal expression.
-Constants are capped at MAX_CONST_BITS bits, and a run of digits in a
-numeral at MAX_NUMERAL_DIGITS.  decompose, which replaces table atoms by
+Constants are capped at MAX_CONST_BITS bits, a run of digits in a
+numeral at MAX_NUMERAL_DIGITS, and a parsed table prefix at
+MAX_TABLE_ENTRIES values.  decompose, which replaces table atoms by
 their continuations, is the one table-stripping call.
 
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 __all__ = [
     "SequenceExpr",
@@ -77,6 +78,12 @@ MAX_CONST_BITS = 1 << 16
 # string.  Fraction("0.000...1") builds 10^(fraction digits) before int()
 # refuses them, so the parser and embanalyzer.ext refuse longer runs first.
 MAX_NUMERAL_DIGITS = 4300
+
+# most values in one table prefix.  A problem file, unlike argv, puts no
+# bound on an expression's length, and parse time grows linearly with a
+# prefix: about 0.05 s at this cap.  The lexer refuses the comma that
+# would start one more value, so input past the cap is never read.
+MAX_TABLE_ENTRIES = 10_000
 
 # log2 magnitudes beyond this cannot be exponentiated into a float
 _LOG2_FLOAT_LIMIT = 1000.0
@@ -391,8 +398,7 @@ def decompose(e: SequenceExpr) -> SequenceExpr:
                    *(power(decompose(cont), r) for _, cont, r in e.tables))
 
 
-@dataclass(frozen=True)
-class SequenceProfile:
+class SequenceProfile(NamedTuple):
     """Asymptotic summary of an expression.
 
     rate/log_exponent are exact when known, None otherwise.  Boyd index
@@ -490,6 +496,7 @@ def _digits_end(src: str, j: int, start: int) -> int:
 def _lex(src: str) -> list:
     toks = []
     i, n = 0, len(src)
+    entries = 0  # values of the table prefix being read; 0 outside one
     while i < n:
         c = src[i]
         if c.isspace():
@@ -512,6 +519,15 @@ def _lex(src: str) -> list:
             i = j
             continue
         if c in _SYMBOLS:
+            if c == "[":
+                entries = 1
+            elif c == "]":
+                entries = 0
+            elif c == "," and entries:
+                entries += 1
+                if entries > MAX_TABLE_ENTRIES:
+                    raise ParseError(f"table with more than {MAX_TABLE_ENTRIES} "
+                                     f"entries", i)
             toks.append(_Tok("SYM", c, i))
             i += 1
             continue

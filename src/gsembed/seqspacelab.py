@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .seqdsl import log2_value
 from .embanalyzer import (INF, EmbeddingProblem, Exponents, ExtReal, _from_recip,
@@ -397,12 +397,11 @@ def nuclear_norm_oracle(section: FiniteSection) -> dict:
 # ---------------------------------------------------------------------------
 # entropy bounds
 
-@dataclass(frozen=True)
-class EntropyBound:
+class EntropyBound(NamedTuple):
     value: float
     k: int
     method: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 def _count(ms, M) -> int:
@@ -550,8 +549,7 @@ def entropy_properties(section: FiniteSection, ks: Sequence[int]) -> dict:
 # ---------------------------------------------------------------------------
 # rate fitting
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     ks: tuple
     bounds: tuple
     slope: float

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given
 
 import gsembed
-from gsembed import RateFit, Target, Verdict, cli, parse, schemas
+from gsembed import (RateFit, Target, Verdict, cli, embanalyzer, parse, schemas,
+                     seqcore, seqdsl, seqspacelab)
+from gsembed.seqdsl import MAX_TABLE_ENTRIES
 from gsembed.seqspacelab import MAX_ENTROPY_K, MAX_ENTROPY_N
 
 
@@ -27,14 +29,19 @@ def invoke(capsys, *argv):
     return code, json.loads(out)
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this gsembed."""
+    src = Path(gsembed.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
 def invoke_fresh(*argv):
     """One CLI run in a fresh process under a wall-time ceiling, for input
     that without its cap would run for minutes or exhaust memory."""
-    src = Path(gsembed.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "gsembed.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20)
+                          capture_output=True, text=True, env=fresh_env(),
+                          timeout=20)
     assert time.perf_counter() - t0 < 5.0
     return proc.returncode, json.loads(proc.stdout)
 
@@ -386,8 +393,10 @@ class TestLab:
         ({"sigma": 5}, "sigma must be a weight expression"),
         ({"q2": True}, "q2: cannot interpret True"),
         ([], "must be a JSON object"),
+        ({"sigma": "table[1" + ",1" * MAX_TABLE_ENTRIES + "] then 1"},
+         f"table with more than {MAX_TABLE_ENTRIES} entries"),
     ], ids=["p1-null", "dim-fractional", "dim-bool", "sigma-number", "q2-bool",
-            "top-level-list"])
+            "top-level-list", "sigma-table-past-the-cap"])
     def test_bad_problem_is_error(self, capsys, tmp_path, change, says):
         doc = {"sigma": "2^(2*j)", "tau": "1", "p1": 2, "q1": 2, "p2": 2,
                "q2": 2, "dim": 1}
@@ -660,41 +669,118 @@ class TestReproduce:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
 
+    @pytest.mark.parametrize("argv", [["reproduce", "all"], ["seq", "parse", "1"]],
+                             ids=["reproduce-all", "seq-parse"])
+    def test_closed_stdout_is_no_traceback(self, argv):
+        # the reader of stdout is gone before the command writes: a
+        # BrokenPipeError traceback used to end the run
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gsembed.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=fresh_env(), timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+
+# one command per subcommand, with the gsembed modules it leaves loaded in
+# a fresh interpreter: cli and seqdsl always, then what the command runs
+COMMANDS = {
+    "seq-parse": (["seq", "parse", "2^(3/2*j)*(1+j)^-1"], set()),
+    "seq-eval": (["seq", "eval", "2^(j)", "--j", "0", "3"], set()),
+    "seq-boyd": (["seq", "boyd", "pw2(s0=0,s1=1)"], {"seqcore"}),
+    "seq-admissible": (["seq", "admissible", "2^(j)*(1+j)"], {"seqcore"}),
+    "seq-standardize": (["seq", "standardize", "2^(1/2*j)", "--growth", "2^(j)"],
+                        {"seqcore"}),
+    "analyze": (["analyze", "--sigma", "2^(2*j)", "--tau", "1", "--p1", "1",
+                 "--q1", "1", "--p2", "inf", "--q2", "inf", "--dim", "1"],
+                {"seqcore", "embanalyzer"}),
+    "lab-norm": (["lab", "norm", "--section", SECTION],
+                 {"embanalyzer", "seqspacelab"}),
+    "lab-nuclear": (["lab", "nuclear", "--section", SECTION],
+                    {"embanalyzer", "seqspacelab"}),
+    "lab-entropy": (["lab", "entropy", "--section", SECTION, "--k", "1", "2", "4"],
+                    {"embanalyzer", "seqspacelab"}),
+    "lab-ratefit": (["lab", "ratefit", "--from-problem", "{problem}", "--levels",
+                     "1", "2"], {"seqcore", "embanalyzer", "seqspacelab"}),
+    "reproduce": (["reproduce", "all"], {"seqcore", "embanalyzer", "corpus"}),
+}
+
+# runs each argv of the JSON list in argv[1] through cli.run and prints the
+# gsembed modules then loaded; exits with the first non-zero exit code
+RUN_COMMANDS = (
+    "import contextlib, io, json, sys\n"
+    "from gsembed import cli\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = cli.run(argv)\n"
+    "    if code != 0:\n"
+    "        sys.exit(f'{argv} exited {code}')\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gsembed'))))\n"
+)
+
+
+def fresh_python(script, *args):
+    """(exit code, stdout, stderr) of python -c script args in a fresh
+    interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=fresh_env(),
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def problem_file(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": "inf",
+                                   "q1": "inf", "p2": "inf", "q2": "inf",
+                                   "dim": 1}))
+    return str(problem)
+
 
 class TestImports:
-    def test_no_command_loads_numpy(self, tmp_path):
+    def test_no_command_loads_numpy(self, problem_file):
         # gsembed runs on the standard library alone: with every import of
         # numpy made to fail, each subcommand still succeeds
-        problem = tmp_path / "problem.json"
-        problem.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": "inf",
-                                       "q1": "inf", "p2": "inf", "q2": "inf",
-                                       "dim": 1}))
-        argvs = [
-            ["analyze", "--sigma", "2^(2*j)", "--tau", "1", "--p1", "1",
-             "--q1", "1", "--p2", "inf", "--q2", "inf", "--dim", "1"],
-            ["reproduce", "all"],
-            ["lab", "nuclear", "--section", SECTION],
-            ["lab", "entropy", "--section", SECTION, "--k", "1", "2", "4"],
-            ["lab", "ratefit", "--from-problem", str(problem), "--levels", "1", "2"],
-            ["lab", "norm", "--section", SECTION],
-            ["seq", "parse", "2^(3/2*j)*(1+j)^-1"],
-            ["seq", "eval", "2^(j)", "--j", "0", "3"],
-            ["seq", "boyd", "pw2(s0=0,s1=1)"],
-            ["seq", "admissible", "2^(j)*(1+j)"],
-            ["seq", "standardize", "2^(1/2*j)", "--growth", "2^(j)"],
-        ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from gsembed import cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        code = cli.run(argv)\n"
-            "    if code != 0:\n"
-            "        sys.exit(f'{argv} exited {code}')\n"
-        )
-        src = Path(gsembed.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        argvs = [[a.replace("{problem}", problem_file) for a in argv]
+                 for argv, _ in COMMANDS.values()]
+        code, _, err = fresh_python("import sys; sys.modules['numpy'] = None\n"
+                                    + RUN_COMMANDS, json.dumps(argvs))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv, modules", COMMANDS.values(), ids=COMMANDS)
+    def test_command_loads_what_it_runs(self, problem_file, argv, modules):
+        # start-up is most of a command's run; a stray top-level import
+        # in cli, or in a module it loads, fails here
+        argv = [a.replace("{problem}", problem_file) for a in argv]
+        code, out, err = fresh_python(RUN_COMMANDS, json.dumps([argv]))
+        assert code == 0, err
+        assert json.loads(out) == sorted(
+            {"gsembed", "gsembed.cli", "gsembed.seqdsl"}
+            | {f"gsembed.{m}" for m in modules})
+
+    def test_exports_load_on_first_use(self):
+        code, out, err = fresh_python(
+            "import json, sys, gsembed\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('gsembed.'))\n"
+            "before = loaded()\n"
+            "gsembed.parse\n"
+            "print(json.dumps([before, loaded(), gsembed.__all__]))\n")
+        assert code == 0, err
+        before, after, names = json.loads(out)
+        modules = [seqdsl, seqcore, embanalyzer, seqspacelab]
+        assert before == []
+        assert after == sorted(m.__name__ for m in modules)
+        assert names == [n for m in modules for n in m.__all__]
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from gsembed import *", namespace)
+        for module in (seqdsl, seqcore, embanalyzer, seqspacelab):
+            for name in module.__all__:
+                assert namespace[name] is getattr(module, name), name
+                assert getattr(gsembed, name) is getattr(module, name), name

@@ -4,9 +4,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# __init__.py re-exports what it imports, so it is not scanned
-SOURCES = sorted(p for d in ("src/gsembed", "tests") for p in (ROOT / d).glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src/gsembed", "tests") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(path: Path) -> list:

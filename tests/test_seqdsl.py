@@ -28,7 +28,7 @@ from gsembed import (
     table,
 )
 
-from gsembed.seqdsl import MAX_NUMERAL_DIGITS
+from gsembed.seqdsl import MAX_NUMERAL_DIGITS, MAX_TABLE_ENTRIES
 
 from conftest import canonical_exprs, oscillating_exprs, rates, small_fractions
 
@@ -94,6 +94,18 @@ class TestParsing:
     def test_numeral_at_the_digit_cap(self):
         tiny = "0." + "0" * (MAX_NUMERAL_DIGITS - 1) + "1"
         assert parse(tiny) == const(Fraction(1, 10 ** MAX_NUMERAL_DIGITS))
+
+    @pytest.mark.parametrize("extra", [1, 10**6], ids=["one-past-the-cap", "2-MB"])
+    def test_table_entry_cap(self, extra):
+        # the lexer refuses the comma that starts entry MAX_TABLE_ENTRIES + 1,
+        # so a longer prefix costs what one at the cap does
+        at_cap = ",".join(["3"] * MAX_TABLE_ENTRIES)
+        assert parse(f"table[{at_cap}] then 1").tables[0][0] == \
+            (Fraction(3),) * MAX_TABLE_ENTRIES
+        with pytest.raises(ParseError) as err:
+            parse(f"table[{at_cap}{',3' * extra}] then 1")
+        assert err.value.offset == len("table[") + len(at_cap)
+        assert f"table with more than {MAX_TABLE_ENTRIES} entries" in str(err.value)
 
     def test_positivity(self):
         with pytest.raises(PositivityError):
