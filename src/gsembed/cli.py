@@ -11,9 +11,8 @@ with one walk, _jsonable; a record prints as the dict of its fields.
 
 Start-up is most of a command's run, so this module imports only seqdsl,
 which every command parses with, and each command imports what it runs
-inside its own function: seq parse and seq eval load nothing more,
-seq boyd/admissible/standardize add seqcore, analyze adds embanalyzer,
-lab adds seqspacelab, and reproduce adds corpus.
+inside its own function: seq parse and seq eval load nothing more, and
+the other commands load only the modules they call (README lists them).
 """
 
 from __future__ import annotations
