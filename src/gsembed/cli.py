@@ -175,16 +175,17 @@ def _load_section(args) -> FiniteSection:
 
 
 def _cmd_lab_norm(args) -> Tuple[Any, int]:
-    from .seqspacelab import embedding_norm_closed, embedding_norm_search
+    from .seqspacelab import _search_candidates, embedding_norm_closed
 
     sec = _load_section(args)
     closed = embedding_norm_closed(sec)
-    found = embedding_norm_search(sec, seed=args.seed,
-                                  restarts=args.restarts, iters=args.iters)
+    # the first candidate with the largest ratio, as embedding_norm_search
+    label, found = max(_search_candidates(sec), key=lambda c: c[1])
     payload = {
         "closed": closed,
         "search": found,
         "gap": (found / closed - 1.0) if closed > 0 else None,
+        "attained_by": label,
         "section": _section_payload(sec),
     }
     return payload, 0
@@ -321,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ln = labsub.add_parser("norm", help="operator norm: closed form vs search")
     _add_section_flags(ln)
-    ln.add_argument("--seed", type=int, default=0)
-    ln.add_argument("--restarts", type=int, default=3)
-    ln.add_argument("--iters", type=int, default=200)
     ln.set_defaults(func=_cmd_lab_norm)
 
     lnu = labsub.add_parser("nuclear", help="exact nuclear norm and oracles")

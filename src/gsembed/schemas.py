@@ -99,10 +99,11 @@ STANDARDIZE_SCHEMA = {
 
 LAB_NORM_SCHEMA = {
     "type": "object",
-    "required": ["closed", "search"],
+    "required": ["closed", "search", "attained_by"],
     "properties": {
         "closed": {"type": "number"},
         "search": {"type": "number"},
+        "attained_by": {"type": "string"},
         "section": {"type": "object"},
     },
 }

@@ -21,9 +21,10 @@ exponent of the basic oscillation pw2(s0=0,s1=1), and an exponent map for
 the table atoms.  Products and powers add and scale exponents and every
 map is sorted, so reordering factors gives an equal expression.
 Constants are capped at MAX_CONST_BITS bits, a run of digits in a
-numeral at MAX_NUMERAL_DIGITS, and a parsed table prefix at
-MAX_TABLE_ENTRIES values.  decompose, which replaces table atoms by
-their continuations, is the one table-stripping call.
+numeral at MAX_NUMERAL_DIGITS, a parsed table prefix at MAX_TABLE_ENTRIES
+values, and an expression at MAX_EXPR_TOKENS tokens.  decompose, which
+replaces table atoms by their continuations, is the one table-stripping
+call.
 
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
 anchors the value is 2^(j*(2*s1+s0)/3), the exponent then grows with slope
@@ -84,6 +85,13 @@ MAX_NUMERAL_DIGITS = 4300
 # prefix: about 0.05 s at this cap.  The lexer refuses the comma that
 # would start one more value, so input past the cap is never read.
 MAX_TABLE_ENTRIES = 10_000
+
+# most tokens in one expression, so that parse time and memory stay bounded
+# however long a problem file's expression is.  A table prefix of
+# MAX_TABLE_ENTRIES fractions p/q takes 40,004 tokens, which leaves room
+# for the rest of the expression.  The lexer refuses the token that would
+# pass the cap, so input past it is never read.
+MAX_EXPR_TOKENS = 50_000
 
 # log2 magnitudes beyond this cannot be exponentiated into a float
 _LOG2_FLOAT_LIMIT = 1000.0
@@ -477,7 +485,13 @@ class _Tok:
     kind: str  # NUM NAME SYM END
     text: str
     pos: int
-    value: object = None
+
+    @property
+    def value(self) -> Fraction:
+        """A NUM token's value, built where the parser reads it, so that
+        lexing up to MAX_EXPR_TOKENS builds no Fraction."""
+        text = self.text
+        return Fraction(text) if "." in text else Fraction(int(text))
 
 
 def _digits_end(src: str, j: int, start: int) -> int:
@@ -502,13 +516,14 @@ def _lex(src: str) -> list:
         if c.isspace():
             i += 1
             continue
+        if len(toks) == MAX_EXPR_TOKENS:
+            raise ParseError(f"expression with more than {MAX_EXPR_TOKENS} "
+                             f"tokens", i)
         if "0" <= c <= "9":
             j = _digits_end(src, i, i)
             if j < n and src[j] == ".":
                 j = _digits_end(src, j + 1, i)
-            text = src[i:j]
-            val = Fraction(text) if "." in text else Fraction(int(text))
-            toks.append(_Tok("NUM", text, i, val))
+            toks.append(_Tok("NUM", src[i:j], i))
             i = j
             continue
         if c.isalpha() or c == "_":

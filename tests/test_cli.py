@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given
 
 import gsembed
-from gsembed import (RateFit, Target, Verdict, cli, embanalyzer, parse, schemas,
-                     seqcore, seqdsl, seqspacelab)
-from gsembed.seqdsl import MAX_TABLE_ENTRIES
+from gsembed import (FiniteSection, RateFit, Target, Verdict, cli, embanalyzer,
+                     embedding_norm_search, parse, schemas, seqcore, seqdsl,
+                     seqspacelab)
+from gsembed.seqdsl import MAX_EXPR_TOKENS, MAX_TABLE_ENTRIES
 from gsembed.seqspacelab import MAX_ENTROPY_K, MAX_ENTROPY_N
 
 
@@ -58,6 +59,14 @@ class TestSeq:
         code, doc = invoke(capsys, "seq", "parse", "3^(j)")
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+
+    def test_long_product_is_error(self, capsys):
+        code, doc = invoke(capsys, "seq", "parse",
+                           "*".join(["1"] * MAX_EXPR_TOKENS))
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert f"expression with more than {MAX_EXPR_TOKENS} tokens" in \
+            doc["error"]
 
     @pytest.mark.parametrize("expr", ["(" * 3000 + "2" + ")" * 3000,
                                       "table[1] then " * 3000 + "2"],
@@ -165,6 +174,8 @@ class TestFlagErrors:
          "unrecognized arguments: --window 16"),
         (["seq", "standardize", "2^(j)", "--growth", "4^(j)", "--prefix-len", "20"],
          "unrecognized arguments: --prefix-len 20"),
+        (["lab", "norm", "--section", "{}", "--restarts", "3"],
+         "unrecognized arguments: --restarts 3"),
         (["seq", "parse", "2^(j)", "--bogus"], "unrecognized arguments: --bogus"),
         (["analyze", *PROBLEM_FLAGS, "--dim", "1/2"],
          "argument --dim: invalid int value: '1/2'"),
@@ -172,7 +183,7 @@ class TestFlagErrors:
          "argument --kind: invalid choice: 'x'"),
         ([], "the following arguments are required: command"),
     ], ids=["dim-cap", "k-cap", "depth", "numeric", "window", "prefix-len",
-            "unknown", "dim-fraction", "kind", "no-subcommand"])
+            "restarts", "unknown", "dim-fraction", "kind", "no-subcommand"])
     def test_bad_flag_is_error(self, capsys, argv, says):
         code = cli.run(argv)
         out, err = capsys.readouterr()
@@ -278,6 +289,20 @@ class TestLab:
         assert code == 0
         jsonschema.validate(doc, schemas.LAB_NORM_SCHEMA)
         assert doc["search"] <= doc["closed"] + 1e-9
+
+    @pytest.mark.parametrize("section, winner", [
+        (SECTION, "hoelder"),
+        ('{"beta": [1.0, 0.25, 0.5], "M": [1, 1, 3], "p1": 2, "q1": 2, '
+         '"p2": 2, "q2": 2}', "block 1"),
+        ('{"beta": [1.0, 0.25, 0.5], "M": [1, 1, 3], "p1": 4, "q1": 2, '
+         '"p2": 1, "q2": 2}', "block 2"),
+    ], ids=["hoelder", "spike", "flat"])
+    def test_norm_names_the_winning_candidate(self, capsys, section, winner):
+        code, doc = invoke(capsys, "lab", "norm", "--section", section)
+        assert code == 0
+        assert doc["attained_by"] == winner
+        sec = FiniteSection.from_dict(json.loads(section))
+        assert doc["search"] == embedding_norm_search(sec)
 
     def test_norm_from_problem(self, capsys, tmp_path):
         f = tmp_path / "problem.json"
@@ -395,8 +420,10 @@ class TestLab:
         ([], "must be a JSON object"),
         ({"sigma": "table[1" + ",1" * MAX_TABLE_ENTRIES + "] then 1"},
          f"table with more than {MAX_TABLE_ENTRIES} entries"),
+        ({"tau": "*".join(["1"] * MAX_EXPR_TOKENS)},
+         f"expression with more than {MAX_EXPR_TOKENS} tokens"),
     ], ids=["p1-null", "dim-fractional", "dim-bool", "sigma-number", "q2-bool",
-            "top-level-list", "sigma-table-past-the-cap"])
+            "top-level-list", "sigma-table-past-the-cap", "tau-past-the-token-cap"])
     def test_bad_problem_is_error(self, capsys, tmp_path, change, says):
         doc = {"sigma": "2^(2*j)", "tau": "1", "p1": 2, "q1": 2, "p2": 2,
                "q2": 2, "dim": 1}
@@ -422,12 +449,9 @@ class TestLab:
         (["--from-problem", "{problem}", "--levels", "40"], "section size n"),
         (["--section", '{"beta": [1], "M": [1000000000000], "p1": 2, "q1": 2, '
                        '"p2": 1, "q2": 2}'], "section size n"),
-        (["--section", SECTION, "--restarts", "1000000000"], "restarts"),
-        (["--section", SECTION, "--iters", "1000000000"], "iters"),
-    ], ids=["levels", "block-size", "restarts", "iters"])
+    ], ids=["levels", "block-size"])
     def test_norm_search_caps(self, tmp_path, argv, says):
-        # without the caps the search allocates 2^40 or 10^12 floats, or
-        # runs for hours
+        # without the cap the search allocates 2^40 or 10^12 floats
         f = tmp_path / "problem.json"
         f.write_text(json.dumps({"sigma": "2^(j)", "tau": "1", "p1": 2,
                                  "q1": 2, "p2": 1, "q2": 2, "dim": 1}))
@@ -436,13 +460,6 @@ class TestLab:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert says in doc["error"] and "limit" in doc["error"]
-
-    def test_negative_seed_is_error(self, capsys):
-        code, doc = invoke(capsys, "lab", "norm", "--section", SECTION,
-                           "--seed", "-1")
-        assert code == 1
-        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
-        assert "non-negative integer" in doc["error"]
 
     def test_missing_section_is_error(self, capsys):
         code, doc = invoke(capsys, "lab", "norm")
@@ -509,7 +526,8 @@ DOCUMENT_KEYS = {
             (): {"compactness", "nuclearity", "entropy"},
             ("nuclearity",): VERDICT_KEYS}),
     "lab-norm": (["lab", "norm", "--section", SECTION], {
-        (): {"closed", "search", "gap", "section"}, ("section",): SECTION_KEYS}),
+        (): {"closed", "search", "gap", "attained_by", "section"},
+        ("section",): SECTION_KEYS}),
     "lab-nuclear": (["lab", "nuclear", "--section", SECTION], {
         (): {"exact", "oracle", "section"}, ("oracle",): {"coordinate_upper"},
         ("section",): SECTION_KEYS}),
@@ -585,8 +603,7 @@ class TestSectionFuzz:
     @pytest.mark.parametrize("argv, schema", [
         (["lab", "nuclear"], schemas.LAB_NUCLEAR_SCHEMA),
         (["lab", "entropy", "--k", "1", "2"], schemas.LAB_ENTROPY_SCHEMA),
-        (["lab", "norm", "--restarts", "1", "--iters", "20"],
-         schemas.LAB_NORM_SCHEMA),
+        (["lab", "norm"], schemas.LAB_NORM_SCHEMA),
     ], ids=["nuclear", "entropy", "norm"])
     @given(text=section_docs())
     def test_one_json_document(self, argv, schema, text):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,9 +39,20 @@ def module_limits(path: Path) -> list:
             if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
 
 
+def source_limits() -> list:
+    return [name for p in sorted((ROOT / "src/gsembed").glob("*.py"))
+            for name in module_limits(p)]
+
+
 def test_every_limit_is_documented():
     readme = (ROOT / "README.md").read_text()
-    limits = [name for p in sorted((ROOT / "src/gsembed").glob("*.py"))
-              for name in module_limits(p)]
+    limits = source_limits()
     assert "MAX_SEARCH_N" in limits
     assert [name for name in limits if f"`{name}`" not in readme] == []
+
+
+def test_every_documented_limit_exists():
+    # README names no limit that the code has dropped or never had
+    named = set(re.findall(r"`(MAX_\w+)`", (ROOT / "README.md").read_text()))
+    assert "MAX_SEARCH_N" in named
+    assert sorted(named - set(source_limits())) == []

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from gsembed import (
     table,
 )
 
-from gsembed.seqdsl import MAX_NUMERAL_DIGITS, MAX_TABLE_ENTRIES
+from gsembed.seqdsl import MAX_EXPR_TOKENS, MAX_NUMERAL_DIGITS, MAX_TABLE_ENTRIES, _lex
 
 from conftest import canonical_exprs, oscillating_exprs, rates, small_fractions
 
@@ -106,6 +107,29 @@ class TestParsing:
             parse(f"table[{at_cap}{',3' * extra}] then 1")
         assert err.value.offset == len("table[") + len(at_cap)
         assert f"table with more than {MAX_TABLE_ENTRIES} entries" in str(err.value)
+
+    def test_token_cap(self):
+        # a full table prefix of fractions fits, with room to spare; the
+        # lexer refuses the token that would pass the cap, at its offset
+        prefix = "table[" + ",".join(["3/2"] * MAX_TABLE_ENTRIES) + "] then 1"
+        at_cap = prefix + "*1" * ((MAX_EXPR_TOKENS - len(_lex(prefix)) + 1) // 2)
+        assert len(_lex(at_cap)) == MAX_EXPR_TOKENS + 1  # and the end token
+        assert parse(at_cap).tables[0][0] == (Fraction(3, 2),) * MAX_TABLE_ENTRIES
+        with pytest.raises(ParseError) as err:
+            parse(at_cap + "*1")
+        assert err.value.offset == len(at_cap)
+        assert f"expression with more than {MAX_EXPR_TOKENS} tokens" in \
+            str(err.value)
+
+    def test_long_product_is_refused_fast(self):
+        # 10^5 factors took 1.9 s to parse without the cap; the lexer stops
+        # at the cap and builds no value on the way
+        text = "*".join(["1"] * 10**5)
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert time.perf_counter() - t0 < 0.1
+        assert err.value.offset == MAX_EXPR_TOKENS
 
     def test_positivity(self):
         with pytest.raises(PositivityError):
