@@ -508,6 +508,9 @@ def _digits_end(src: str, j: int, start: int) -> int:
 
 
 def _lex(src: str) -> list:
+    # tokens stay plain (kind, text, pos) tuples until the whole input is
+    # read: the collector untracks such tuples, so input refused at
+    # MAX_EXPR_TOKENS leaves no objects behind for a full collection to scan
     toks = []
     i, n = 0, len(src)
     entries = 0  # values of the table prefix being read; 0 outside one
@@ -523,14 +526,14 @@ def _lex(src: str) -> list:
             j = _digits_end(src, i, i)
             if j < n and src[j] == ".":
                 j = _digits_end(src, j + 1, i)
-            toks.append(_Tok("NUM", src[i:j], i))
+            toks.append(("NUM", src[i:j], i))
             i = j
             continue
         if c.isalpha() or c == "_":
             j = i
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            toks.append(_Tok("NAME", src[i:j], i))
+            toks.append(("NAME", src[i:j], i))
             i = j
             continue
         if c in _SYMBOLS:
@@ -543,12 +546,12 @@ def _lex(src: str) -> list:
                 if entries > MAX_TABLE_ENTRIES:
                     raise ParseError(f"table with more than {MAX_TABLE_ENTRIES} "
                                      f"entries", i)
-            toks.append(_Tok("SYM", c, i))
+            toks.append(("SYM", c, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("END", "", n))
-    return toks
+    toks.append(("END", "", n))
+    return [_Tok(*t) for t in toks]
 
 
 class _Parser:

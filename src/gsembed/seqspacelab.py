@@ -15,11 +15,18 @@ of explicit extremal vectors, one per block and one Hoelder-coupled over
 all blocks, in O(n).
 
 A section validates its exponents through the engine's Exponents base and
-derives two things once, as cached properties: recips = (1/p1, 1/q1, 1/p2,
-1/q2) and gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal
-blocks.  Every routine here reads section.recips and section.gains instead
-of inverting exponents itself.  Every ell_p aggregate goes through one
-rescaling _lp_norm on Python floats, since the blocks are small.
+derives everything that does not depend on an entropy index k once, as
+cached properties:
+  - recips = (1/p1, 1/q1, 1/p2, 1/q2);
+  - gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal blocks;
+  - closed_norm, the exact operator norm that embedding_norm_closed returns;
+  - cover_scales = ((M_j^(1/p2), 1/beta_j))_j and cover_radius, the ell_q2
+    norm, from which entropy_upper builds the radius of every lattice cover;
+  - log2_ball_volumes, the log2 volumes of the source-ball image and of the
+    target ball that entropy_lower compares.
+Every routine here reads these instead of inverting exponents itself, so an
+entropy ladder over many k pays for them once.  Every ell_p aggregate goes
+through one rescaling _lp_norm on Python floats, since the blocks are small.
 """
 
 from __future__ import annotations
@@ -57,7 +64,9 @@ __all__ = [
 MAX_SEARCH_N = 1024
 
 # bounds on entropy_upper, checked before any work: the greedy refinement
-# costs about k * nblocks^2 big-integer counts, 0.2 s at 64 blocks of size 1
+# keeps one exact center count, so each trial costs a big-integer divide and
+# multiply and one radius over the blocks, about k * nblocks^2 float
+# operations in all; 64 blocks of size 1 at k = 160 take 0.08 s
 MAX_ENTROPY_N = 64
 MAX_ENTROPY_K = 160
 
@@ -98,6 +107,34 @@ class FiniteSection(Exponents):
         rp1, _, rp2, _ = self.recips
         excess = float(_star_recip(rp1, rp2))
         return tuple(float(m) ** excess / b for b, m in zip(self.beta, self.M))
+
+    @cached_property
+    def closed_norm(self) -> float:
+        """The exact operator norm that embedding_norm_closed returns."""
+        _, rq1, _, rq2 = self.recips
+        return _lp_norm(_from_recip(_star_recip(rq1, rq2)))(self.gains)
+
+    @cached_property
+    def cover_scales(self) -> tuple:
+        """(M_j^(1/p2), 1/beta_j) per block: a cube of half-width c in block
+        j has target ell_p2 radius M_j^(1/p2) c, and the source ball's image
+        spans c = 1/beta_j there.  The first entry is 1.0 for p2 = inf."""
+        inv_p2 = float(self.recips[2])
+        return tuple((float(m) ** inv_p2, 1.0 / b)
+                     for b, m in zip(self.beta, self.M))
+
+    @cached_property
+    def cover_radius(self):
+        """The ell_q2 norm, which turns a list of block cover errors into
+        the radius of the cover."""
+        return _lp_norm(self.q2)
+
+    @cached_property
+    def log2_ball_volumes(self) -> tuple:
+        """(log2 volume of the source ball's image, log2 volume of the target
+        ball) in dimension n."""
+        return (_log_ball_volume(self.M, self.p1, self.q1, self.beta),
+                _log_ball_volume(self.M, self.p2, self.q2))
 
     @property
     def levels(self) -> int:
@@ -155,9 +192,9 @@ def finite_section(problem: EmbeddingProblem, levels: int) -> FiniteSection:
 def embedding_norm_closed(section: FiniteSection) -> float:
     """Exact operator norm of the section: the diagonal of block gains
     measured from ell_q1 to ell_q2 (sup for q1 <= q2, else the ell_r norm
-    with 1/r = 1/q2 - 1/q1)."""
-    _, rq1, _, rq2 = section.recips
-    return _lp_norm(_from_recip(_star_recip(rq1, rq2)))(section.gains)
+    with 1/r = 1/q2 - 1/q1).  Computed once per section, as
+    section.closed_norm."""
+    return section.closed_norm
 
 
 def _lp_norm(p: ExtReal):
@@ -304,19 +341,18 @@ class EntropyBound(NamedTuple):
     detail: dict
 
 
-def _count(ms, M) -> int:
-    total = 1
-    for m, size in zip(ms, M):
-        if m:
-            total *= ((1 << m) + 1) ** size
-    return total
+# block j is covered by a symmetric grid of 2^m + 1 points per coordinate on
+# [-c, c], which leaves per-coordinate rounding error c / 2^m; m = 0 is the
+# single center with error c
+
+def _grid_centers(m: int, size: int) -> int:
+    return ((1 << m) + 1) ** size if m else 1
 
 
-def _block_cover_errors(scales: list, ms) -> list:
-    # symmetric grid of 2^m + 1 points on [-c, c] leaves per-coordinate
-    # rounding error c / 2^m; m = 0 is the single center with error c.
-    # scales[j] = (M_j^(1/p2), 1/beta_j), the first being 1.0 for p2 = inf
-    return [f * (c / (1 << m)) for (f, c), m in zip(scales, ms)]
+def _cover_error(scale: tuple, m: int) -> float:
+    # scale = (M_j^(1/p2), 1/beta_j), an entry of section.cover_scales
+    f, c = scale
+    return f * (c / (1 << m))
 
 
 def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
@@ -345,33 +381,34 @@ def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
                             {"norm": nrm})
 
     budget = 1 << (k - 1)
-    inv_p2 = float(section.recips[2])
-    scales = [(float(m) ** inv_p2, 1.0 / b)
-              for b, m in zip(section.beta, section.M)]
-    radius = _lp_norm(section.q2)
-    ms = [0] * len(section.M)
+    scales = section.cover_scales
+    radius = section.cover_radius
+    ms = [0] * len(scales)
+    errs = [_cover_error(s, 0) for s in scales]
+    count = 1  # exact number of centers, the product of the block grids
     while True:
         # every refinement shrinks one block error, so looping until the
         # budget blocks all moves terminates; picking the move with the
         # smallest resulting radius and, under max-aggregation ties, the
         # largest current contributor keeps water-filling from stalling
-        errs = _block_cover_errors(scales, ms)
         best = None
-        for j in range(len(ms)):
-            trial = list(ms)
-            trial[j] += 1
-            if _count(trial, section.M) > budget:
+        for j, (m, size) in enumerate(zip(ms, section.M)):
+            grown = count // _grid_centers(m, size) * _grid_centers(m + 1, size)
+            if grown > budget:
                 continue
-            key = (radius(_block_cover_errors(scales, trial)), -errs[j])
+            trial = errs.copy()
+            trial[j] = _cover_error(scales[j], m + 1)
+            key = (radius(trial), -errs[j])
             if best is None or key < best[0]:
-                best = (key, j)
+                best = (key, j, grown, trial)
         if best is None:
             break
-        ms[best[1]] += 1
-    value = min(radius(_block_cover_errors(scales, ms)), nrm)
+        _, j, count, errs = best
+        ms[j] += 1
+    value = min(radius(errs), nrm)
     return EntropyBound(value, k, "lattice-cover",
                         {"refinements": tuple(ms), "norm": nrm,
-                         "centers": _count(ms, section.M)})
+                         "centers": count})
 
 
 def _log_ball_volume(M: Sequence[int], p: ExtReal, q: ExtReal,
@@ -412,8 +449,7 @@ def entropy_lower(section: FiniteSection, k: int) -> EntropyBound:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = section.n
-    lv_src = _log_ball_volume(section.M, section.p1, section.q1, section.beta)
-    lv_tgt = _log_ball_volume(section.M, section.p2, section.q2)
+    lv_src, lv_tgt = section.log2_ball_volumes
     lg = -(k - 1) / n + (lv_src - lv_tgt) / n
     return EntropyBound(2.0 ** lg, k, "volume",
                         {"log2_vol_source_image": lv_src,

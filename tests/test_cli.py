@@ -653,18 +653,34 @@ def problem_docs(draw):
 
 
 class TestProblemFuzz:
-    @given(text=problem_docs())
-    def test_one_json_document(self, tmp_path_factory, text):
+    @staticmethod
+    def run(tmp_path_factory, argv, text):
+        """Exit code and strict JSON document of argv on a problem file
+        holding text."""
         f = tmp_path_factory.getbasetemp() / "fuzz_problem.json"
         f.write_text(text)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.run(["lab", "nuclear", "--from-problem", str(f),
-                            "--levels", "1"])
+            code = cli.run(argv + ["--from-problem", str(f)])
         assert code in (0, 1, 2)
-        doc = json.loads(buf.getvalue(), parse_constant=_reject_constant)
+        return code, json.loads(buf.getvalue(), parse_constant=_reject_constant)
+
+    @given(text=problem_docs())
+    def test_one_json_document(self, tmp_path_factory, text):
+        code, doc = self.run(tmp_path_factory, ["lab", "nuclear", "--levels", "1"],
+                             text)
         jsonschema.validate(doc, schemas.ERROR_SCHEMA if code == 1
                             else schemas.LAB_NUCLEAR_SCHEMA)
+
+    @given(text=problem_docs())
+    def test_ratefit_one_json_document(self, tmp_path_factory, text):
+        # lab ratefit runs entropy_upper at k = 2n on each section
+        code, doc = self.run(tmp_path_factory,
+                             ["lab", "ratefit", "--levels", "1", "2"], text)
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA if code == 1
+                            else schemas.RATEFIT_SCHEMA)
+        if code == 0:
+            assert all(0.0 < b < math.inf for b in doc["bounds"])
 
 
 class TestReproduce:

@@ -31,6 +31,43 @@ def test_no_unused_imports():
     assert [u for p in SOURCES for u in unused_imports(p)] == []
 
 
+def private_definitions(path: Path) -> list:
+    """(name, line) of each function or class that a module defines at top
+    level under a private name, dunders aside."""
+    return [(node.name, node.lineno) for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def referenced_names(path: Path) -> set:
+    """Every name that a module reads, looks up as an attribute or imports;
+    a definition alone is no reference."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_uncalled_private_code():
+    # a private function or class that no module of the program, its tests
+    # or gsbench refers to has no caller, and is deleted
+    scanned = sorted(p for d in ("src/gsembed", "tests", "gsbench")
+                     for p in (ROOT / d).glob("*.py"))
+    referenced = set().union(*(referenced_names(p) for p in scanned))
+    defined = [(p, name, line) for p in sorted((ROOT / "src/gsembed").glob("*.py"))
+               for name, line in private_definitions(p)]
+    assert any(name == "_lp_norm" for _, name, _ in defined)
+    assert [f"{p.relative_to(ROOT)}:{line} {name}" for p, name, line in defined
+            if name not in referenced] == []
+
+
 def module_limits(path: Path) -> list:
     """The MAX_* names that a module's top-level assignments bind."""
     tree = ast.parse(path.read_text())

@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 from fractions import Fraction
@@ -130,6 +131,26 @@ class TestParsing:
             parse(text)
         assert time.perf_counter() - t0 < 0.1
         assert err.value.offset == MAX_EXPR_TOKENS
+
+    def test_refusal_leaves_nothing_long_lived(self):
+        # lexing to the cap must not push its tokens into the oldest
+        # generation, or the refusal pays for full collections of the whole
+        # process heap; 50,000 tracked tokens used to reach it
+        gc.collect()
+        base = len(gc.get_objects(generation=2))
+        peak = [base]
+
+        def watch(phase, info):
+            if phase == "stop" and info["generation"] == 1:
+                peak[0] = max(peak[0], len(gc.get_objects(generation=2)))
+
+        gc.callbacks.append(watch)
+        try:
+            with pytest.raises(ParseError):
+                parse("*".join(["1"] * 10**5))
+        finally:
+            gc.callbacks.remove(watch)
+        assert peak[0] < base + 1000
 
     def test_positivity(self):
         with pytest.raises(PositivityError):

@@ -1,5 +1,6 @@
 """Finite-section laboratory against closed-form oracles."""
 
+import dataclasses
 import math
 import random
 import time
@@ -14,6 +15,7 @@ from hypothesis import given
 from conftest import banach_exponents
 from gsembed import (
     EmbeddingProblem,
+    EntropyBound,
     FiniteSection,
     INF,
     SectionRangeError,
@@ -78,6 +80,25 @@ class TestFiniteSection:
         s = finite_section(EmbeddingProblem(w, w, 2, 2, 2, 2, 1), 1)
         assert s.beta == (1.0, 1.0)
         assert embedding_norm_closed(s) == 1.0
+
+    def test_caches_follow_the_fields(self):
+        # closed_norm, cover_scales, cover_radius and log2_ball_volumes are
+        # cached on the instance: a replaced weight must get its own, and
+        # filled caches must not enter equality or the hash
+        s = sec((1.0, 2.0), (1, 3), 2, 1, 4, 2)
+        entropy_upper(s, 5)
+        entropy_lower(s, 5)
+        t = dataclasses.replace(s, beta=(0.5, 2.0))
+        fresh_t = sec((0.5, 2.0), (1, 3), 2, 1, 4, 2)
+        assert embedding_norm_closed(t) == embedding_norm_closed(fresh_t) \
+            != embedding_norm_closed(s)
+        assert t.log2_ball_volumes == fresh_t.log2_ball_volumes \
+            != s.log2_ball_volumes
+        assert t.cover_scales == fresh_t.cover_scales != s.cover_scales
+        assert entropy_upper(t, 5) == entropy_upper(fresh_t, 5)
+        fresh_s = sec((1.0, 2.0), (1, 3), 2, 1, 4, 2)
+        assert s == fresh_s and hash(s) == hash(fresh_s)
+        assert s != t and len({s, fresh_s, t}) == 2
 
 
 class TestOperatorNorm:
@@ -364,6 +385,74 @@ class TestEntropyBounds:
             warnings.simplefilter("error")
             values = [entropy_upper(s, k).value for k in (1, 2, 3, 4)]
         assert values == [1e200, 1e200, 5e199, 2.5e199]
+
+    # ladders computed with the center count rebuilt for every trial, before
+    # the section cached its norm, cover scales and ball volumes: the
+    # docstring's non-monotone pair, the 64-coordinate section of
+    # test_sandwich_mixed_indices up to MAX_ENTROPY_K, and the 1e-200 row of
+    # test_errors_beyond_float_powers.  Rows are (section name, k, upper
+    # value, refinements, centers, norm, lower value), compared with ==
+    SECTIONS = {
+        "non-monotone": finite_section(EmbeddingProblem(
+            "2^(-2/3*j)", "2^(-7*j)", Fraction(2, 3), 3, 4, 1, 1), 2),
+        "cap": sec(tuple(1.0 + 0.25 * j for j in range(64)), (1,) * 64,
+                   2, 1, 4, 2),
+        "tiny-weight": sec((1e-200, 1.0), (1, 1), 1, 1, 1, 2),
+    }
+    LADDER = [
+        ("non-monotone", 9, 0.044119830659955867, (7, 0, 0), 129,
+         1.0033914206113983, 0.002034345543216639),
+        ("non-monotone", 10, 0.05001886115512191, (5, 1, 0), 297,
+         1.0033914206113983, 0.0018425548997811204),
+        ("cap", 1, 1.0, (0,) * 64, 1, 1.0, 0.022404873978073687),
+        ("cap", 2, 1.0, (0,) * 64, 1, 1.0, 0.022163528971191233),
+        ("cap", 40, 0.8619937015260014,
+         (3,) * 3 + (2,) * 5 + (1,) * 11 + (0,) * 45, 403563009375, 1.0,
+         0.014685960367177573),
+        ("cap", 80, 0.573299881047529,
+         (4,) * 2 + (3,) * 5 + (2,) * 10 + (1,) * 20 + (0,) * 27,
+         581079464603062119140625, 1.0, 0.00952266715109647),
+        ("cap", 160, 0.2604067319195866,
+         (5,) * 2 + (4,) * 6 + (3,) * 12 + (2,) * 22 + (1,) * 22,
+         555442645220667085253326563450071811676025390625, 1.0,
+         0.004003788335505663),
+        ("tiny-weight", 1, 1e200, (0, 0), 1, 1e200, 7.978845608028783e+99),
+        ("tiny-weight", 2, 1e200, (0, 0), 1, 1e200, 5.641895835477654e+99),
+        ("tiny-weight", 3, 5e199, (1, 0), 3, 1e200, 3.9894228040143913e+99),
+        ("tiny-weight", 4, 2.5e199, (2, 0), 5, 1e200, 2.820947917738827e+99),
+    ]
+
+    @pytest.mark.parametrize("name, k, value, ms, centers, norm, lower", LADDER,
+                             ids=[f"{row[0]}-k{row[1]}" for row in LADDER])
+    def test_ladder_pinned(self, name, k, value, ms, centers, norm, lower):
+        s = self.SECTIONS[name]
+        assert entropy_upper(s, k) == EntropyBound(
+            value, k, "lattice-cover",
+            {"refinements": ms, "norm": norm, "centers": centers})
+        assert entropy_lower(s, k).value == lower
+
+    @given(data=st.data())
+    def test_centers_count_the_cover(self, data):
+        # block j holds a grid of 2^m_j + 1 points per coordinate, or the
+        # single center for m_j = 0; the count fits the budget 2^(k-1), and
+        # the greedy stops only when no one refinement still fits
+        M = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=16)
+                      .filter(lambda M: 2 <= sum(M) <= MAX_ENTROPY_N))
+        beta = data.draw(st.lists(st.floats(-12, 12), min_size=len(M),
+                                  max_size=len(M)))
+        pick = st.sampled_from([Fraction(1, 2), 1, Fraction(4, 3), 2, 3, INF])
+        s = sec([2.0 ** b for b in beta], M, *(data.draw(pick) for _ in range(4)))
+        k = data.draw(st.integers(1, 40))
+        detail = entropy_upper(s, k).detail
+        ms = detail["refinements"]
+
+        def grid(m, size):
+            return ((1 << m) + 1) ** size if m else 1
+
+        centers = math.prod(grid(m, size) for m, size in zip(ms, M))
+        assert detail["centers"] == centers <= 2 ** (k - 1)
+        assert all(centers // grid(m, size) * grid(m + 1, size) > 2 ** (k - 1)
+                   for m, size in zip(ms, M))
 
     def test_lower_positive(self):
         s = sec((1.0, 2.0), (1, 2), 2, 2, 2, 2)
