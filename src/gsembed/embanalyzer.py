@@ -10,11 +10,14 @@ arithmetic.  Exponents are validated in one place: the Exponents base of
 EmbeddingProblem and of the lab's FiniteSection normalises (p1, q1, p2,
 q2) with ext, rejects values that are not positive or inf, and holds
 recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach(); its from_dict is the
-one JSON decoder of both models.  A problem also derives
-weight_ratio = sigma^-1 tau once; the criteria, the entropy catalog and
-the lab read these members.  Only entropy_rate and f_space_nuclearity read
-Boyd indices, so they import seqcore themselves, and the lab's section
-commands, which call neither, never load it.
+one JSON decoder of both models.  A problem also derives, once each,
+weight_ratio = sigma^-1 tau and its two criteria (compact_criterion,
+nuclear_criterion), which criterion_sequence reads, so compactness and
+entropy_rate share one compact criterion.  These are cached properties,
+not fields: they take no part in equality or hashing, and a problem from
+dataclasses.replace derives its own.  Only entropy_rate and
+f_space_nuclearity read Boyd indices, so they import seqcore themselves,
+and the lab's section commands, which call neither, never load it.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -112,6 +115,8 @@ def ext(x) -> ExtReal:
 
 def recip(x: ExtReal) -> ExtReal:
     """1/x on (0, inf], with 1/inf = 0 and 1/0 = inf, kept exact."""
+    if isinstance(x, Fraction):  # the common case: no float comparison, no copy
+        return 1 / x if x else INF
     if x == INF:
         return Fraction(0)
     if x == 0:
@@ -141,13 +146,13 @@ def _from_recip(r: Fraction) -> ExtReal:
 
 
 def _star_recip(a: Fraction, b: Fraction) -> Fraction:
-    """1/r* from a = 1/r1 and b = 1/r2."""
-    return max(Fraction(0), b - a)
+    """1/r* = (b - a)+ from a = 1/r1 and b = 1/r2."""
+    return b - a if b > a else Fraction(0)
 
 
 def _tong_recip(a: Fraction, b: Fraction) -> Fraction:
-    """1/t(r1, r2) from a = 1/r1 and b = 1/r2."""
-    return 1 - max(Fraction(0), a - b)
+    """1/t(r1, r2) = 1 - (a - b)+ from a = 1/r1 and b = 1/r2."""
+    return 1 - (a - b) if a > b else Fraction(1)
 
 
 def _tong_params(r1, r2) -> tuple:
@@ -247,6 +252,17 @@ class EmbeddingProblem(Exponents):
         """sigma^-1 tau, the weight part of every criterion sequence."""
         return product(power(self.sigma, Fraction(-1)), self.tau)
 
+    @cached_property
+    def compact_criterion(self) -> tuple:
+        """(criterion sequence, Target) deciding compactness."""
+        return _criterion(self, "compact")
+
+    @cached_property
+    def nuclear_criterion(self) -> tuple:
+        """(criterion sequence, Target) deciding nuclearity; ValueError
+        unless the exponents are Banach."""
+        return _criterion(self, "nuclear")
+
 
 @dataclass(frozen=True)
 class Target:
@@ -293,16 +309,25 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
     kind "compact": weight_ratio 2^(j d (1/p1 - 1/p2)) 2^(j d / p*) in
     ell_{q*}; kind "nuclear": p* and q* replaced by the tong exponents of
     (p1,p2) and (q1,q2), which needs Banach exponents.  Both are read off
-    problem.recips, and a zero reciprocal target exponent means c0.
+    problem.recips, and a zero reciprocal target exponent means c0.  The
+    problem derives each criterion once (compact_criterion,
+    nuclear_criterion); this reads it.
     """
+    if kind == "compact":
+        return problem.compact_criterion
+    if kind == "nuclear":
+        return problem.nuclear_criterion
+    raise ValueError("kind must be 'compact' or 'nuclear'")
+
+
+def _criterion(problem: EmbeddingProblem, kind: str) -> tuple:
+    """The criterion of kind, built from problem.recips and weight_ratio."""
     rp1, rq1, rp2, rq2 = problem.recips
     if kind == "compact":
         star, fine = _star_recip(rp1, rp2), _star_recip(rq1, rq2)
-    elif kind == "nuclear":
+    else:
         _require_banach(problem)
         star, fine = _tong_recip(rp1, rp2), _tong_recip(rq1, rq2)
-    else:
-        raise ValueError("kind must be 'compact' or 'nuclear'")
     expr = product(problem.weight_ratio,
                    geometric(problem.dim * (rp1 - rp2 + star)))
     target = Target("c0") if fine == 0 else Target("ell", 1 / fine)

@@ -100,6 +100,7 @@ _LOG2_E = 1.0 / math.log(2.0)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class SequenceError(Exception):
@@ -249,33 +250,49 @@ def product(*xs: SequenceExpr) -> SequenceExpr:
 def _combine(terms) -> SequenceExpr:
     """Normal form of the product of x^r over (x, r) in terms: exponents
     scale and add, the integer part of every power of a root base folds
-    into the constant, zero exponents drop out and atoms are sorted."""
+    into the constant, zero exponents drop out and atoms are sorted.
+
+    Fraction arithmetic is most of the cost, so none is done with 0 or 1:
+    zero exponents are skipped, r = _ONE scales nothing, and every
+    accumulator starts at its first contribution."""
     const_ = _ONE
     rate = log_exp = iterlog = osc = _ZERO
     roots: dict = {}
     explog: dict = {}
     tables: dict = {}  # equal tables merge, so a table cancels against its reciprocal
     for x, r in terms:
-        # zero exponents are skipped: Fraction arithmetic dominates the cost
-        if x.const != 1:
-            if r.denominator == 1:
-                const_ = _fold_const(const_, x.const, r.numerator)
+        one = r is _ONE
+        c = x.const
+        if c is not _ONE and c != 1:
+            if one or r.denominator == 1:
+                const_ = _fold_const(const_, c, 1 if one else r.numerator)
             else:
-                roots[x.const] = roots.get(x.const, _ZERO) + r
+                roots[c] = roots[c] + r if c in roots else r
         for b, e in x.roots:
-            roots[b] = roots.get(b, _ZERO) + e * r
-        if x.rate:
-            rate += x.rate * r
-        if x.log_exp:
-            log_exp += x.log_exp * r
-        if x.iterlog:
-            iterlog += x.iterlog * r
-        for k, c in x.explog:
-            explog[k] = explog.get(k, _ZERO) + c * r
-        if x.osc:
-            osc += x.osc * r
+            if not one:
+                e = e * r
+            roots[b] = roots[b] + e if b in roots else e
+        if x.rate is not _ZERO and x.rate:
+            v = x.rate if one else x.rate * r
+            rate = v if rate is _ZERO else rate + v
+        if x.log_exp is not _ZERO and x.log_exp:
+            v = x.log_exp if one else x.log_exp * r
+            log_exp = v if log_exp is _ZERO else log_exp + v
+        if x.iterlog is not _ZERO and x.iterlog:
+            v = x.iterlog if one else x.iterlog * r
+            iterlog = v if iterlog is _ZERO else iterlog + v
+        for k, coeff in x.explog:
+            if not one:
+                coeff = coeff * r
+            explog[k] = explog[k] + coeff if k in explog else coeff
+        if x.osc is not _ZERO and x.osc:
+            v = x.osc if one else x.osc * r
+            osc = v if osc is _ZERO else osc + v
         for pref, cont, e in x.tables:
-            tables[pref, cont] = tables.get((pref, cont), _ZERO) + e * r
+            if not one:
+                e = e * r
+            key = pref, cont
+            tables[key] = tables[key] + e if key in tables else e
     kept = []
     for base, expo in sorted(roots.items()):
         # the whole part of every root folds into the constant, so a kept
@@ -283,14 +300,15 @@ def _combine(terms) -> SequenceExpr:
         whole = expo.numerator // expo.denominator
         if whole:
             const_ = _fold_const(const_, base, whole)
-        if expo != whole:
-            kept.append((base, expo - whole))
-    tabs = [(pref, cont, e) for (pref, cont), e in tables.items() if e != 0]
+            expo = expo - whole
+        if expo:
+            kept.append((base, expo))
+    tabs = [(pref, cont, e) for (pref, cont), e in tables.items() if e]
     if len(tabs) > 1:
         tabs.sort(key=lambda t: (t[0], render(t[1])))
     return SequenceExpr(
         const_, tuple(kept), rate, log_exp, iterlog,
-        tuple(sorted((k, c) for k, c in explog.items() if c != 0)),
+        tuple(sorted((k, c) for k, c in explog.items() if c)),
         osc, tuple(tabs),
     )
 
@@ -306,6 +324,8 @@ def _fold_const(acc: Fraction, base: Fraction, n: int) -> Fraction:
     if need > MAX_CONST_BITS:
         raise SequenceError(f"constant needs up to {need} bits, above the "
                             f"limit of {MAX_CONST_BITS}")
+    if n == 1:
+        return base if acc is _ONE else acc * base
     return acc * base ** n
 
 
@@ -493,6 +513,11 @@ class _Tok:
         text = self.text
         return Fraction(text) if "." in text else Fraction(int(text))
 
+    @property
+    def is_one(self) -> bool:
+        """A NUM token of value 1, such as 1, 01 or 1.0."""
+        return self.text == "1" or self.kind == "NUM" and self.value == 1
+
 
 def _digits_end(src: str, j: int, start: int) -> int:
     """End of the run of digits at src[j:].  A run longer than
@@ -561,8 +586,8 @@ class _Parser:
         self.nesting = 0  # open parentheses and table continuations
 
     def peek(self, ahead: int = 0) -> _Tok:
-        k = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[k]
+        toks, k = self.toks, self.i + ahead
+        return toks[k] if k < len(toks) else toks[-1]
 
     def next(self) -> _Tok:
         t = self.toks[self.i]
@@ -585,33 +610,48 @@ class _Parser:
         neg = self.at("-")
         if neg:
             self.next()
-        t = self.peek()
+        t = self.next()
         if t.kind != "NUM":
             raise ParseError(f"expected number, found {t.text or 'end of input'!r}", t.pos)
-        self.next()
-        v = t.value
+        # integer numerals stay ints, so that p/q builds one Fraction
+        v = t.value if "." in t.text else int(t.text)
         if self.at("/") and self.peek(1).kind == "NUM":
             self.next()
-            den = self.next().value
+            d = self.next()
+            den = d.value if "." in d.text else int(d.text)
             if den == 0:
                 raise ParseError("zero denominator", t.pos)
-            v = v / den
-        return -v if neg else v
+            return Fraction(-v if neg else v, den)
+        return Fraction(-v if neg else v)
 
+    # expr := term (('*' | '/') term)*
     def expr(self) -> SequenceExpr:
-        factors = [self.term()]
+        """The product of the terms, folded by one _combine."""
+        terms = [self.term(False)]
         while self.at("*") or self.at("/"):
-            divide = self.next().text == "/"
-            f = self.term()
-            factors.append(power(f, Fraction(-1)) if divide else f)
-        return product(*factors)
+            terms.append(self.term(self.next().text == "/"))
+        if len(terms) > 1:
+            return _combine(terms)
+        f, r = terms[0]
+        return f if r is _ONE else power(f, r)
 
-    def term(self) -> SequenceExpr:
+    def term(self, divide: bool) -> tuple:
+        """(factor, exponent) of a term of a product; a divided term's
+        exponent is negated."""
         f = self.factor()
+        r = _ONE
         if self.at("^"):
             self.next()
-            f = power(f, self.rational())
-        return f
+            r = self.rational()
+        if f.roots or not (r is _ONE or f.const is _ONE or f.const == 1):
+            # a constant raised to r is powered first, as power() powers
+            # it, so that MAX_CONST_BITS checks the same values as in
+            # product(..., power(power(f, r), -1))
+            f = power(f, r)
+            return (power(f, _MINUS_ONE) if divide else f), _ONE
+        if divide:
+            r = _MINUS_ONE if r is _ONE else -r
+        return f, r
 
     def factor(self) -> SequenceExpr:
         t = self.peek()
@@ -638,7 +678,7 @@ class _Parser:
             raise ParseError(f"unbound name {t.text!r}", t.pos)
         if self.at("("):
             # (1+j)^b | (1+log(1+j))^b | ( expr )
-            if self.peek(1).kind == "NUM" and self.peek(1).value == 1 and self.at("+", 2):
+            if self.peek(1).is_one and self.at("+", 2):
                 if self.at("j", 3, "NAME") and self.at(")", 4):
                     for _ in range(5):
                         self.next()
@@ -672,7 +712,7 @@ class _Parser:
         if self.at("^"):
             self.next()
             return self.rational()
-        return Fraction(1)
+        return _ONE
 
     def dyadic_log2(self, base: Fraction, pos: int) -> int:
         """Exact exponent m with base = 2^m; geometric atoms stay exact
@@ -686,7 +726,7 @@ class _Parser:
 
     def one_plus_j(self):
         t = self.next()
-        if not (t.kind == "NUM" and t.value == 1):
+        if not t.is_one:
             raise ParseError("expected '1+j'", t.pos)
         self.expect("+")
         tj = self.next()
@@ -697,20 +737,22 @@ class _Parser:
     def linear(self, base: Fraction, pos: int) -> SequenceExpr:
         if self.at("j", kind="NAME"):
             self.next()
-            coeff = Fraction(1)
+            coeff = _ONE
             if self.at("*"):
                 self.next()
                 coeff = self.rational()
-            return geometric(coeff * self.dyadic_log2(base, pos))
-        coeff = self.rational()
-        if self.at("*"):
+        else:
+            coeff = self.rational()
+            if not self.at("*"):
+                # constant exponent
+                if base <= 0:
+                    raise PositivityError(f"constant {base} is not positive "
+                                          f"(at offset {pos})")
+                return power(const(base), coeff)
             self.next()
             self.expect("j", "NAME")
-            return geometric(coeff * self.dyadic_log2(base, pos))
-        # constant exponent
-        if base <= 0:
-            raise PositivityError(f"constant {base} is not positive (at offset {pos})")
-        return power(const(base), coeff)
+        m = self.dyadic_log2(base, pos)
+        return geometric(coeff if m == 1 else coeff * m)
 
     def table_form(self) -> SequenceExpr:
         self.expect("table", "NAME")

@@ -683,6 +683,64 @@ class TestProblemFuzz:
             assert all(0.0 < b < math.inf for b in doc["bounds"])
 
 
+# whole atoms of the weight language, and the tokens they are made of
+DSL_ATOMS = ["2^(j)", "2^(-1/2*j)", "4^(j*3/2)", "(1+j)", "(1+j)^-1",
+             "(1+log(1+j))^2", "exp(1*log(1+j)^1/2)", "pw2(s0=0,s1=1)",
+             "pw2(s0=1/2,s1=2)^-1", "(3)^1/2", "(12)", "5/4", "0.5",
+             "(table[1,2] then 2^(j))", "table[3] then (1+j)", "(2^(j)*(3)^1/2)^2"]
+# with hostile ones: names the language lacks, a non-ASCII digit, a
+# numeral past MAX_NUMERAL_DIGITS, nesting past MAX_DEPTH
+DSL_TOKENS = DSL_ATOMS + [
+    "0", "1", "2", "3", "12", "1/2", "3/4", "0.5", "-", "+", "*", "/", "^",
+    "(", ")", "[", "]", ",", "=", " ", "j", "log", "exp", "pw2", "table",
+    "then", "s0", "s1", "x", "inf", "nan", "1e5", "\u0663", "9" * 5000, "(" * 40]
+dsl_texts = st.one_of(
+    st.lists(st.sampled_from(DSL_TOKENS), max_size=12).map("".join),
+    st.lists(st.tuples(st.sampled_from("**/"), st.sampled_from(DSL_ATOMS)),
+             min_size=1, max_size=5).map(
+        lambda ts: "".join(op + atom for op, atom in ts)[1:]))
+
+
+def run_fuzzed(argv):
+    """Exit code and the one strict JSON document of an in-process run,
+    which writes nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert isinstance(doc, dict)
+    return code, doc
+
+
+class TestDslFuzz:
+    """Weight strings built from the DSL's tokens, through the parser
+    behind the CLI."""
+
+    @given(text=dsl_texts)
+    def test_seq_parse(self, text):
+        code, doc = run_fuzzed(["seq", "parse", "--", text])
+        assert code in (0, 1)
+        jsonschema.validate(doc, schemas.PROFILE_SCHEMA if code == 0
+                            else schemas.ERROR_SCHEMA)
+        if code == 0:
+            assert parse(doc["expr"]) == parse(text)
+
+    @given(sigma=dsl_texts, tau=dsl_texts)
+    def test_analyze(self, sigma, tau):
+        code, doc = run_fuzzed(["analyze", f"--sigma={sigma}", f"--tau={tau}",
+                                "--p1", "2", "--q1", "1", "--p2", "4",
+                                "--q2", "inf", "--dim", "2", "--kind", "classify"])
+        if code == 1:
+            jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+            return
+        assert set(doc) == {"compactness", "nuclearity", "entropy"}
+        jsonschema.validate(doc["compactness"], schemas.VERDICT_SCHEMA)
+        jsonschema.validate(doc["nuclearity"], schemas.VERDICT_SCHEMA)
+        jsonschema.validate(doc["entropy"], schemas.RATE_SCHEMA)
+
+
 class TestReproduce:
     def test_single_case(self, capsys):
         code, doc = invoke(capsys, "reproduce", "limiting-log-smoothness")

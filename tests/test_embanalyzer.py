@@ -66,6 +66,33 @@ class TestExponentArithmetic:
         assert recip(Fraction(0)) == INF
         assert recip(Fraction(2, 3)) == Fraction(3, 2)
 
+    @pytest.mark.parametrize("fn, args, want", [
+        (recip, (2,), Fraction(1, 2)),
+        (recip, (Fraction(4, 3),), Fraction(3, 4)),
+        (recip, (0.25,), Fraction(4)),
+        (recip, (INF,), Fraction(0)),
+        (recip, (Fraction(0),), INF),
+        (recip, (0,), INF),
+        (recip, (0.0,), INF),
+        (dual_star, (3, 2), Fraction(6)),
+        (dual_star, (Fraction(3), 2.0), Fraction(6)),
+        (dual_star, ("inf", Fraction(1)), Fraction(1)),
+        (dual_star, (INF, 4), Fraction(4)),
+        (dual_star, (2, Fraction(3)), INF),
+        (dual_star, (Fraction(2), Fraction(2)), INF),
+        (tong, (2, 4), Fraction(4, 3)),
+        (tong, (Fraction(2), 4.0), Fraction(4, 3)),
+        (tong, (1.5, INF), Fraction(3)),
+        (tong, (INF, Fraction(1)), Fraction(1)),
+        (tong, (1, INF), INF),
+        (tong, (4, 2), Fraction(1)),
+    ])
+    def test_reciprocal_contract(self, fn, args, want):
+        # recip reads a Fraction first; every argument type meets the
+        # same exact value, inf stays the float infinity
+        got = fn(*args)
+        assert got == want and type(got) is type(want)
+
     def test_dual_star_values(self):
         assert dual_star(2, 3) == INF
         assert dual_star(3, 2) == 6
@@ -160,6 +187,52 @@ class TestCriterionSequence:
         pr = EmbeddingProblem("2^(j)", "1", 2, 1, 2, 1, 1)
         _, target = criterion_sequence(pr, "compact")
         assert target == Target("c0")
+
+    @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
+    def test_each_criterion_is_built_once(self, p1, q1, p2, q2):
+        built = []
+        build = embanalyzer._criterion
+
+        def counted(problem, kind):
+            built.append(kind)
+            return build(problem, kind)
+
+        weights = ("2^(3/2*j)*(1+j)^-1", "(table[2] then (1+log(1+j)))*(3)^1/2")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embanalyzer, "_criterion", counted)
+            pr = EmbeddingProblem(*weights, p1, q1, p2, q2, 2)
+            compactness(pr), nuclearity(pr), entropy_rate(pr)
+            assert sorted(built) == ["compact", "nuclear"]
+            # a problem from replace derives its own criteria
+            other = replace(pr, p1=q2, q2=p1)
+            fresh = EmbeddingProblem(*weights, q2, q1, p2, p1, 2)
+            for kind in ("compact", "nuclear"):
+                assert criterion_sequence(other, kind) == \
+                    criterion_sequence(fresh, kind)
+            assert compactness(other) == compactness(fresh)
+            assert nuclearity(other) == nuclearity(fresh)
+            assert entropy_rate(other) == entropy_rate(fresh)
+        # the cached criteria stay out of equality, hashing and repr
+        twin = EmbeddingProblem(*weights, p1, q1, p2, q2, 2)
+        assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
+
+    @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
+    def test_f_scale_sandwich_problems_are_fresh(self, p1, q1, p2, q2):
+        # both bounding problems of the sandwich come from replace; each
+        # decides as a problem built from scratch with its fine indices
+        weights = ("2^(j)*(1+j)^1/2", "(1+j)^-1/2")
+        pr = EmbeddingProblem(*weights, p1, q1, p2, q2, 1, scale="F")
+        criterion_sequence(pr, "compact")  # fills the F problem's own cache
+        v = compactness(pr)
+        for side in ("sufficient", "necessary"):
+            fq1, fq2 = v.evidence[f"{side}_fine_indices"]
+            fresh = EmbeddingProblem(*weights, p1, fq1, p2, fq2, 1)
+            assert compactness(fresh).status == v.evidence[f"{side}_status"]
+        if v.status != "inconclusive":
+            side = "sufficient" if v.status == "holds" else "necessary"
+            fq1, fq2 = v.evidence[f"{side}_fine_indices"]
+            fresh = EmbeddingProblem(*weights, p1, fq1, p2, fq2, 1)
+            assert (v.criterion, v.target) == criterion_sequence(fresh, "compact")
 
     def test_kind_checked(self):
         pr = EmbeddingProblem("1", "1", 1, 1, 1, 1, 1)

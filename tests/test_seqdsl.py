@@ -238,6 +238,99 @@ class TestNormalForm:
         assert parse(f"{t}*2^(j)/{t}") == geometric(1)
 
 
+# factors of a parsed product, each of which takes an exponent; constants
+# are parenthesized, since a numeral before '/' reads as a fraction
+# (3/2^(j) asks for base 3/2)
+FOLD_FACTORS = ["2^(j)", "2^(-3/2*j)", "(1+j)^2", "(1+log(1+j))^-1/3",
+                "exp(1/2*log(1+j)^1/3)", "pw2(s0=0,s1=1)", "pw2(s0=1/2,s1=2)",
+                "(3)", "(12)", "(2)", "(5/4)", "(0.5)", "((3)^1/2)", "((12)^1/2)",
+                "2^(1/3)", "(table[1,2] then 2^(j))", "(table[3] then (1+j))",
+                "(table[1/2] then (3)^1/2*pw2(s0=0,s1=1))",
+                "((3)^1/2*2^(j))", "(2^(j)/(12)^1/2*(1+j))"]
+# exponents p/q, so that a '/' after them divides; the large ones reach
+# MAX_CONST_BITS on the constants
+fold_exponents = st.one_of(
+    small_fractions(-3, 3),
+    st.integers(10_000, 45_000).flatmap(
+        lambda n: st.sampled_from([Fraction(n), Fraction(-n), Fraction(n, 2)])))
+
+
+def _outcome(build):
+    """The expression build() returns, or the refusal it raises."""
+    try:
+        return build()
+    except SequenceError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _composed(terms):
+    """product(parse(A), parse(B), power(parse(C), -r), ...) of the terms
+    (divide, factor text, exponent or None)."""
+    xs = []
+    for divide, text, r in terms:
+        x = parse(text)
+        if r is not None:
+            x = power(x, r)
+        xs.append(power(x, Fraction(-1)) if divide else x)
+    return product(*xs)
+
+
+def _fold_text(terms) -> str:
+    text = ""
+    for k, (divide, factor, r) in enumerate(terms):
+        if k:
+            text += "/" if divide else "*"
+        text += factor if r is None else f"{factor}^{r.numerator}/{r.denominator}"
+    return text
+
+
+fold_terms = st.lists(st.tuples(st.booleans(), st.sampled_from(FOLD_FACTORS),
+                                st.none() | fold_exponents),
+                      min_size=1, max_size=5).map(
+    lambda ts: [(False,) + ts[0][1:]] + ts[1:])
+
+
+class TestOnePassFold:
+    """parse folds a product's terms with one _combine; the result, and
+    the MAX_CONST_BITS refusal, are those of composing product and power
+    term by term."""
+
+    @given(fold_terms)
+    def test_fold_is_the_composed_product(self, terms):
+        assert _outcome(lambda: parse(_fold_text(terms))) == \
+            _outcome(lambda: _composed(terms))
+
+    @pytest.mark.parametrize("text, terms", [
+        ("(3)^1/2*(12)^1/2", [(False, "(3)", Fraction(1, 2)),
+                              (False, "(12)", Fraction(1, 2))]),
+        ("(2)^3/2/(2)^1/2", [(False, "(2)", Fraction(3, 2)),
+                             (True, "(2)", Fraction(1, 2))]),
+        ("(table[1,2] then 2^(j))*(1+j)/(table[1,2] then 2^(j))",
+         [(False, "(table[1,2] then 2^(j))", None), (False, "(1+j)", None),
+          (True, "(table[1,2] then 2^(j))", None)]),
+        ("pw2(s0=0,s1=1)^2/1*2^(j)/pw2(s0=1,s1=2)",
+         [(False, "pw2(s0=0,s1=1)", Fraction(2)), (False, "2^(j)", None),
+          (True, "pw2(s0=1,s1=2)", None)]),
+        ("(2)^25000/1*(2)^25000/1", [(False, "(2)", Fraction(25000))] * 2),
+        ("(3)^41344/1", [(False, "(3)", Fraction(41344))]),
+        ("(12)/(3)^-30000/1*(3)^1/2",
+         [(False, "(12)", None), (True, "(3)", Fraction(-30000)),
+          (False, "(3)", Fraction(1, 2))]),
+    ], ids=["roots-merge", "roots-cancel", "tables-cancel", "pw2", "near-cap",
+            "past-cap", "divided-power"])
+    def test_examples(self, text, terms):
+        got = _outcome(lambda: parse(text))
+        assert got == _outcome(lambda: _composed(terms))
+        refused = text in ("(3)^41344/1",)
+        assert isinstance(got, tuple) == refused
+
+    def test_roots_fold_into_the_constant(self):
+        # roots merge per base, and a whole power folds into the constant
+        assert render(parse("(3)^1/2*(12)^1/2")) == "(3)^1/2 * (12)^1/2"
+        assert parse("(2)^3/2/(2)^1/2") == const(2)
+        assert render(parse("(3)^-1/2*(3)^-1/2*(12)^1/2")) == "1/3 * (12)^1/2"
+
+
 prefixes = st.lists(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]),
                     min_size=1, max_size=2).map(tuple)
 table_exponents = [Fraction(-1), Fraction(1), Fraction(2)]
