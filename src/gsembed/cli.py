@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from .seqdsl import (
@@ -49,9 +48,9 @@ __all__ = ["main", "run"]
 def _jsonable(x: Any, key: str = "result") -> Any:
     """A command's result as JSON values: a value whose class defines its
     own __str__ (a Fraction, a Target) prints as that string, an expression
-    rendered, a record (NamedTuple or dataclass) as the dict of its
-    fields.  A float that is not finite raises ValueError naming its key
-    (an entry of a list reports the list's key)."""
+    rendered, a record (a NamedTuple) as the dict of its fields.  A float
+    that is not finite raises ValueError naming its key (an entry of a
+    list reports the list's key)."""
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"{key}: the result leaves the float range")
@@ -62,8 +61,6 @@ def _jsonable(x: Any, key: str = "result") -> Any:
         return render(x)
     if hasattr(x, "_asdict"):
         x = x._asdict()
-    elif is_dataclass(x):
-        x = {f.name: getattr(x, f.name) for f in fields(x)}
     if isinstance(x, dict):
         return {str(k): _jsonable(v, str(k)) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -175,12 +172,11 @@ def _load_section(args) -> FiniteSection:
 
 
 def _cmd_lab_norm(args) -> Tuple[Any, int]:
-    from .seqspacelab import _search_candidates, embedding_norm_closed
+    from .seqspacelab import _search_winner, embedding_norm_closed
 
     sec = _load_section(args)
     closed = embedding_norm_closed(sec)
-    # the first candidate with the largest ratio, as embedding_norm_search
-    label, found = max(_search_candidates(sec), key=lambda c: c[1])
+    label, found = _search_winner(sec)
     payload = {
         "closed": closed,
         "search": found,

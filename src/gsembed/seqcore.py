@@ -17,7 +17,7 @@ index for canonical inputs with |log exponent| <= 8 at BOYD_DEPTH = 256.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -66,8 +66,7 @@ class ModulusRejected(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
+class AdmissibilityCertificate(NamedTuple):
     """Two-sided bound on consecutive ratios over all indices.
 
     The bound is proven structurally (exact=True), so it holds for every j,
@@ -81,10 +80,14 @@ class AdmissibilityCertificate:
     log2_d1: Union[Fraction, float]
     window: int
     exact: bool
-    strongly_increasing: bool = field(init=False)
+    strongly_increasing: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "strongly_increasing", self.d0 > 1)
+
+def _certificate(log2_d0, log2_d1, window: int) -> AdmissibilityCertificate:
+    """The certificate of the proven bounds 2^log2_d0 and 2^log2_d1."""
+    d0 = 2.0 ** float(log2_d0)
+    return AdmissibilityCertificate(d0, 2.0 ** float(log2_d1), log2_d0, log2_d1,
+                                    window, True, d0 > 1)
 
 
 def _ratio_log_range(d: SequenceExpr) -> tuple:
@@ -130,10 +133,7 @@ def certify_admissible(e: SequenceExpr, window: int = 8) -> AdmissibilityCertifi
     # table prefixes sit outside the structural proof; fold in the scan
     lo = min([lo, *ratios], key=float)
     hi = max([hi, *ratios], key=float)
-    return AdmissibilityCertificate(
-        d0=2.0 ** float(lo), d1=2.0 ** float(hi), window=J, exact=True,
-        log2_d0=lo, log2_d1=hi,
-    )
+    return _certificate(lo, hi, J)
 
 
 def _max_prefix_len(e: SequenceExpr) -> int:
@@ -359,11 +359,9 @@ def sequence_from_modulus(omega: SequenceExpr) -> ModulusConversion:
             f"modulus violates the polynomial envelope (needs level {L:.3g})",
             witness=(2.0 ** -(j + 1), 2.0 ** -j),
         )
-    out = AdmissibilityCertificate(
-        d0=2.0 ** (-L), d1=2.0 ** L, window=cert.window, exact=cert.exact,
-        log2_d0=-level, log2_d1=level,
-    )
-    return ModulusConversion(sequence=sigma, certificate=out, level=L)
+    return ModulusConversion(sequence=sigma,
+                             certificate=_certificate(-level, level, cert.window),
+                             level=L)
 
 
 def _extreme_ratio_index(e: SequenceExpr, window: int) -> int:

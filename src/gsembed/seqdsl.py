@@ -38,6 +38,7 @@ equal normal forms.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -78,6 +79,8 @@ MAX_CONST_BITS = 1 << 16
 # denominator): Python's own limit on the digits of an int read from a
 # string.  Fraction("0.000...1") builds 10^(fraction digits) before int()
 # refuses them, so the parser and embanalyzer.ext refuse longer runs first.
+# The lexer reads a run to one digit past the cap at most, so a longer run
+# is refused at the numeral's offset without being read to its end.
 MAX_NUMERAL_DIGITS = 4300
 
 # most values in one table prefix.  A problem file, unlike argv, puts no
@@ -499,69 +502,46 @@ def render(e: SequenceExpr) -> str:
 
 _SYMBOLS = "^()[],*/+-="
 
-
-@dataclass
-class _Tok:
-    kind: str  # NUM NAME SYM END
-    text: str
-    pos: int
-
-    @property
-    def value(self) -> Fraction:
-        """A NUM token's value, built where the parser reads it, so that
-        lexing up to MAX_EXPR_TOKENS builds no Fraction."""
-        text = self.text
-        return Fraction(text) if "." in text else Fraction(int(text))
-
-    @property
-    def is_one(self) -> bool:
-        """A NUM token of value 1, such as 1, 01 or 1.0."""
-        return self.text == "1" or self.kind == "NUM" and self.value == 1
+# one token after any whitespace: a numeral of ASCII digits with at most one
+# point, each run of digits read to MAX_NUMERAL_DIGITS + 1 at most, a name,
+# or any other single character
+_TOKEN = re.compile(r"\s*([0-9]{1,%d}(?:\.[0-9]{0,%d})?|[^\W\d]\w*|\S)"
+                    % ((MAX_NUMERAL_DIGITS + 1,) * 2))
 
 
-def _digits_end(src: str, j: int, start: int) -> int:
-    """End of the run of digits at src[j:].  A run longer than
-    MAX_NUMERAL_DIGITS is refused at start, the numeral's offset, before
-    it is read to its end."""
-    run, stop = j, min(len(src), j + MAX_NUMERAL_DIGITS + 1)
-    while j < stop and "0" <= src[j] <= "9":
-        j += 1
-    if j - run > MAX_NUMERAL_DIGITS:
-        raise ParseError(f"numeral with more than {MAX_NUMERAL_DIGITS} digits "
-                         f"in a row", start)
-    return j
+def _num(text: str):
+    """A numeral's value, an int when it has no point, so that p/q builds
+    one Fraction; built where the parser reads it, so that lexing up to
+    MAX_EXPR_TOKENS builds no Fraction."""
+    return Fraction(text) if "." in text else int(text)
+
+
+def _is_one(text: str) -> bool:
+    """A numeral of value 1, such as 1, 01 or 1.0."""
+    return text == "1" or "0" <= text[:1] <= "9" and _num(text) == 1
 
 
 def _lex(src: str) -> list:
-    # tokens stay plain (kind, text, pos) tuples until the whole input is
-    # read: the collector untracks such tuples, so input refused at
-    # MAX_EXPR_TOKENS leaves no objects behind for a full collection to scan
+    """The tokens of src as (text, offset) pairs, the last one ("",
+    len(src)).  A token's kind is its first character: an ASCII digit for a
+    numeral, a letter or _ for a name, anything else for a symbol.  Such
+    tuples are untracked by the garbage collector, so input refused at
+    MAX_EXPR_TOKENS leaves no objects behind for a full collection to scan."""
     toks = []
-    i, n = 0, len(src)
     entries = 0  # values of the table prefix being read; 0 outside one
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
+    # scanned up to the trailing whitespace, so that every match is a token
+    for m in _TOKEN.finditer(src, 0, len(src.rstrip())):
         if len(toks) == MAX_EXPR_TOKENS:
             raise ParseError(f"expression with more than {MAX_EXPR_TOKENS} "
-                             f"tokens", i)
+                             f"tokens", m.start(1))
+        t = m[1]
+        c = t[0]
         if "0" <= c <= "9":
-            j = _digits_end(src, i, i)
-            if j < n and src[j] == ".":
-                j = _digits_end(src, j + 1, i)
-            toks.append(("NUM", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("NAME", src[i:j], i))
-            i = j
-            continue
-        if c in _SYMBOLS:
+            if len(t) > MAX_NUMERAL_DIGITS and \
+                    max(map(len, t.split("."))) > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral with more than {MAX_NUMERAL_DIGITS} "
+                                 f"digits in a row", m.start(1))
+        elif c in _SYMBOLS:
             if c == "[":
                 entries = 1
             elif c == "]":
@@ -570,13 +550,12 @@ def _lex(src: str) -> list:
                 entries += 1
                 if entries > MAX_TABLE_ENTRIES:
                     raise ParseError(f"table with more than {MAX_TABLE_ENTRIES} "
-                                     f"entries", i)
-            toks.append(("SYM", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("END", "", n))
-    return [_Tok(*t) for t in toks]
+                                     f"entries", m.start(1))
+        elif not (c.isalpha() or c == "_"):
+            raise ParseError(f"unexpected character {c!r}", m.start(1))
+        toks.append((t, m.start(1)))
+    toks.append(("", len(src)))
+    return toks
 
 
 class _Parser:
@@ -585,42 +564,39 @@ class _Parser:
         self.i = 0
         self.nesting = 0  # open parentheses and table continuations
 
-    def peek(self, ahead: int = 0) -> _Tok:
+    def peek(self, ahead: int = 0) -> tuple:
         toks, k = self.toks, self.i + ahead
         return toks[k] if k < len(toks) else toks[-1]
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != "END":
+        if t[0]:  # the end token stays put
             self.i += 1
         return t
 
-    def expect(self, text: str, kind: str = "SYM") -> _Tok:
+    def expect(self, text: str) -> tuple:
         t = self.next()
-        if t.kind != kind or t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.pos)
+        if t[0] != text:
+            raise ParseError(f"expected {text!r}, found {t[0] or 'end of input'!r}", t[1])
         return t
 
-    def at(self, text: str, ahead: int = 0, kind: str = "SYM") -> bool:
-        t = self.peek(ahead)
-        return t.kind == kind and t.text == text
+    def at(self, text: str, ahead: int = 0) -> bool:
+        return self.peek(ahead)[0] == text
 
     # rational := ['-'] NUM ['/' NUM]
     def rational(self) -> Fraction:
         neg = self.at("-")
         if neg:
             self.next()
-        t = self.next()
-        if t.kind != "NUM":
-            raise ParseError(f"expected number, found {t.text or 'end of input'!r}", t.pos)
-        # integer numerals stay ints, so that p/q builds one Fraction
-        v = t.value if "." in t.text else int(t.text)
-        if self.at("/") and self.peek(1).kind == "NUM":
+        text, pos = self.next()
+        if not "0" <= text[:1] <= "9":
+            raise ParseError(f"expected number, found {text or 'end of input'!r}", pos)
+        v = _num(text)
+        if self.at("/") and "0" <= self.peek(1)[0][:1] <= "9":
             self.next()
-            d = self.next()
-            den = d.value if "." in d.text else int(d.text)
+            den = _num(self.next()[0])
             if den == 0:
-                raise ParseError("zero denominator", t.pos)
+                raise ParseError("zero denominator", pos)
             return Fraction(-v if neg else v, den)
         return Fraction(-v if neg else v)
 
@@ -629,7 +605,7 @@ class _Parser:
         """The product of the terms, folded by one _combine."""
         terms = [self.term(False)]
         while self.at("*") or self.at("/"):
-            terms.append(self.term(self.next().text == "/"))
+            terms.append(self.term(self.next()[0] == "/"))
         if len(terms) > 1:
             return _combine(terms)
         f, r = terms[0]
@@ -654,9 +630,8 @@ class _Parser:
         return f, r
 
     def factor(self) -> SequenceExpr:
-        t = self.peek()
-        if t.kind == "NUM" or self.at("-"):
-            pos = t.pos
+        text, pos = self.peek()
+        if "0" <= text[:1] <= "9" or text == "-":
             base = self.rational()
             # base-2 geometric: 2^( linear )
             if self.at("^") and self.at("(", 1):
@@ -668,22 +643,20 @@ class _Parser:
             if base <= 0:
                 raise PositivityError(f"constant {base} is not positive (at offset {pos})")
             return const(base)
-        if t.kind == "NAME":
-            if t.text == "table":
-                return self.table_form()
-            if t.text == "pw2":
-                return self.pw2_form()
-            if t.text == "exp":
-                return self.exp_form()
-            raise ParseError(f"unbound name {t.text!r}", t.pos)
-        if self.at("("):
+        if text == "table":
+            return self.table_form()
+        if text == "pw2":
+            return self.pw2_form()
+        if text == "exp":
+            return self.exp_form()
+        if text == "(":
             # (1+j)^b | (1+log(1+j))^b | ( expr )
-            if self.peek(1).is_one and self.at("+", 2):
-                if self.at("j", 3, "NAME") and self.at(")", 4):
+            if _is_one(self.peek(1)[0]) and self.at("+", 2):
+                if self.at("j", 3) and self.at(")", 4):
                     for _ in range(5):
                         self.next()
                     return log_power(self.opt_exponent())
-                if self.at("log", 3, "NAME"):
+                if self.at("log", 3):
                     for _ in range(4):  # ( 1 + log
                         self.next()
                     self.expect("(")
@@ -695,7 +668,9 @@ class _Parser:
             inner = self.nested()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a factor, found {t.text or 'end of input'!r}", t.pos)
+        if text[:1].isalpha() or text[:1] == "_":
+            raise ParseError(f"unbound name {text!r}", pos)
+        raise ParseError(f"expected a factor, found {text or 'end of input'!r}", pos)
 
     def nested(self) -> SequenceExpr:
         # checked before descending, so deep input fails with DepthError
@@ -703,7 +678,7 @@ class _Parser:
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise DepthError(f"expression nesting exceeds limit {MAX_DEPTH} "
-                             f"(at offset {self.peek().pos})")
+                             f"(at offset {self.peek()[1]})")
         inner = self.expr()
         self.nesting -= 1
         return inner
@@ -725,17 +700,17 @@ class _Parser:
         raise ParseError("geometric atoms must use a power-of-two base", pos)
 
     def one_plus_j(self):
-        t = self.next()
-        if not t.is_one:
-            raise ParseError("expected '1+j'", t.pos)
+        text, pos = self.next()
+        if not _is_one(text):
+            raise ParseError("expected '1+j'", pos)
         self.expect("+")
-        tj = self.next()
-        if not (tj.kind == "NAME" and tj.text == "j"):
-            raise ParseError("expected '1+j'", tj.pos)
+        text, pos = self.next()
+        if text != "j":
+            raise ParseError("expected '1+j'", pos)
 
     # linear := rational '*' j | j ['*' rational] | rational,  after 'b^('
     def linear(self, base: Fraction, pos: int) -> SequenceExpr:
-        if self.at("j", kind="NAME"):
+        if self.at("j"):
             self.next()
             coeff = _ONE
             if self.at("*"):
@@ -750,45 +725,45 @@ class _Parser:
                                           f"(at offset {pos})")
                 return power(const(base), coeff)
             self.next()
-            self.expect("j", "NAME")
+            self.expect("j")
         m = self.dyadic_log2(base, pos)
         return geometric(coeff if m == 1 else coeff * m)
 
     def table_form(self) -> SequenceExpr:
-        self.expect("table", "NAME")
+        self.expect("table")
         self.expect("[")
         vals = [self.rational()]
         while self.at(","):
             self.next()
             vals.append(self.rational())
         self.expect("]")
-        self.expect("then", "NAME")
+        self.expect("then")
         cont = self.nested()
         return table(vals, cont)
 
     def pw2_form(self) -> SequenceExpr:
-        self.expect("pw2", "NAME")
+        self.expect("pw2")
         self.expect("(")
         params = {}
         for _ in range(2):
-            t = self.next()
-            if t.kind != "NAME" or t.text not in ("s0", "s1"):
-                raise ParseError("pw2 expects parameters s0 and s1", t.pos)
+            name, pos = self.next()
+            if name not in ("s0", "s1"):
+                raise ParseError("pw2 expects parameters s0 and s1", pos)
             self.expect("=")
-            params[t.text] = self.rational()
+            params[name] = self.rational()
             if self.at(","):
                 self.next()
         self.expect(")")
         if set(params) != {"s0", "s1"}:
-            raise ParseError("pw2 expects parameters s0 and s1", self.peek().pos)
+            raise ParseError("pw2 expects parameters s0 and s1", self.peek()[1])
         return pw2(params["s0"], params["s1"])
 
     def exp_form(self) -> SequenceExpr:
-        self.expect("exp", "NAME")
+        self.expect("exp")
         self.expect("(")
         coeff = self.rational()
         self.expect("*")
-        self.expect("log", "NAME")
+        self.expect("log")
         self.expect("(")
         self.one_plus_j()
         self.expect(")")
@@ -796,7 +771,7 @@ class _Parser:
         kappa = self.rational()
         self.expect(")")
         if not (0 < kappa < 1):
-            raise ParseError("exp-log exponent must lie strictly between 0 and 1", self.peek().pos)
+            raise ParseError("exp-log exponent must lie strictly between 0 and 1", self.peek()[1])
         return exp_log_pow(coeff, kappa)
 
 
@@ -804,7 +779,7 @@ def parse(text: str) -> SequenceExpr:
     """Parse the sequence DSL; raises ParseError with a byte offset."""
     p = _Parser(_lex(text))
     e = p.expr()
-    tail = p.next()
-    if tail.kind != "END":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
+    text, pos = p.next()
+    if text:
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
     return e

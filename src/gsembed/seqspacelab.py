@@ -222,11 +222,12 @@ def _lp_norm(p: ExtReal):
     return norm
 
 
-def _search_candidates(section: FiniteSection) -> list:
-    """The explicit vectors of embedding_norm_search, as (label, ratio)
-    pairs: "block j" for the extremal shape on block j alone, and
-    "hoelder" for the Hoelder-coupled vector over all blocks.  A section
-    size n above MAX_SEARCH_N raises ValueError."""
+def _search_winner(section: FiniteSection) -> tuple:
+    """The (label, ratio) of the first explicit vector of
+    embedding_norm_search with the largest ratio: "block j" for the
+    extremal shape on block j alone, "hoelder" for the Hoelder-coupled
+    vector over all blocks.  A section size n above MAX_SEARCH_N raises
+    ValueError."""
     if section.n > MAX_SEARCH_N:
         raise ValueError(f"norm search: section size n = {section.n} exceeds "
                          f"the limit of {MAX_SEARCH_N}")
@@ -269,13 +270,13 @@ def _search_candidates(section: FiniteSection) -> list:
         found.append(("hoelder",
                       ratio([b * inner1(x) for b, x in zip(beta, blocks)],
                             [inner2(x) for x in blocks])))
-    return found
+    return max(found, key=lambda c: c[1])
 
 
 def embedding_norm_search(section: FiniteSection, *, seed=None,
                           restarts=None, iters=None) -> float:
     """Largest ratio ||x||_target / ||x||_source over the structural
-    candidates of _search_candidates: for each block the extremal shape on
+    candidates of _search_winner: for each block the extremal shape on
     that block alone (flat when p1 > p2, where Hoelder's inequality is an
     equality, a spike otherwise), and for q1 > q2 the vector whose block
     amplitudes attain the outer Hoelder inequality.  Between them they
@@ -291,7 +292,7 @@ def embedding_norm_search(section: FiniteSection, *, seed=None,
     random coordinate ascent that never raised the candidates' value, and
     gsbench's worker still passes them.
     """
-    return max(value for _, value in _search_candidates(section))
+    return _search_winner(section)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -68,17 +68,19 @@ def test_no_uncalled_private_code():
             if name not in referenced] == []
 
 
-def module_limits(path: Path) -> list:
-    """The MAX_* names that a module's top-level assignments bind."""
+def module_limits(path: Path) -> dict:
+    """The MAX_* names that a module's top-level assignments bind, with
+    their values; each is a constant expression such as 1 << 16."""
     tree = ast.parse(path.read_text())
-    return [t.id for node in tree.body if isinstance(node, ast.Assign)
+    return {t.id: eval(compile(ast.Expression(node.value), str(path), "eval"), {})
+            for node in tree.body if isinstance(node, ast.Assign)
             for t in node.targets
-            if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+            if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
 
 
-def source_limits() -> list:
-    return [name for p in sorted((ROOT / "src/gsembed").glob("*.py"))
-            for name in module_limits(p)]
+def source_limits() -> dict:
+    return {name: value for p in sorted((ROOT / "src/gsembed").glob("*.py"))
+            for name, value in module_limits(p).items()}
 
 
 def test_every_limit_is_documented():
@@ -93,3 +95,19 @@ def test_every_documented_limit_exists():
     named = set(re.findall(r"`(MAX_\w+)`", (ROOT / "README.md").read_text()))
     assert "MAX_SEARCH_N" in named
     assert sorted(named - set(source_limits())) == []
+
+
+def test_every_limit_sentence_states_its_value():
+    # a README sentence that names a limit also gives its value, written
+    # with or without thousands separators
+    limits = source_limits()
+    named = 0
+    wrong = []
+    for sentence in re.split(r"(?<=[.!?])\s+", (ROOT / "README.md").read_text()):
+        numbers = re.findall(r"\d+", re.sub(r"(?<=\d)[,_](?=\d{3})", "", sentence))
+        for name in re.findall(r"`(MAX_\w+)`", sentence):
+            named += 1
+            if str(limits.get(name)) not in numbers:
+                wrong.append(f"{name}: {' '.join(sentence.split())}")
+    assert named >= len(limits)
+    assert wrong == []

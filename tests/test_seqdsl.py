@@ -34,6 +34,16 @@ from gsembed.seqdsl import MAX_EXPR_TOKENS, MAX_NUMERAL_DIGITS, MAX_TABLE_ENTRIE
 
 from conftest import canonical_exprs, oscillating_exprs, rates, small_fractions
 
+# characters and words of the DSL and whitespace, Unicode spaces among it
+_DSL_PIECES = [
+    *"0123456789.^()[],*/+-=j_", "log", "exp", "pw2", "table", "then", "s0",
+    " ", "\t", "\n", "\u00a0", "\u3000", "\x1c",
+]
+# non-ASCII digits, a superscript, a fraction, a full-width digit, letters
+# outside ASCII, a lone surrogate, a null and ASCII outside the language
+_HOSTILE = ["\u00b2", "\u0663", "\u00bd", "\uff11", "\u00e9", "\u2160",
+            "\ud800", "\x00", "!", "#"]
+
 
 class TestParsing:
     def test_geometric(self):
@@ -49,6 +59,15 @@ class TestParsing:
         assert parse("1/2^(j)") == geometric(-1)
         with pytest.raises(ParseError):
             parse("3^(j)")
+        # p/q is one rational literal, so it is the base: 4/2^(j) is
+        # (4/2)^j, and the quotient by 2^(j) needs parentheses
+        assert render(parse("4/2^(j)")) == "2^(1*j)"
+        assert render(parse("2/2^(j)")) == "1"
+        assert render(parse("4/(2^(j))")) == "4 * 2^(-1*j)"
+        with pytest.raises(ParseError) as err:
+            parse("3/2^(j)")
+        assert err.value.offset == 0
+        assert "power-of-two base" in str(err.value)
 
     def test_log_atoms(self):
         assert parse("(1+j)^2") == log_power(2)
@@ -172,6 +191,27 @@ class TestParsing:
     def test_unbound_name(self):
         with pytest.raises(ParseError):
             parse("sigma")
+
+    @given(st.one_of(st.lists(st.sampled_from(_DSL_PIECES), max_size=30),
+                     st.lists(st.sampled_from(_DSL_PIECES + _HOSTILE), max_size=30))
+           .map("".join))
+    def test_scanner_tokens_tile_the_input(self, src):
+        try:
+            toks = _lex(src)
+        except ParseError as err:
+            assert 0 <= err.offset < len(src)
+            return
+        assert toks[-1] == ("", len(src))
+        end = 0
+        for text, offset in toks[:-1]:
+            assert text and offset >= end  # so offsets strictly increase
+            assert src[offset:offset + len(text)] == text
+            assert src[end:offset].strip() == ""
+            c = text[0]
+            assert "0" <= c <= "9" or c.isalpha() or c == "_" or \
+                text in "^()[],*/+-=" and len(text) == 1
+            end = offset + len(text)
+        assert src[end:].strip() == ""
 
     @given(canonical_exprs())
     def test_render_round_trip(self, triple):
