@@ -15,9 +15,11 @@ weight_ratio = sigma^-1 tau and its two criteria (compact_criterion,
 nuclear_criterion), which criterion_sequence reads, so compactness and
 entropy_rate share one compact criterion.  These are cached properties,
 not fields: they take no part in equality or hashing, and a problem from
-dataclasses.replace derives its own.  Only entropy_rate and
-f_space_nuclearity read Boyd indices, so they import seqcore themselves,
-and the lab's section commands, which call neither, never load it.
+_replace derives its own.  EmbeddingProblem and Target are frozen records
+on seqdsl's _Record base, with hand-written constructors, so no command
+imports dataclasses.  Only entropy_rate and f_space_nuclearity read Boyd
+indices, so they import seqcore themselves, and the lab's section
+commands, which call neither, never load it.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -40,6 +41,7 @@ from .seqdsl import (
     EvalOverflow,
     SequenceExpr,
     _OSC_ANCHORS,
+    _Record,
     decompose,
     evaluate,
     geometric,
@@ -186,26 +188,28 @@ def tong(r1, r2) -> ExtReal:
 class Exponents:
     """Integrability exponents (p1, q1, p2, q2) of an embedding.
 
-    Base of the frozen dataclasses EmbeddingProblem and FiniteSection, which
-    declare the four fields and call _set_exponents from __post_init__.
-    Their __post_init__ is the only validator, and from_dict the only JSON
-    decoder, of both models.
+    Base of the frozen records EmbeddingProblem and FiniteSection, which
+    list the four among their _fields and pass them to _set_exponents from
+    __init__.  Their __init__ is the only validator, and from_dict the only
+    JSON decoder, of both models.
     """
 
     @classmethod
     def from_dict(cls, doc):
-        """The model from a decoded JSON object: every field by name, its
-        default when the key is absent (KeyError if it has none), other keys
-        ignored.  Values are not coerced; __post_init__ judges them."""
+        """The model from a decoded JSON object: every field of _fields by
+        name, its default when the key is absent (KeyError if it has none),
+        other keys ignored.  Values are not coerced; __init__ judges them."""
         if not isinstance(doc, dict):
             raise ValueError(f"{cls.__name__} must be a JSON object, "
                              f"got {type(doc).__name__}")
-        return cls(**{f.name: doc[f.name] for f in fields(cls)
-                      if f.name in doc or f.default is MISSING})
+        # the fields with a default are the last ones of __init__
+        required = len(cls._fields) - len(cls.__init__.__defaults__ or ())
+        return cls(**{f: doc[f] for i, f in enumerate(cls._fields)
+                      if i < required or f in doc})
 
-    def _set_exponents(self) -> None:
-        for name in ("p1", "q1", "p2", "q2"):
-            object.__setattr__(self, name, _exponent(name, getattr(self, name)))
+    def _set_exponents(self, *values) -> None:
+        for name, v in zip(("p1", "q1", "p2", "q2"), values):
+            self.__dict__[name] = _exponent(name, v)
 
     @cached_property
     def recips(self) -> tuple:
@@ -217,35 +221,30 @@ class Exponents:
         return _banach(self.recips)
 
 
-@dataclass(frozen=True)
-class EmbeddingProblem(Exponents):
+class EmbeddingProblem(_Record, Exponents):
     """Embedding of a (sigma, p1, q1) space into a (tau, p2, q2) space.
 
-    scale "B" is the plain mixed-norm model; scale "F" swaps the order of
-    integration, where criteria transfer only through sandwich embeddings.
+    sigma and tau are SequenceExprs (a string is parsed), p1..q2 ExtReals
+    and dim a positive int.  scale "B" is the plain mixed-norm model; scale
+    "F" swaps the order of integration, where criteria transfer only
+    through sandwich embeddings.
     """
 
-    sigma: SequenceExpr
-    tau: SequenceExpr
-    p1: ExtReal
-    q1: ExtReal
-    p2: ExtReal
-    q2: ExtReal
-    dim: int
-    scale: str = "B"
+    _fields = ("sigma", "tau", "p1", "q1", "p2", "q2", "dim", "scale")
 
-    def __post_init__(self):
-        for name in ("sigma", "tau"):
-            w = getattr(self, name)
+    def __init__(self, sigma, tau, p1, q1, p2, q2, dim: int, scale: str = "B"):
+        for name, w in (("sigma", sigma), ("tau", tau)):
             if isinstance(w, str):
-                object.__setattr__(self, name, parse(w))
+                w = parse(w)
             elif not isinstance(w, SequenceExpr):
                 raise ValueError(f"{name} must be a weight expression string")
-        self._set_exponents()
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.scale not in ("B", "F"):
+            self.__dict__[name] = w
+        self._set_exponents(p1, q1, p2, q2)
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        if scale not in ("B", "F"):
             raise ValueError("scale must be 'B' or 'F'")
+        self.__dict__.update(dim=dim, scale=scale)
 
     @cached_property
     def weight_ratio(self) -> SequenceExpr:
@@ -264,18 +263,17 @@ class EmbeddingProblem(Exponents):
         return _criterion(self, "nuclear")
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(_Record):
     """Membership space for a criterion sequence: ell_r or c0."""
 
-    kind: str  # "ell" | "c0"
-    r: Optional[ExtReal] = None
+    _fields = ("kind", "r")
 
-    def __post_init__(self):
-        if self.kind not in ("ell", "c0"):
+    def __init__(self, kind: str, r: Optional[ExtReal] = None):
+        if kind not in ("ell", "c0"):
             raise ValueError("target kind must be 'ell' or 'c0'")
-        if self.kind == "ell" and self.r is None:
+        if kind == "ell" and r is None:
             raise ValueError("ell target needs an exponent")
+        self.__dict__.update(kind=kind, r=r)
 
     def __str__(self) -> str:
         if self.kind == "c0":
@@ -481,10 +479,10 @@ def _f_scale_sandwich(problem: EmbeddingProblem) -> Verdict:
     """Transfer the scale-B compactness criterion to scale F through the
     elementary two-sided sandwich, replacing the fine indices by max/min
     with p."""
-    suff = replace(problem, scale="B",
-                   q1=max(problem.p1, problem.q1), q2=min(problem.p2, problem.q2))
-    nec = replace(problem, scale="B",
-                  q1=min(problem.p1, problem.q1), q2=max(problem.p2, problem.q2))
+    suff = problem._replace(scale="B", q1=max(problem.p1, problem.q1),
+                            q2=min(problem.p2, problem.q2))
+    nec = problem._replace(scale="B", q1=min(problem.p1, problem.q1),
+                           q2=max(problem.p2, problem.q2))
     v_suff = compactness(suff)
     v_nec = compactness(nec)
     ev = {

@@ -17,7 +17,6 @@ index for canonical inputs with |log exponent| <= 8 at BOYD_DEPTH = 256.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -229,8 +228,8 @@ def equivalent(e1: SequenceExpr, e2: SequenceExpr) -> EquivalenceResult:
     # verdict belongs to the stripped tails; the band constants above
     # already cover the prefix range (J >= prefix length + 2).  Constant
     # factors never change the class, so const and roots are ignored.
-    if replace(decompose(e1), const=Fraction(1), roots=()) == \
-            replace(decompose(e2), const=Fraction(1), roots=()):
+    if decompose(e1)._replace(const=Fraction(1), roots=()) == \
+            decompose(e2)._replace(const=Fraction(1), roots=()):
         return EquivalenceResult("yes", c_lower, c_upper, None, J)
     band_lo, band_hi = float(qmin) - math.log2(1.1), float(qmax) + math.log2(1.1)
     j = max(J, 1)
@@ -316,8 +315,8 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
             prefix_vals.append(Fraction(evaluate(sigma, ks[j])))
 
     # the slowly varying atoms carry over unchanged
-    cont = replace(ds, const=Fraction(1), roots=(), rate=ds.rate / lam,
-                   log_exp=ds.log_exp - ds.rate * dn.log_exp / lam)
+    cont = ds._replace(const=Fraction(1), roots=(), rate=ds.rate / lam,
+                       log_exp=ds.log_exp - ds.rate * dn.log_exp / lam)
 
     # pin the continuation to the true value at the seam index
     seam_true = float(log2_value(sigma, ks[prefix_len]))

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple, Optional, Union
 
 __all__ = [
@@ -146,8 +146,44 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class SequenceExpr:
+class _Record:
+    """Base of the frozen records SequenceExpr, EmbeddingProblem, Target and
+    FiniteSection.  A record names its fields in _fields, in constructor
+    order, and its __init__ validates them and writes them to __dict__.
+    Equality (same class only), hashing and repr read the fields alone, so
+    cached properties stay out of them, and _replace builds a new record
+    through the constructor, which validates it again and starts with no
+    cached property."""
+
+    __slots__ = ()
+    _fields: tuple
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({args})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+class SequenceExpr(_Record):
     """A weight sequence as the monomial const * prod (base)^e * 2^(rate*j)
     * (1+j)^log_exp * (1+log(1+j))^iterlog * prod exp(c*log(1+j)^kappa)
     * pw2(0,1)^osc * prod (table[prefix] then continuation)^e.
@@ -161,14 +197,16 @@ class SequenceExpr:
     s1 - s0 to osc.
     """
 
-    const: Fraction = _ONE
-    roots: tuple = ()
-    rate: Fraction = _ZERO
-    log_exp: Fraction = _ZERO
-    iterlog: Fraction = _ZERO
-    explog: tuple = ()
-    osc: Fraction = _ZERO
-    tables: tuple = ()
+    _fields = ("const", "roots", "rate", "log_exp", "iterlog", "explog",
+               "osc", "tables")
+
+    def __init__(self, const: Fraction = _ONE, roots: tuple = (),
+                 rate: Fraction = _ZERO, log_exp: Fraction = _ZERO,
+                 iterlog: Fraction = _ZERO, explog: tuple = (),
+                 osc: Fraction = _ZERO, tables: tuple = ()):
+        d = self.__dict__
+        d["const"], d["roots"], d["rate"], d["log_exp"] = const, roots, rate, log_exp
+        d["iterlog"], d["explog"], d["osc"], d["tables"] = iterlog, explog, osc, tables
 
     def depth(self) -> int:
         return 1 + max((cont.depth() for _, cont, _ in self.tables), default=0)
@@ -425,7 +463,7 @@ def decompose(e: SequenceExpr) -> SequenceExpr:
     """
     if not e.tables:
         return e
-    return product(replace(e, tables=()),
+    return product(e._replace(tables=()),
                    *(power(decompose(cont), r) for _, cont, r in e.tables))
 
 

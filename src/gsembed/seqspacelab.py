@@ -32,12 +32,11 @@ through one rescaling _lp_norm on Python floats, since the blocks are small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 from typing import NamedTuple, Optional, Sequence
 
-from .seqdsl import log2_value
+from .seqdsl import _Record, log2_value
 from .embanalyzer import (INF, EmbeddingProblem, Exponents, ExtReal, _from_recip,
                           _require_banach, _star_recip, _tong_recip, entropy_rate)
 
@@ -71,33 +70,27 @@ MAX_ENTROPY_N = 64
 MAX_ENTROPY_K = 160
 
 
-@dataclass(frozen=True)
-class FiniteSection(Exponents):
+class FiniteSection(_Record, Exponents):
     """Truncated diagonal embedding with explicit block weights and sizes:
     tuples of float weights in (0, inf) and of positive ints."""
 
-    beta: tuple
-    M: tuple
-    p1: ExtReal
-    q1: ExtReal
-    p2: ExtReal
-    q2: ExtReal
+    _fields = ("beta", "M", "p1", "q1", "p2", "q2")
 
-    def __post_init__(self):
-        for name in ("beta", "M"):
-            if not isinstance(getattr(self, name), (list, tuple)):
+    def __init__(self, beta: tuple, M: tuple, p1: ExtReal, q1: ExtReal,
+                 p2: ExtReal, q2: ExtReal):
+        for name, v in (("beta", beta), ("M", M)):
+            if not isinstance(v, (list, tuple)):
                 raise ValueError(f"{name} must be a list")
-        if len(self.beta) != len(self.M) or not self.M:
+        if len(beta) != len(M) or not M:
             raise ValueError("beta and M must be nonempty and of equal length")
         beta = tuple(float(b) if isinstance(b, Real) and not isinstance(b, bool)
-                     else math.nan for b in self.beta)
+                     else math.nan for b in beta)
         if not all(0 < b < math.inf for b in beta):
             raise ValueError("beta: block weights must be positive and finite")
-        if any(type(m) is not int or m < 1 for m in self.M):
+        if any(type(m) is not int or m < 1 for m in M):
             raise ValueError("M: block sizes must be positive integers")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "M", tuple(self.M))
-        self._set_exponents()
+        self.__dict__.update(beta=beta, M=tuple(M))
+        self._set_exponents(p1, q1, p2, q2)
 
     @cached_property
     def gains(self) -> tuple:
@@ -168,22 +161,30 @@ def finite_section(problem: EmbeddingProblem, levels: int) -> FiniteSection:
     M_j = 2^(j dim).  Raises SectionRangeError when a
     weight or block size at some level leaves the float range.
     """
-    if levels < 0:
+    return next(_sections(problem, (levels,)))
+
+
+def _sections(problem: EmbeddingProblem, levels: Sequence[int]):
+    """finite_section(problem, L) for each L of the ascending levels, lazily:
+    each section is built from the blocks of the one before and those up to
+    its own L, so every block is computed once."""
+    if levels[0] < 0:
         raise ValueError("levels must be >= 0")
     d = problem.dim
     rp1, _, rp2, _ = problem.recips
     gap = d * (rp1 - rp2)
     beta, M = [], []
-    for j in range(levels + 1):
-        lg = log2_value(problem.sigma, j) - log2_value(problem.tau, j) - j * gap
-        b = _pow2(lg, "block weight beta_j", j)
-        if b == 0.0:
-            raise SectionRangeError("block weight beta_j", j, lg,
-                                    "underflows to 0")
-        beta.append(b)
-        M.append(round(_pow2(j * d, "block size 2^(j dim)", j)))
-    return FiniteSection(tuple(beta), tuple(M), problem.p1, problem.q1,
-                         problem.p2, problem.q2)
+    for L in levels:
+        for j in range(len(beta), L + 1):
+            lg = log2_value(problem.sigma, j) - log2_value(problem.tau, j) - j * gap
+            b = _pow2(lg, "block weight beta_j", j)
+            if b == 0.0:
+                raise SectionRangeError("block weight beta_j", j, lg,
+                                        "underflows to 0")
+            beta.append(b)
+            M.append(round(_pow2(j * d, "block size 2^(j dim)", j)))
+        yield FiniteSection(tuple(beta), tuple(M), problem.p1, problem.q1,
+                            problem.p2, problem.q2)
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +505,15 @@ def rate_fit(problem: EmbeddingProblem, levels: Sequence[int]) -> RateFit:
     log2(k) estimates the entropy decay power; predicted_slope is
     -k_exponent of entropy_rate, None when the catalog gives no exponent.
     Fewer than two distinct levels raise ValueError, and a section beyond
-    MAX_ENTROPY_N raises entropy_upper's ValueError.
+    MAX_ENTROPY_N raises entropy_upper's ValueError.  The sections come
+    from one pass over the blocks (_sections), level by level, so a lower
+    level's error comes before a higher level's.
     """
     levels = sorted(set(levels))
     if len(levels) < 2:
         raise ValueError("need at least two levels to fit a slope")
     ks, bounds = [], []
-    for L in levels:
-        sec = finite_section(problem, L)
+    for sec in _sections(problem, levels):
         k = 2 * sec.n
         ks.append(k)
         bounds.append(entropy_upper(sec, k).value)

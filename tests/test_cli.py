@@ -14,7 +14,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import gsembed
 from gsembed import (FiniteSection, RateFit, Target, Verdict, cli, embanalyzer,
@@ -701,12 +701,22 @@ dsl_texts = st.one_of(
         lambda ts: "".join(op + atom for op, atom in ts)[1:]))
 
 
+# indices for seq eval: negative, huge, and text that is no int
+index_texts = st.lists(
+    st.one_of(st.integers(-2, 80), st.sampled_from([10**6, 10**30, 2**1000]))
+    .map(str) | st.sampled_from(["x", "1.5", "1e3", "\u0663", ""]),
+    min_size=1, max_size=4)
+
+
 def run_fuzzed(argv):
     """Exit code and the one strict JSON document of an in-process run,
-    which writes nothing to stderr."""
+    which writes nothing to stderr and ends within the wall-time ceiling
+    of invoke_fresh."""
     out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
+    assert time.perf_counter() - t0 < 5.0
     assert code in (0, 1, 2)
     assert err.getvalue() == ""
     doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
@@ -739,6 +749,36 @@ class TestDslFuzz:
         jsonschema.validate(doc["compactness"], schemas.VERDICT_SCHEMA)
         jsonschema.validate(doc["nuclearity"], schemas.VERDICT_SCHEMA)
         jsonschema.validate(doc["entropy"], schemas.RATE_SCHEMA)
+
+    # the seq subcommands below run on a smaller example budget, which
+    # keeps the suite's time
+    @settings(max_examples=25)
+    @given(text=dsl_texts, js=index_texts)
+    def test_seq_eval(self, text, js):
+        code, doc = run_fuzzed(["seq", "eval", "--j", *js, "--", text])
+        assert code in (0, 1)
+        jsonschema.validate(doc, schemas.EVAL_SCHEMA if code == 0
+                            else schemas.ERROR_SCHEMA)
+
+    @pytest.mark.parametrize("command, schema", [
+        ("boyd", schemas.BOYD_SCHEMA), ("admissible", schemas.ADMISSIBLE_SCHEMA)])
+    @settings(max_examples=25)
+    @given(text=dsl_texts)
+    def test_seq_structure(self, command, schema, text):
+        code, doc = run_fuzzed(["seq", command, "--", text])
+        assert code in (0, 1)
+        jsonschema.validate(doc, schema if code == 0 else schemas.ERROR_SCHEMA)
+
+    @settings(max_examples=25)
+    @given(text=dsl_texts, growth=dsl_texts,
+           kappa0=st.none() | st.integers(-2, 1100) | st.sampled_from([10**6, -10**6]))
+    def test_seq_standardize(self, text, growth, kappa0):
+        flags = [] if kappa0 is None else [f"--kappa0={kappa0}"]
+        code, doc = run_fuzzed(["seq", "standardize", f"--growth={growth}",
+                                *flags, "--", text])
+        assert code in (0, 1)
+        jsonschema.validate(doc, schemas.STANDARDIZE_SCHEMA if code == 0
+                            else schemas.ERROR_SCHEMA)
 
 
 class TestReproduce:
@@ -801,7 +841,8 @@ COMMANDS = {
 }
 
 # runs each argv of the JSON list in argv[1] through cli.run and prints the
-# gsembed modules then loaded; exits with the first non-zero exit code
+# gsembed modules then loaded, and which of dataclasses and inspect are;
+# exits with the first non-zero exit code
 RUN_COMMANDS = (
     "import contextlib, io, json, sys\n"
     "from gsembed import cli\n"
@@ -810,7 +851,8 @@ RUN_COMMANDS = (
     "        code = cli.run(argv)\n"
     "    if code != 0:\n"
     "        sys.exit(f'{argv} exited {code}')\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gsembed'))))\n"
+    "print(json.dumps([sorted(m for m in sys.modules if m.startswith('gsembed')),\n"
+    "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
 )
 
 
@@ -845,13 +887,15 @@ class TestImports:
     @pytest.mark.parametrize("argv, modules", COMMANDS.values(), ids=COMMANDS)
     def test_command_loads_what_it_runs(self, problem_file, argv, modules):
         # start-up is most of a command's run; a stray top-level import
-        # in cli, or in a module it loads, fails here
+        # in cli, or in a module it loads, fails here.  dataclasses, with
+        # the inspect it imports, costs about 10 ms to load
         argv = [a.replace("{problem}", problem_file) for a in argv]
         code, out, err = fresh_python(RUN_COMMANDS, json.dumps([argv]))
         assert code == 0, err
-        assert json.loads(out) == sorted(
-            {"gsembed", "gsembed.cli", "gsembed.seqdsl"}
-            | {f"gsembed.{m}" for m in modules})
+        loaded, stdlib = json.loads(out)
+        assert loaded == sorted({"gsembed", "gsembed.cli", "gsembed.seqdsl"}
+                                | {f"gsembed.{m}" for m in modules})
+        assert stdlib == []
 
     def test_exports_load_on_first_use(self):
         code, out, err = fresh_python(

@@ -1,6 +1,5 @@
 """Embedding verdicts against hand-computed exponent arithmetic."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -152,11 +151,11 @@ class TestProblems:
         pr = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
         assert pr.recips == (HALF, 0, Fraction(1, 4), 1)
         assert pr.weight_ratio == product(power(pr.sigma, -1), pr.tau)
-        # cached members stay out of equality, hashing, repr and replace
+        # cached members stay out of equality, hashing, repr and _replace
         twin = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
         assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
         assert "recips" not in repr(pr)
-        assert replace(pr, p1=1).recips == (1, 0, Fraction(1, 4), 1)
+        assert pr._replace(p1=1).recips == (1, 0, Fraction(1, 4), 1)
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -203,8 +202,8 @@ class TestCriterionSequence:
             pr = EmbeddingProblem(*weights, p1, q1, p2, q2, 2)
             compactness(pr), nuclearity(pr), entropy_rate(pr)
             assert sorted(built) == ["compact", "nuclear"]
-            # a problem from replace derives its own criteria
-            other = replace(pr, p1=q2, q2=p1)
+            # a problem from _replace derives its own criteria
+            other = pr._replace(p1=q2, q2=p1)
             fresh = EmbeddingProblem(*weights, q2, q1, p2, p1, 2)
             for kind in ("compact", "nuclear"):
                 assert criterion_sequence(other, kind) == \
@@ -218,7 +217,7 @@ class TestCriterionSequence:
 
     @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
     def test_f_scale_sandwich_problems_are_fresh(self, p1, q1, p2, q2):
-        # both bounding problems of the sandwich come from replace; each
+        # both bounding problems of the sandwich come from _replace; each
         # decides as a problem built from scratch with its fine indices
         weights = ("2^(j)*(1+j)^1/2", "(1+j)^-1/2")
         pr = EmbeddingProblem(*weights, p1, q1, p2, q2, 1, scale="F")

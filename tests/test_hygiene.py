@@ -31,6 +31,30 @@ def test_no_unused_imports():
     assert [u for p in SOURCES for u in unused_imports(p)] == []
 
 
+def imported_modules(source: str) -> set:
+    """The top-level package of every module that an absolute import
+    statement names, at top level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, about 10 ms of every command's
+    # start; the records are plain classes on seqdsl._Record instead
+    assert imported_modules("def f():\n    from dataclasses import replace\n"
+                            "import os.path, inspect as i\n") == \
+        {"dataclasses", "os", "inspect"}
+    imports = {p.name: imported_modules(p.read_text())
+               for p in sorted((ROOT / "src/gsembed").glob("*.py"))}
+    assert "fractions" in imports["seqdsl.py"]
+    assert [name for name, mods in imports.items() if "dataclasses" in mods] == []
+
+
 def private_definitions(path: Path) -> list:
     """(name, line) of each function or class that a module defines at top
     level under a private name, dunders aside."""

@@ -279,9 +279,10 @@ class TestNormalForm:
 
 
 # factors of a parsed product, each of which takes an exponent; constants
-# are parenthesized, since a numeral before '/' reads as a fraction
-# (3/2^(j) asks for base 3/2)
-FOLD_FACTORS = ["2^(j)", "2^(-3/2*j)", "(1+j)^2", "(1+log(1+j))^-1/3",
+# are parenthesized and exponents written p/q, since a numeral before '/'
+# reads as a fraction (3/2^(j) asks for base 3/2, (1+j)^2/2^(j) for the
+# exponent 2/2)
+FOLD_FACTORS = ["2^(j)", "2^(-3/2*j)", "(1+j)^2/1", "(1+log(1+j))^-1/3",
                 "exp(1/2*log(1+j)^1/3)", "pw2(s0=0,s1=1)", "pw2(s0=1/2,s1=2)",
                 "(3)", "(12)", "(2)", "(5/4)", "(0.5)", "((3)^1/2)", "((12)^1/2)",
                 "2^(1/3)", "(table[1,2] then 2^(j))", "(table[3] then (1+j))",

@@ -1,6 +1,5 @@
 """Finite-section laboratory against closed-form oracles."""
 
-import dataclasses
 import math
 import random
 import time
@@ -30,8 +29,10 @@ from gsembed import (
     nuclear_norm_tong,
     rate_fit,
     recip,
+    seqspacelab,
     tong,
 )
+from gsembed.seqdsl import log2_value
 from gsembed.seqspacelab import (MAX_ENTROPY_K, MAX_ENTROPY_N, MAX_SEARCH_N,
                                  _log_ball_volume, _lp_norm)
 
@@ -88,7 +89,7 @@ class TestFiniteSection:
         s = sec((1.0, 2.0), (1, 3), 2, 1, 4, 2)
         entropy_upper(s, 5)
         entropy_lower(s, 5)
-        t = dataclasses.replace(s, beta=(0.5, 2.0))
+        t = s._replace(beta=(0.5, 2.0))
         fresh_t = sec((0.5, 2.0), (1, 3), 2, 1, 4, 2)
         assert embedding_norm_closed(t) == embedding_norm_closed(fresh_t) \
             != embedding_norm_closed(s)
@@ -486,3 +487,29 @@ class TestRateFit:
         assert fit.ratio == pytest.approx(fit.slope / -1.0)
         flat = rate_fit(EmbeddingProblem("1", "1", INF, INF, INF, INF, 1), levels=[1, 2])
         assert flat.predicted_slope is None and flat.ratio is None
+
+    def test_each_block_is_computed_once(self):
+        # the fit's sections are finite_section's, built from one pass
+        pr = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, 1, 4, INF, 1)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqspacelab, "log2_value",
+                       lambda e, j: calls.append(j) or log2_value(e, j))
+            fit = rate_fit(pr, levels=[4, 1, 3, 2, 3])
+        assert sorted(calls) == sorted(2 * list(range(5)))
+        sections = [finite_section(pr, L) for L in (1, 2, 3, 4)]
+        assert fit.ks == tuple(2 * s.n for s in sections)
+        assert fit.bounds == tuple(entropy_upper(s, 2 * s.n).value for s in sections)
+
+    def test_errors_come_level_by_level(self):
+        # level 2 passes the entropy cap (n = 73) before level 4's weight,
+        # 2^1200, leaves the float range, so the cap is reported
+        pr = EmbeddingProblem("2^(300*j)", "1", 2, 2, 2, 2, 3)
+        with pytest.raises(SectionRangeError, match="level 4 is 2\\^\\(1200\\)"):
+            finite_section(pr, 4)
+        with pytest.raises(ValueError, match="n = 73 exceeds the limit of 64"):
+            rate_fit(pr, levels=[4, 2])
+        with pytest.raises(SectionRangeError, match="level 4 is 2\\^\\(1200\\)"):
+            rate_fit(pr, levels=[1, 4])
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            rate_fit(pr, levels=[2, -1])
