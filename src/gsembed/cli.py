@@ -113,8 +113,8 @@ def _cmd_seq_standardize(args) -> Tuple[Any, int]:
 
 def _cmd_analyze(args) -> Tuple[Any, int]:
     """The check of --kind; classify runs compactness, nuclearity (not
-    applicable unless the exponents are Banach) and entropy on scale B.
-    Exit 2 when a result that applies is inconclusive."""
+    applicable unless the exponents are Banach) and entropy, on either
+    scale.  Exit 2 when a result that applies is inconclusive."""
     from .embanalyzer import (EmbeddingProblem, Verdict, compactness,
                               entropy_rate, nuclearity)
 
@@ -130,7 +130,7 @@ def _cmd_analyze(args) -> Tuple[Any, int]:
         doc["nuclearity"] = nuclearity(problem)
     elif every:
         doc["nuclearity"] = not_applicable
-    if args.kind == "entropy" or every and problem.scale == "B":
+    if every or args.kind == "entropy":
         doc["entropy"] = entropy_rate(problem)
     outcomes = [r.status if isinstance(r, Verdict) else r.kind
                 for r in doc.values() if r is not not_applicable]

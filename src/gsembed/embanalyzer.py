@@ -17,9 +17,9 @@ entropy_rate share one compact criterion.  These are cached properties,
 not fields: they take no part in equality or hashing, and a problem from
 _replace derives its own.  EmbeddingProblem and Target are frozen records
 on seqdsl's _Record base, with hand-written constructors, so no command
-imports dataclasses.  Only entropy_rate and f_space_nuclearity read Boyd
-indices, so they import seqcore themselves, and the lab's section
-commands, which call neither, never load it.
+imports dataclasses.  Only entropy_rate reads Boyd indices, so it imports
+seqcore itself, and the lab's section commands, which never call it, never
+load it.  Scale F asks every question of the two B problems of _b_sandwich.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -68,7 +68,6 @@ __all__ = [
     "membership_partial_sums",
     "compactness",
     "nuclearity",
-    "f_space_nuclearity",
     "compact_not_nuclear_band",
     "entropy_rate",
 ]
@@ -445,18 +444,19 @@ def membership_partial_sums(expr: SequenceExpr, target: Target) -> dict:
 # compactness / nuclearity
 
 def compactness(problem: EmbeddingProblem) -> Verdict:
-    """Compactness of the embedding; exact on scale B, sandwich-transferred
-    on scale F (sufficient and necessary parts may fall apart)."""
+    """Compactness of the embedding; exact on scale B, transferred through
+    the B-sandwich on scale F (its two sides may fall apart)."""
     if problem.scale == "F":
-        return _f_scale_sandwich(problem)
+        return _sandwich_verdict(problem, compactness)
     return _criterion_verdict(problem, "compact", "compactness")
 
 
 def nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity of the embedding.  Only Banach parameters admit the
-    criterion; scale F delegates to the Boyd-index transfer."""
+    criterion; scale F transfers it through the B-sandwich."""
     if problem.scale == "F":
-        return f_space_nuclearity(problem)
+        _require_banach(problem)  # before either side, one of which may be Banach
+        return _sandwich_verdict(problem, nuclearity)
     return _criterion_verdict(problem, "nuclear", "nuclearity")
 
 
@@ -475,16 +475,22 @@ def _require_banach(model: Exponents) -> None:
             "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
 
 
-def _f_scale_sandwich(problem: EmbeddingProblem) -> Verdict:
-    """Transfer the scale-B compactness criterion to scale F through the
-    elementary two-sided sandwich, replacing the fine indices by max/min
-    with p."""
-    suff = problem._replace(scale="B", q1=max(problem.p1, problem.q1),
-                            q2=min(problem.p2, problem.q2))
-    nec = problem._replace(scale="B", q1=min(problem.p1, problem.q1),
-                           q2=max(problem.p2, problem.q2))
-    v_suff = compactness(suff)
-    v_nec = compactness(nec)
+def _b_sandwich(problem: EmbeddingProblem) -> tuple:
+    """The (sufficient, necessary) scale-B problems of a scale-F problem:
+    B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)}, so
+    id_F factors through (q1 -> max(p1, q1), q2 -> min(p2, q2)), and
+    (q1 -> min, q2 -> max) factors through id_F.  Compact and nuclear maps
+    form ideals, and e_k(R T S) <= |R| e_k(T) |S|."""
+    p1, q1, p2, q2 = problem.p1, problem.q1, problem.p2, problem.q2
+    return (problem._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
+            problem._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
+
+
+def _sandwich_verdict(problem: EmbeddingProblem, decide) -> Verdict:
+    """The verdict of decide on scale F: holds if the sufficient side
+    holds, fails if the necessary side fails, else inconclusive."""
+    suff, nec = _b_sandwich(problem)
+    v_suff, v_nec = decide(suff), decide(nec)
     ev = {
         "route": "via-B-sandwich",
         "sufficient_fine_indices": (str(suff.q1), str(suff.q2)),
@@ -498,25 +504,6 @@ def _f_scale_sandwich(problem: EmbeddingProblem) -> Verdict:
         return Verdict("fails", v_nec.criterion, v_nec.target, "via-B-sandwich", ev)
     ev["reason"] = "sandwich bounds disagree; scale-F boundary case"
     return Verdict("inconclusive", v_suff.criterion, v_suff.target, "via-B-sandwich", ev)
-
-
-def f_space_nuclearity(problem: EmbeddingProblem) -> Verdict:
-    """Nuclearity on scale F via the Boyd indices of the nuclearity
-    criterion sequence: negative upper index suffices, positive lower index
-    excludes, anything else is a genuine boundary case."""
-    from .seqcore import boyd_indices
-
-    expr, target = criterion_sequence(problem, "nuclear")
-    # a table-free sequence has exact Boyd indices
-    b = boyd_indices(decompose(expr))
-    ev = {"criterion": render(expr), "boyd_exact": b.exact,
-          "boyd_lower": str(b.lower), "boyd_upper": str(b.upper)}
-    if b.upper < 0:
-        return Verdict("holds", expr, target, "boyd-sandwich-f-scale", ev)
-    if b.lower > 0:
-        return Verdict("fails", expr, target, "boyd-sandwich-f-scale", ev)
-    ev["reason"] = "criterion Boyd indices straddle zero; limiting F-scale case"
-    return Verdict("inconclusive", expr, target, "boyd-sandwich-f-scale", ev)
 
 
 def compact_not_nuclear_band(p1, p2, dim: int) -> Band:
@@ -549,19 +536,25 @@ class RateFormula(NamedTuple):
 
 
 def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
-    """Entropy-number asymptotics of a compact scale-B embedding.
+    """Entropy-number asymptotics of a compact embedding.
 
     Non-limiting regime (reciprocal criterion almost strongly increasing):
     e_k behaves like the weight ratio at frequency k^(1/dim).  Limiting
     regimes are matched against the catalog of sharp results: pure-log for
     equal p, the slowly-varying integral formula for q1 > q2, and the
-    three-branch coupled-log law for p1 < p2 with q2 <= q1.
+    three-branch coupled-log law for p1 < p2 with q2 <= q1.  Scale F reads
+    the B-sandwich: not-compact when its necessary side is not compact, the
+    law of both sides when they agree, else inconclusive.
     """
     from .seqcore import is_almost_strongly_increasing
 
-    if problem.scale != "B":
-        return RateFormula("inconclusive", None, None, None, None,
-                           "entropy-rate", ("entropy catalog covers scale B only",))
+    if problem.scale == "F":
+        suff, nec = _b_sandwich(problem)
+        law = entropy_rate(nec)
+        if law.kind != "not-compact" and law != entropy_rate(suff):
+            law = RateFormula("inconclusive", None, None, None, None,
+                              "entropy-rate", ("sandwich entropy laws differ",))
+        return law._replace(notes=law.notes + ("via-B-sandwich",))
     crit, target = criterion_sequence(problem, "compact")
     if ellr_membership(crit, target).status == "fails":
         return RateFormula("not-compact", None, None, None, None,

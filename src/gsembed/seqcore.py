@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .seqdsl import (
+    MAX_TABLE_ENTRIES,
     SequenceExpr,
     _add,
     const,
@@ -56,7 +57,7 @@ BOYD_DEPTH = 256  # the numeric Boyd bracket scans w_0..w_BOYD_DEPTH
 
 class StandardizeError(ValueError):
     """standardize cannot resample: the growth scale or sigma is outside
-    its scope, or kappa0 is too small."""
+    its scope, or kappa0 is too small or too large."""
 
 
 class ModulusRejected(Exception):
@@ -267,16 +268,20 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     k(j) = min{k >= 0 : 2^(j-1) <= N_{k+kappa0}}, rendered as an explicit
     prefix of max(16, 4*kappa0 + 8) values followed by an equivalent
     closed-form continuation.  Without kappa0 the smallest one with
-    d0^kappa0 >= 2 is used, and returned with the result.  Requires a
-    decomposable sigma and a decomposable, oscillation-free growth scale.
+    d0^kappa0 >= 2 is used, and returned with the result.  A longer prefix
+    than MAX_TABLE_ENTRIES is refused.  Requires a decomposable sigma and a
+    decomposable, oscillation-free growth scale.
     """
     cert = certify_admissible(growth, 8)
     if not cert.strongly_increasing:
         raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
     if kappa0 is None:
         kappa0 = _minimal_kappa0(cert)
-    elif cert.d0 ** kappa0 < 2 * (1 - 1e-12):
+    elif kappa0 * cert.log2_d0 < 1 - 1e-12:  # d0^kappa0 < 2, in logs
         raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
+    if 4 * kappa0 + 8 > MAX_TABLE_ENTRIES:
+        raise StandardizeError(f"kappa0 too large: its prefix of 4*kappa0 + 8 "
+                               f"values exceeds {MAX_TABLE_ENTRIES}")
 
     if sigma == const(sigma.const):
         return Standardized(sigma, kappa0)

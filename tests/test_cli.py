@@ -143,6 +143,18 @@ class TestSeq:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
 
+    @pytest.mark.parametrize("kappa0, code", [(1024, 0), (2499, 1)])
+    def test_standardize_large_kappa0(self, capsys, kappa0, code):
+        # d0^kappa0 = 2^1024 is past the float range, and 2499 makes a
+        # prefix longer than MAX_TABLE_ENTRIES
+        got, doc = invoke(capsys, "seq", "standardize", "2^(j)",
+                          "--growth", "2^(j)", "--kappa0", str(kappa0))
+        assert got == code
+        if code:
+            assert doc["error"].startswith("kappa0 too large")
+        else:
+            assert doc["kappa0"] == kappa0
+
     @pytest.mark.parametrize("argv, stdout", [
         (["2^(j)", "--growth", "4^(j)"],
          '{\n  "result": "table[1,1,1,1,2,2,4,4,8,8,16,16,32,32,64,64] then '
@@ -243,6 +255,28 @@ class TestAnalyze:
         assert doc["entropy"]["kind"] in ("non-limiting", "limiting-log",
                                           "limiting-coupled-log",
                                           "limiting-sv-integral")
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--sigma", "2^(2*j)", "--tau", "1", "--p1", "1", "--q1", "1",
+          "--p2", "inf", "--q2", "inf"], 0),
+        # compact, but the two sides of the sandwich give different laws
+        (["--sigma", "2^(j)*(1+j)^2", "--tau", "2^(j)", "--p1", "2",
+          "--q1", "4", "--p2", "2", "--q2", "1"], 2),
+        # the fine-index boundary: compactness is inconclusive
+        (["--sigma", "(1+j)^1/2", "--tau", "1", "--p1", "2", "--q1", "inf",
+          "--p2", "2", "--q2", "1"], 2),
+        # nuclearity does not apply, and its inconclusive stub does not count
+        (["--sigma", "2^(4*j)", "--tau", "1", "--p1", "1/2", "--q1", "1/2",
+          "--p2", "2", "--q2", "2"], 0),
+    ], ids=["decided", "laws-differ", "boundary", "quasi-banach"])
+    def test_classify_on_scale_f(self, capsys, flags, code):
+        got, doc = invoke(capsys, "analyze", *flags, "--dim", "1",
+                          "--scale", "F", "--kind", "classify")
+        jsonschema.validate(doc["entropy"], schemas.RATE_SCHEMA)
+        outcomes = [doc["compactness"]["status"], doc["entropy"]["kind"]]
+        if doc["nuclearity"]["tag"] != "not-applicable":
+            outcomes.append(doc["nuclearity"]["status"])
+        assert got == code == (2 if "inconclusive" in outcomes else 0)
 
     def test_classify_quasi_banach_skips_nuclearity(self, capsys):
         code, doc = invoke(capsys, "analyze", "--sigma", "2^(4*j)", "--tau", "1",

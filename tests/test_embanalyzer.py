@@ -10,6 +10,7 @@ from gsembed import (
     EmbeddingProblem,
     INF,
     Target,
+    boyd_indices,
     compact_not_nuclear_band,
     compactness,
     criterion_sequence,
@@ -30,7 +31,7 @@ from gsembed import (
 )
 import gsembed.embanalyzer as embanalyzer
 
-from conftest import banach_exponents
+from conftest import banach_exponents, canonical_exprs, oscillating_exprs
 
 HALF = Fraction(1, 2)
 
@@ -448,17 +449,54 @@ class TestNuclearity:
         with pytest.raises(ValueError):
             nuclearity(pr)
 
-    def test_f_scale_boyd_route(self):
+    def test_f_scale_via_sandwich(self):
         pr = EmbeddingProblem("2^(3*j)", "1", 2, 1, 3, 4, 2, scale="F")
         v = nuclearity(pr)
         assert v.status == "holds"
-        assert v.tag == "boyd-sandwich-f-scale"
-        assert v.evidence["boyd_exact"]
+        assert v.tag == "via-B-sandwich"
+        assert v.evidence["sufficient_status"] == "holds"
 
-    def test_f_scale_zero_rate_is_inconclusive(self):
+    def test_f_scale_equal_fine_indices_is_scale_b(self):
+        # q = p on both sides makes F = B, and the gap 1 sits at the
+        # nuclearity threshold d(1/p1 - 1/p2) = 1
         pr = EmbeddingProblem("2^(j)", "1", 1, 1, "inf", "inf", 1, scale="F")
         v = nuclearity(pr)
-        assert v.status == "inconclusive"
+        assert v.status == "fails"
+        assert v.evidence["sufficient_fine_indices"] == ("1", "inf")
+        assert v.evidence["necessary_fine_indices"] == ("1", "inf")
+        b = pr._replace(scale="B")
+        assert nuclearity(b).status == "fails"
+        assert (v.criterion, v.target) == criterion_sequence(b, "nuclear")
+
+    def test_f_scale_quasi_banach_rejected(self, monkeypatch):
+        # the sufficient side, q1 -> max(2, 1/2) = 2, is Banach and holds;
+        # the refusal comes before either side is built
+        pr = EmbeddingProblem("2^(4*j)", "1", 2, HALF, 2, 2, 1, scale="F")
+        with monkeypatch.context() as mp:
+            mp.setattr(embanalyzer, "_b_sandwich", None)
+            with pytest.raises(ValueError) as f_err:
+                nuclearity(pr)
+        with pytest.raises(ValueError) as b_err:
+            nuclearity(pr._replace(scale="B"))
+        assert str(f_err.value) == str(b_err.value)
+        assert nuclearity(pr._replace(scale="B", q1=2)).status == "holds"
+
+    @given(st.one_of(canonical_exprs(), oscillating_exprs()), canonical_exprs(),
+           banach_exponents, banach_exponents, banach_exponents,
+           banach_exponents, st.integers(1, 3))
+    def test_f_scale_agrees_with_the_boyd_rule(self, sigma, tau, p1, q1, p2,
+                                               q2, d):
+        # the former scale-F route, kept here as the reference: the Boyd
+        # indices of the F problem's own nuclear criterion, which decide
+        # when they do not straddle zero
+        pr = EmbeddingProblem(sigma[0], tau[0], p1, q1, p2, q2, d, scale="F")
+        b = boyd_indices(decompose(criterion_sequence(pr, "nuclear")[0]))
+        assert b.exact
+        v = nuclearity(pr)
+        if b.upper < 0:
+            assert v.status == "holds"
+        elif b.lower > 0:
+            assert v.status == "fails"
 
 
 class TestBand:
@@ -540,9 +578,40 @@ class TestEntropyRate:
         pr = EmbeddingProblem("1", "2^(j)", 2, 2, 2, 2, 1)
         assert entropy_rate(pr).kind == "not-compact"
 
-    def test_scale_f_unsupported(self):
+    def test_scale_f_sandwich_law(self):
+        # q = p makes both sides of the sandwich the scale-B problem
         pr = EmbeddingProblem("2^(2*j)", "1", 1, 1, "inf", "inf", 1, scale="F")
-        assert entropy_rate(pr).kind == "inconclusive"
+        law = entropy_rate(pr._replace(scale="B"))
+        assert law.kind == "non-limiting"
+        assert entropy_rate(pr) == law._replace(notes=law.notes + ("via-B-sandwich",))
+
+    def test_scale_f_not_compact(self):
+        pr = EmbeddingProblem("1", "2^(j)", 2, 1, 2, 4, 1, scale="F")
+        r = entropy_rate(pr)
+        assert (r.kind, r.notes[-1]) == ("not-compact", "via-B-sandwich")
+
+    def test_scale_f_laws_differ(self):
+        # compact, but the limiting-log exponent 2 - 1/q* reads 5/4 on the
+        # sufficient side (q1 = 4, q2 = 1) and 2 on the necessary (2, 2)
+        pr = EmbeddingProblem("2^(j)*(1+j)^2", "2^(j)", 2, 4, 2, 1, 1, scale="F")
+        assert compactness(pr).status == "holds"
+        r = entropy_rate(pr)
+        assert r.kind == "inconclusive"
+        assert r.notes == ("sandwich entropy laws differ", "via-B-sandwich")
+
+    @given(canonical_exprs(), canonical_exprs(), banach_exponents,
+           banach_exponents, banach_exponents, banach_exponents)
+    def test_scale_f_law_is_the_sandwich_law(self, sigma, tau, p1, q1, p2, q2):
+        pr = EmbeddingProblem(sigma[0], tau[0], p1, q1, p2, q2, 1, scale="F")
+        r = entropy_rate(pr)
+        assert (r.kind == "not-compact") == (compactness(pr).status == "fails")
+        assert r.notes[-1] == "via-B-sandwich"
+        if r.kind not in ("inconclusive", "not-compact"):
+            assert compactness(pr).status == "holds"
+            suff = pr._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2))
+            nec = pr._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2))
+            assert entropy_rate(suff) == entropy_rate(nec) == \
+                r._replace(notes=r.notes[:-1])
 
     @pytest.mark.parametrize("sigma, tau", [
         ("2^(2*j)*(1+j)", "(1+j)^3"),        # non-limiting

@@ -30,7 +30,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "exact_golden.json"
 SEED = "exact-golden/1"
 COUNT = 300
 # md5 of the stdout of `python -m gsembed.cli reproduce all`
-REPRODUCE_MD5 = "a62e5653fd7c6a38fc8d829ceffb8b8f"
+REPRODUCE_MD5 = "e521227fa855c69ad3def64e064ee16b"
 
 EXPONENTS = ("1", "4/3", "3/2", "2", "3", "4", "8", "inf", "1/2", "2/3")
 KAPPAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))

@@ -1,4 +1,4 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source and corpus hygiene checks that need only the standard library."""
 
 import ast
 import re
@@ -135,3 +135,21 @@ def test_every_limit_sentence_states_its_value():
                 wrong.append(f"{name}: {' '.join(sentence.split())}")
     assert named >= len(limits)
     assert wrong == []
+
+
+def test_corpus_citations_name_the_route():
+    # a case cites the tag that its engine call returns, so a route that is
+    # renamed or deleted leaves a stale citation here; band cases have no tag
+    from gsembed import EmbeddingProblem, compactness, entropy_rate, nuclearity
+    from gsembed.corpus import load_cases
+
+    ops = {"compactness": compactness, "nuclearity": nuclearity,
+           "entropy_rate": entropy_rate}
+    cases = [c for c in load_cases() if c.check["op"] != "band"]
+    assert {c.check["op"] for c in cases} == set(ops)
+    stale = []
+    for c in cases:
+        tag = ops[c.check["op"]](EmbeddingProblem.from_dict(c.check)).tag
+        if c.citation != tag:
+            stale.append(f"{c.id}: cites {c.citation}, returns {tag}")
+    assert stale == []

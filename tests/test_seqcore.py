@@ -21,10 +21,13 @@ from gsembed import (
     power,
     product,
     pw2,
+    render,
     sequence_from_modulus,
     standardize,
     table,
 )
+
+from gsembed.seqdsl import MAX_TABLE_ENTRIES
 
 from conftest import canonical_exprs, oscillating_exprs
 
@@ -179,6 +182,26 @@ class TestStandardize:
             standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=1)
         out = standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=4).result
         assert equivalent(out, parse("2^(4*j)")).status == "yes"
+
+    def test_large_kappa0_is_checked_in_logs(self):
+        # d0^kappa0 = 2^1024 leaves the float range; kappa0 * log2(d0) does not
+        out = standardize(parse("2^(j)"), parse("2^(j)"), kappa0=1024)
+        assert out.kappa0 == 1024
+        assert len(out.result.tables[0][0]) == 4 * 1024 + 8
+        assert parse(render(out.result)) == out.result
+
+    def test_rejects_kappa0_past_the_table_cap(self):
+        # the largest kappa0 whose prefix 4*kappa0 + 8 fits MAX_TABLE_ENTRIES
+        top = (MAX_TABLE_ENTRIES - 8) // 4
+        out = standardize(parse("(1+j)"), parse("2^(j)"), kappa0=top)
+        assert len(out.result.tables[0][0]) == MAX_TABLE_ENTRIES
+        assert parse(render(out.result)) == out.result
+        for kappa0 in (top + 1, 10**6):
+            with pytest.raises(StandardizeError, match="kappa0 too large"):
+                standardize(parse("(1+j)"), parse("2^(j)"), kappa0=kappa0)
+        # the minimal kappa0 of a slow growth, 10^4, is refused the same way
+        with pytest.raises(StandardizeError, match="kappa0 too large"):
+            standardize(parse("(1+j)"), parse("2^(1/10000*j)"))
 
     def test_returns_minimal_kappa0(self):
         # d0 = 2^(1/4) needs kappa0 = 4 for d0^kappa0 >= 2
