@@ -11,15 +11,15 @@ EmbeddingProblem and of the lab's FiniteSection normalises (p1, q1, p2,
 q2) with ext, rejects values that are not positive or inf, and holds
 recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach(); its from_dict is the
 one JSON decoder of both models.  A problem also derives, once each,
-weight_ratio = sigma^-1 tau and its two criteria (compact_criterion,
+weight_ratio = sigma^-1 tau, its two criteria (compact_criterion,
 nuclear_criterion), which criterion_sequence reads, so compactness and
-entropy_rate share one compact criterion.  These are cached properties,
+entropy_rate share one compact criterion, and b_sandwich, the two scale-B
+problems that scale F asks every question.  These are cached properties,
 not fields: they take no part in equality or hashing, and a problem from
 _replace derives its own.  EmbeddingProblem and Target are frozen records
 on seqdsl's _Record base, with hand-written constructors, so no command
 imports dataclasses.  Only entropy_rate reads Boyd indices, so it imports
-seqcore itself, and the lab's section commands, which never call it, never
-load it.  Scale F asks every question of the two B problems of _b_sandwich.
+seqcore itself, and the section commands of the lab never load it.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -261,6 +261,17 @@ class EmbeddingProblem(_Record, Exponents):
         unless the exponents are Banach."""
         return _criterion(self, "nuclear")
 
+    @cached_property
+    def b_sandwich(self) -> tuple:
+        """The (sufficient, necessary) scale-B problems of a scale-F problem:
+        B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)},
+        so id_F factors through (q1 -> max(p1, q1), q2 -> min(p2, q2)), and
+        (q1 -> min, q2 -> max) factors through id_F.  Compact and nuclear
+        maps form ideals, and e_k(R T S) <= |R| e_k(T) |S|."""
+        p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
+        return (self._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
+                self._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
+
 
 class Target(_Record):
     """Membership space for a criterion sequence: ell_r or c0."""
@@ -475,21 +486,10 @@ def _require_banach(model: Exponents) -> None:
             "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
 
 
-def _b_sandwich(problem: EmbeddingProblem) -> tuple:
-    """The (sufficient, necessary) scale-B problems of a scale-F problem:
-    B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)}, so
-    id_F factors through (q1 -> max(p1, q1), q2 -> min(p2, q2)), and
-    (q1 -> min, q2 -> max) factors through id_F.  Compact and nuclear maps
-    form ideals, and e_k(R T S) <= |R| e_k(T) |S|."""
-    p1, q1, p2, q2 = problem.p1, problem.q1, problem.p2, problem.q2
-    return (problem._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
-            problem._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
-
-
 def _sandwich_verdict(problem: EmbeddingProblem, decide) -> Verdict:
     """The verdict of decide on scale F: holds if the sufficient side
     holds, fails if the necessary side fails, else inconclusive."""
-    suff, nec = _b_sandwich(problem)
+    suff, nec = problem.b_sandwich
     v_suff, v_nec = decide(suff), decide(nec)
     ev = {
         "route": "via-B-sandwich",
@@ -549,7 +549,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     from .seqcore import is_almost_strongly_increasing
 
     if problem.scale == "F":
-        suff, nec = _b_sandwich(problem)
+        suff, nec = problem.b_sandwich
         law = entropy_rate(nec)
         if law.kind != "not-compact" and law != entropy_rate(suff):
             law = RateFormula("inconclusive", None, None, None, None,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .seqdsl import (
+    MAX_NUMERAL_DIGITS,
     MAX_TABLE_ENTRIES,
     SequenceExpr,
     _add,
@@ -242,14 +243,15 @@ def equivalent(e1: SequenceExpr, e2: SequenceExpr) -> EquivalenceResult:
     return EquivalenceResult("undecided", None, None, None, J)
 
 
-def _minimal_kappa0(cert: AdmissibilityCertificate) -> int:
-    lg = cert.log2_d0
-    if lg <= 0:
-        raise StandardizeError("growth sequence is not strongly increasing")
-    if isinstance(lg, Fraction):
-        # minimal kappa0 with kappa0 * log2(d0) >= 1
-        return max(1, -((-lg.denominator) // lg.numerator))
-    return max(1, math.ceil(1.0 / lg - 1e-12))
+_NUMERAL_BITS = (10 ** MAX_NUMERAL_DIGITS).bit_length()  # 2^n has more digits iff |n| >= this
+
+
+def _pow2(n: int) -> Fraction:
+    """2^n, refused when render would print more digits than parse reads."""
+    if abs(n) >= _NUMERAL_BITS:
+        raise StandardizeError(f"a value 2^{n} of the result has more than "
+                               f"{MAX_NUMERAL_DIGITS} digits")
+    return Fraction(2) ** n
 
 
 class Standardized(NamedTuple):
@@ -275,8 +277,9 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     cert = certify_admissible(growth, 8)
     if not cert.strongly_increasing:
         raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
-    if kappa0 is None:
-        kappa0 = _minimal_kappa0(cert)
+    if kappa0 is None:  # the least kappa0 with kappa0 * log2(d0) >= 1
+        lg = cert.log2_d0
+        kappa0 = max(1, math.ceil(1 / lg if isinstance(lg, Fraction) else 1 / lg - 1e-12))
     elif kappa0 * cert.log2_d0 < 1 - 1e-12:  # d0^kappa0 < 2, in logs
         raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
     if 4 * kappa0 + 8 > MAX_TABLE_ENTRIES:
@@ -315,7 +318,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     for j in range(prefix_len):
         lg = log2_value(sigma, ks[j])
         if isinstance(lg, Fraction) and lg.denominator == 1:
-            prefix_vals.append(Fraction(2) ** lg.numerator)
+            prefix_vals.append(_pow2(lg.numerator))
         else:
             prefix_vals.append(Fraction(evaluate(sigma, ks[j])))
 
@@ -328,7 +331,10 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     seam_cont = float(log2_value(cont, prefix_len))
     shift = seam_true - seam_cont
     if abs(shift) > 1e-12:
-        cont = product(const(2.0 ** shift), cont)
+        if not (shift.is_integer() or -1075 < shift < 1024):  # 2.0 ** shift is 0 or inf
+            raise StandardizeError(f"seam constant 2^{shift} is out of float range")
+        pin = _pow2(int(shift)) if shift.is_integer() else 2.0 ** shift
+        cont = product(const(pin), cont)
 
     return Standardized(table(prefix_vals, cont), kappa0)
 

@@ -63,9 +63,8 @@ __all__ = [
 MAX_SEARCH_N = 1024
 
 # bounds on entropy_upper, checked before any work: the greedy refinement
-# keeps one exact center count, so each trial costs a big-integer divide and
-# multiply and one radius over the blocks, about k * nblocks^2 float
-# operations in all; 64 blocks of size 1 at k = 160 take 0.08 s
+# keeps one exact center count, so each step costs a big-integer divide and
+# multiply per block; 64 blocks of size 1 at k = 160 take 8 ms
 MAX_ENTROPY_N = 64
 MAX_ENTROPY_K = 160
 
@@ -361,14 +360,16 @@ def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
     """Sound upper bound on the k-th entropy number via lattice coverings.
 
     Budget: 2^(k-1) centers.  Each block gets a symmetric grid with 2^m + 1
-    points per coordinate; refinement is allocated greedily.  The reported
-    value is min(lattice radius, operator norm), so e_1 equals the norm.
-    The bound is sound but not monotone in k: the greedy refinement can
-    give a larger radius at k + 1 than at k (sigma 2^(-2/3*j), tau
-    2^(-7*j), (p1, q1, p2, q2) = (2/3, 3, 4, 1), dim 1, levels 2: 0.0441
-    at k = 9, 0.0500 at k = 10).  One-dimensional sections use the exact
-    interval covering instead.  k < 1, or a section size n or index k
-    above MAX_ENTROPY_N or MAX_ENTROPY_K, raises ValueError.
+    points per coordinate.  Each greedy step refines the largest error whose
+    refinement fits the budget: refining halves it exactly, so every ell_q2
+    radius falls most.  Equal errors go to the fewer centers, then the lower
+    index; only blocks of one size and error tie on both, so the result does
+    not depend on block order.  The value is min(lattice radius, operator
+    norm), so e_1 equals the norm.  It is sound but not monotone in k: with
+    sigma 2^(-2/3*j), tau 2^(-7*j), (p1, q1, p2, q2) = (2/3, 3, 4, 1), dim 1
+    and levels 2 it is 0.0441 at k = 9 and 0.0500 at k = 10.  One-dimensional
+    sections use the exact interval covering.  k < 1, a section size n above
+    MAX_ENTROPY_N or an index k above MAX_ENTROPY_K raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -384,30 +385,21 @@ def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
 
     budget = 1 << (k - 1)
     scales = section.cover_scales
-    radius = section.cover_radius
     ms = [0] * len(scales)
     errs = [_cover_error(s, 0) for s in scales]
     count = 1  # exact number of centers, the product of the block grids
     while True:
-        # every refinement shrinks one block error, so looping until the
-        # budget blocks all moves terminates; picking the move with the
-        # smallest resulting radius and, under max-aggregation ties, the
-        # largest current contributor keeps water-filling from stalling
         best = None
         for j, (m, size) in enumerate(zip(ms, section.M)):
             grown = count // _grid_centers(m, size) * _grid_centers(m + 1, size)
-            if grown > budget:
-                continue
-            trial = errs.copy()
-            trial[j] = _cover_error(scales[j], m + 1)
-            key = (radius(trial), -errs[j])
-            if best is None or key < best[0]:
-                best = (key, j, grown, trial)
+            if grown <= budget and (best is None or (-errs[j], grown) < best[:2]):
+                best = (-errs[j], grown, j)
         if best is None:
             break
-        _, j, count, errs = best
+        _, count, j = best
         ms[j] += 1
-    value = min(radius(errs), nrm)
+        errs[j] = _cover_error(scales[j], ms[j])
+    value = min(section.cover_radius(errs), nrm)
     return EntropyBound(value, k, "lattice-cover",
                         {"refinements": tuple(ms), "norm": nrm,
                          "centers": count})

@@ -143,10 +143,11 @@ class TestSeq:
         assert code == 1
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
 
-    @pytest.mark.parametrize("kappa0, code", [(1024, 0), (2499, 1)])
+    @pytest.mark.parametrize("kappa0, code", [(1024, 0), (1200, 0), (2499, 1)])
     def test_standardize_large_kappa0(self, capsys, kappa0, code):
-        # d0^kappa0 = 2^1024 is past the float range, and 2499 makes a
-        # prefix longer than MAX_TABLE_ENTRIES
+        # d0^kappa0 = 2^1024 is past the float range, 1200 pins the seam
+        # with 2^-1201, below it, and 2499 makes a prefix longer than
+        # MAX_TABLE_ENTRIES
         got, doc = invoke(capsys, "seq", "standardize", "2^(j)",
                           "--growth", "2^(j)", "--kappa0", str(kappa0))
         assert got == code
@@ -154,6 +155,14 @@ class TestSeq:
             assert doc["error"].startswith("kappa0 too large")
         else:
             assert doc["kappa0"] == kappa0
+            assert seqdsl.render(parse(doc["result"])) == doc["result"]
+
+    def test_standardize_refuses_long_values(self, capsys):
+        code, doc = invoke(capsys, "seq", "standardize", "2^(500*j)",
+                           "--growth", "2^(1/100*j)")
+        assert code == 1
+        assert doc["error"] == ("a value 2^50000 of the result has more than "
+                                "4300 digits")
 
     @pytest.mark.parametrize("argv, stdout", [
         (["2^(j)", "--growth", "4^(j)"],

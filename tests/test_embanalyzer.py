@@ -217,6 +217,25 @@ class TestCriterionSequence:
         assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
 
     @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
+    def test_f_scale_builds_each_side_criterion_once(self, p1, q1, p2, q2):
+        # classify on scale F: the sandwich is built once, and each of its
+        # two sides derives its compact and its nuclear criterion once
+        built = []
+        build = embanalyzer._criterion
+
+        def counted(problem, kind):
+            built.append((id(problem), kind))
+            return build(problem, kind)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embanalyzer, "_criterion", counted)
+            pr = EmbeddingProblem("2^(2*j)*(1+j)", "(1+j)^3", p1, q1, p2, q2, 1,
+                                  scale="F")
+            compactness(pr), nuclearity(pr), entropy_rate(pr)
+        assert sorted(built) == sorted((id(side), kind) for side in pr.b_sandwich
+                                       for kind in ("compact", "nuclear"))
+
+    @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
     def test_f_scale_sandwich_problems_are_fresh(self, p1, q1, p2, q2):
         # both bounding problems of the sandwich come from _replace; each
         # decides as a problem built from scratch with its fine indices
@@ -473,7 +492,7 @@ class TestNuclearity:
         # the refusal comes before either side is built
         pr = EmbeddingProblem("2^(4*j)", "1", 2, HALF, 2, 2, 1, scale="F")
         with monkeypatch.context() as mp:
-            mp.setattr(embanalyzer, "_b_sandwich", None)
+            mp.setattr(EmbeddingProblem, "b_sandwich", None)
             with pytest.raises(ValueError) as f_err:
                 nuclearity(pr)
         with pytest.raises(ValueError) as b_err:

@@ -1,6 +1,8 @@
-"""Source and corpus hygiene checks that need only the standard library."""
+"""Source and corpus hygiene checks; only the corpus check needs more than
+the standard library (jsonschema)."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -138,10 +140,17 @@ def test_every_limit_sentence_states_its_value():
 
 
 def test_corpus_citations_name_the_route():
-    # a case cites the tag that its engine call returns, so a route that is
+    # the corpus file has the shape of schemas.CORPUS_SCHEMA, and a case
+    # cites the tag that its engine call returns, so a route that is
     # renamed or deleted leaves a stale citation here; band cases have no tag
-    from gsembed import EmbeddingProblem, compactness, entropy_rate, nuclearity
+    import jsonschema
+
+    from gsembed import (EmbeddingProblem, compactness, entropy_rate,
+                         nuclearity, schemas)
     from gsembed.corpus import load_cases
+
+    jsonschema.validate(json.loads((ROOT / "src/gsembed/corpus.json").read_text()),
+                        schemas.CORPUS_SCHEMA)
 
     ops = {"compactness": compactness, "nuclearity": nuclearity,
            "entropy_rate": entropy_rate}

@@ -210,6 +210,30 @@ class TestStandardize:
         assert equivalent(out.result, parse("2^(4*j)")).status == "yes"
         assert standardize(parse("3"), parse("2^(j)")).kappa0 == 1
 
+    def test_whole_seam_shift_is_pinned_exactly(self):
+        # the seam constant 2^-1201 is below the float range: 2.0 ** -1201
+        # is 0.0
+        out = standardize(parse("2^(j)"), parse("2^(j)"), kappa0=1200).result
+        _, cont, _ = out.tables[0]
+        assert cont == product(power(const(2), -1201), geometric(1))
+        assert parse(render(out)) == out
+        # in the float range the exact pin is the float one
+        for n in (-1074, -3, 1, 1023):
+            assert power(const(2), n) == const(2.0 ** n)
+
+    @pytest.mark.parametrize("sigma, growth, kappa0, message", [
+        ("2^(40*j)", "2^(1/100*j)", None, r"2\^16000 of the result has more than 4300 digits"),
+        ("2^(500*j)", "2^(1/100*j)", None, r"2\^50000 of the result has more than 4300 digits"),
+        ("2^(-3*j)", "2^(1/2*j)", 1200, r"2\^-14286 of the result has more than 4300 digits"),
+        ("2^(j)", "2^(3*j)*(1+j)", 1200, r"seam constant 2\^-1199.58\d* is out of float range"),
+        ("2^(-3*j)", "2^(3*j)*(1+j)", 1200, r"seam constant 2\^3598.76\d* is out of float range"),
+    ])
+    def test_refuses_values_it_cannot_write(self, sigma, growth, kappa0, message):
+        # a prefix value or seam constant that render could not print for
+        # parse to read back, or that leaves the float range, is refused
+        with pytest.raises(StandardizeError, match=message):
+            standardize(parse(sigma), parse(growth), kappa0)
+
     def test_rejects_oscillating_sigma(self):
         with pytest.raises(StandardizeError):
             standardize(pw2(0, 1), parse("2^(j)"))

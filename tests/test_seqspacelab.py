@@ -9,7 +9,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from conftest import banach_exponents
 from gsembed import (
@@ -34,7 +34,8 @@ from gsembed import (
 )
 from gsembed.seqdsl import log2_value
 from gsembed.seqspacelab import (MAX_ENTROPY_K, MAX_ENTROPY_N, MAX_SEARCH_N,
-                                 _log_ball_volume, _lp_norm)
+                                 _cover_error, _grid_centers, _log_ball_volume,
+                                 _lp_norm)
 
 
 def sec(beta, M, p1, q1, p2, q2):
@@ -336,6 +337,51 @@ class TestBallVolumes:
         assert v == pytest.approx(math.log2(math.pi) - 2.0)
 
 
+def trial_radius_greedy(s, k):
+    """Reference allocator by trial radii: try every affordable refinement
+    and keep the one with the smallest cover radius, then the largest
+    current error, then the lowest index.  Returns
+    (refinements, centers, value, tied); tied says that some step met an
+    exact tie among the largest affordable errors."""
+    budget, scales = 1 << (k - 1), s.cover_scales
+    ms = [0] * len(scales)
+    errs = [_cover_error(c, 0) for c in scales]
+    count, tied = 1, False
+    while True:
+        best, affordable = None, []
+        for j, (m, size) in enumerate(zip(ms, s.M)):
+            grown = count // _grid_centers(m, size) * _grid_centers(m + 1, size)
+            if grown > budget:
+                continue
+            affordable.append(errs[j])
+            trial = errs.copy()
+            trial[j] = _cover_error(scales[j], m + 1)
+            key = (s.cover_radius(trial), -errs[j])
+            if best is None or key < best[0]:
+                best = (key, j, grown, trial)
+        if best is None:
+            value = min(s.cover_radius(errs), embedding_norm_closed(s))
+            return tuple(ms), count, value, tied
+        tied |= affordable.count(max(affordable)) > 1
+        _, j, count, errs = best
+        ms[j] += 1
+
+
+@st.composite
+def tie_sections(draw):
+    """A section of 1-8 blocks of size up to 8, with weights often equal so
+    that block errors tie, and a permutation of its blocks."""
+    M = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8)
+             .filter(lambda M: 2 <= sum(M) <= MAX_ENTROPY_N))
+    weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                       st.floats(-4, 4).map(lambda b: 2.0 ** b))
+    beta = draw(st.lists(weight, min_size=len(M), max_size=len(M)))
+    pick = st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, Fraction(4, 3),
+                            2, 3, 6, INF])
+    s = sec(beta, M, *(draw(pick) for _ in range(4)))
+    return s, draw(st.permutations(range(len(M))))
+
+
 class TestEntropyBounds:
     def test_argument_validation(self):
         s = sec((1.0,), (2,), 2, 2, 2, 2)
@@ -379,8 +425,8 @@ class TestEntropyBounds:
             assert rep["sound"] and rep["first_is_norm"], M
 
     def test_errors_beyond_float_powers(self):
-        # every trial radius squares a block error of about 1e200; the
-        # greedy refinement must compare the radii, not overflow to inf
+        # the final radius squares a block error of about 1e200, and the
+        # greedy halves errors of that size; neither may overflow to inf
         s = sec((1e-200, 1.0), (1, 1), 1, 1, 1, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -392,7 +438,10 @@ class TestEntropyBounds:
     # docstring's non-monotone pair, the 64-coordinate section of
     # test_sandwich_mixed_indices up to MAX_ENTROPY_K, and the 1e-200 row of
     # test_errors_beyond_float_powers.  Rows are (section name, k, upper
-    # value, refinements, centers, norm, lower value), compared with ==
+    # value, refinements, centers, norm, lower value), compared with ==.
+    # The cap rows at k = 40 and 160 meet equal errors; their refinements
+    # and centers follow the tie rule of entropy_upper, the value does not
+    # move
     SECTIONS = {
         "non-monotone": finite_section(EmbeddingProblem(
             "2^(-2/3*j)", "2^(-7*j)", Fraction(2, 3), 3, 4, 1, 1), 2),
@@ -408,14 +457,14 @@ class TestEntropyBounds:
         ("cap", 1, 1.0, (0,) * 64, 1, 1.0, 0.022404873978073687),
         ("cap", 2, 1.0, (0,) * 64, 1, 1.0, 0.022163528971191233),
         ("cap", 40, 0.8619937015260014,
-         (3,) * 3 + (2,) * 5 + (1,) * 11 + (0,) * 45, 403563009375, 1.0,
+         (3,) * 2 + (2,) * 7 + (1,) * 10 + (0,) * 45, 373669453125, 1.0,
          0.014685960367177573),
         ("cap", 80, 0.573299881047529,
          (4,) * 2 + (3,) * 5 + (2,) * 10 + (1,) * 20 + (0,) * 27,
          581079464603062119140625, 1.0, 0.00952266715109647),
         ("cap", 160, 0.2604067319195866,
-         (5,) * 2 + (4,) * 6 + (3,) * 12 + (2,) * 22 + (1,) * 22,
-         555442645220667085253326563450071811676025390625, 1.0,
+         (5,) * 2 + (4,) * 6 + (3,) * 11 + (2,) * 24 + (1,) * 21,
+         514298745574691745604932003194510936737060546875, 1.0,
          0.004003788335505663),
         ("tiny-weight", 1, 1e200, (0, 0), 1, 1e200, 7.978845608028783e+99),
         ("tiny-weight", 2, 1e200, (0, 0), 1, 1e200, 5.641895835477654e+99),
@@ -454,6 +503,43 @@ class TestEntropyBounds:
         assert detail["centers"] == centers <= 2 ** (k - 1)
         assert all(centers // grid(m, size) * grid(m + 1, size) > 2 ** (k - 1)
                    for m, size in zip(ms, M))
+
+    @given(data=st.data())
+    def test_matches_trial_radius_greedy_off_ties(self, data):
+        s, _ = data.draw(tie_sections())
+        k = data.draw(st.integers(1, MAX_ENTROPY_K))
+        ms, centers, value, tied = trial_radius_greedy(s, k)
+        assume(not tied)
+        ub = entropy_upper(s, k)
+        assert (ub.detail["refinements"], ub.detail["centers"], ub.value) == (
+            ms, centers, value)
+
+    @given(data=st.data())
+    def test_block_order_does_not_matter(self, data):
+        s, perm = data.draw(tie_sections())
+        t = sec([s.beta[i] for i in perm], [s.M[i] for i in perm],
+                s.p1, s.q1, s.p2, s.q2)
+        k = data.draw(st.integers(1, MAX_ENTROPY_K))
+        a, b = entropy_upper(s, k), entropy_upper(t, k)
+        assert b.value == pytest.approx(a.value, rel=1e-12)
+        assert b.detail["centers"] == a.detail["centers"]
+        assert (sorted(zip(t.beta, t.M, b.detail["refinements"]))
+                == sorted(zip(s.beta, s.M, a.detail["refinements"])))
+
+    def test_tie_between_equal_errors(self):
+        # blocks 1 and 2 tie at errors 12.0 and 6.0, blocks 0 and 5 at 8.0;
+        # trial radii told them apart by rounding, which gave 21.4566 with
+        # refinements (2,1,3,0,2,1,0)
+        beta = (0.25, 0.25, 0.25, 2.0, 0.25, 0.25, 2.0)
+        M = (8, 3, 6, 6, 7, 2, 6)
+        exps = (6, Fraction(2, 3), 1, Fraction(4, 3))
+        ub = entropy_upper(sec(beta, M, *exps), 63)
+        assert ub.value == 20.414404345937122
+        assert ub.detail["refinements"] == (2, 2, 2, 0, 2, 2, 0)
+        assert ub.detail["centers"] == 1490116119384765625
+        rev = entropy_upper(sec(beta[::-1], M[::-1], *exps), 63)
+        assert rev.value == pytest.approx(ub.value, rel=1e-12)
+        assert rev.detail["refinements"] == (0, 2, 2, 0, 2, 2, 2)
 
     def test_lower_positive(self):
         s = sec((1.0, 2.0), (1, 2), 2, 2, 2, 2)
