@@ -21,6 +21,13 @@ on seqdsl's _Record base, with hand-written constructors, so no command
 imports dataclasses.  Only entropy_rate reads Boyd indices, so it imports
 seqcore itself, and the section commands of the lab never load it.
 
+ext keeps the values of the MAX_EXT_CACHE exponent strings of at most
+MAX_CACHED_TEXT characters that it read most recently, and returns the same
+object when it reads one again, as parse does for weights: a sweep asks the
+same few exponents over and over.  Sharing a value is safe, since a
+Fraction and math.inf are immutable, and a string that raises is not kept,
+so it raises the same ValueError again.
+
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
 exact Fraction 0.  Index space is dyadic throughout: weight entry j is the
@@ -32,11 +39,12 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .seqdsl import (
+    MAX_CACHED_TEXT,
     MAX_NUMERAL_DIGITS,
     EvalOverflow,
     SequenceExpr,
@@ -82,29 +90,21 @@ MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)$")
 _DIGIT_RUN = re.compile(r"[\d_]+")
 
+# exponent strings whose values ext keeps per process; a sweep draws its
+# exponents from a few strings
+MAX_EXT_CACHE = 256
+
 
 def ext(x) -> ExtReal:
-    """Normalize an integrability parameter to Fraction or a float infinity."""
+    """Normalize an integrability parameter to Fraction or a float infinity.
+
+    A str of at most MAX_CACHED_TEXT characters goes through a cache of the
+    MAX_EXT_CACHE strings read most recently, so reading it again returns
+    the same object."""
     if isinstance(x, str):
-        if not x.isascii():
-            c = next(c for c in x if not c.isascii())
-            raise ValueError(f"non-ASCII character {c!r} in a numeral")
-        s = x.strip().lower()
-        if s in ("inf", "infinity", "oo"):
-            return INF
-        m = _DECIMAL_EXPONENT.search(s)
-        if m:
-            digits = m.group(1).replace("_", "").lstrip("0")
-            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
-                    int(digits or "0") > MAX_DECIMAL_EXPONENT:
-                raise ValueError(f"decimal exponent above the limit of "
-                                 f"{MAX_DECIMAL_EXPONENT}")
-        if len(s) > MAX_NUMERAL_DIGITS and any(
-                len(run) - run.count("_") > MAX_NUMERAL_DIGITS
-                for run in _DIGIT_RUN.findall(s)):
-            raise ValueError(f"numeral with more than {MAX_NUMERAL_DIGITS} "
-                             f"digits in a row")
-        return Fraction(s)
+        if type(x) is str and len(x) <= MAX_CACHED_TEXT:
+            return _ext_text_cached(x)
+        return _ext_text(x)
     if isinstance(x, float):
         if math.isinf(x):
             return x  # -inf is kept for the positivity check to reject
@@ -112,6 +112,32 @@ def ext(x) -> ExtReal:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an extended parameter")
+
+
+def _ext_text(x: str) -> ExtReal:
+    """ext of a string."""
+    if not x.isascii():
+        c = next(c for c in x if not c.isascii())
+        raise ValueError(f"non-ASCII character {c!r} in a numeral")
+    s = x.strip().lower()
+    if s in ("inf", "infinity", "oo"):
+        return INF
+    m = _DECIMAL_EXPONENT.search(s)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
+                int(digits or "0") > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent above the limit of "
+                             f"{MAX_DECIMAL_EXPONENT}")
+    if len(s) > MAX_NUMERAL_DIGITS and any(
+            len(run) - run.count("_") > MAX_NUMERAL_DIGITS
+            for run in _DIGIT_RUN.findall(s)):
+        raise ValueError(f"numeral with more than {MAX_NUMERAL_DIGITS} "
+                         f"digits in a row")
+    return Fraction(s)
+
+
+_ext_text_cached = lru_cache(maxsize=MAX_EXT_CACHE)(_ext_text)
 
 
 def recip(x: ExtReal) -> ExtReal:

@@ -24,7 +24,17 @@ Constants are capped at MAX_CONST_BITS bits, a run of digits in a
 numeral at MAX_NUMERAL_DIGITS, a parsed table prefix at MAX_TABLE_ENTRIES
 values, and an expression at MAX_EXPR_TOKENS tokens.  decompose, which
 replaces table atoms by their continuations, is the one table-stripping
-call.
+call.  render refuses a numeral that parse could not read back.
+
+parse keeps the results of the MAX_PARSE_CACHE texts of at most
+MAX_CACHED_TEXT characters that it read most recently, and returns the
+same object when it reads one of them again, so a sweep that asks about
+the same weights over and over reads each text once.  Sharing a result is
+safe: a SequenceExpr is a frozen record with no cached property, its
+fields are Fractions, ints and tuples, which are immutable, and a text
+that raises is not kept, so it raises the same error again.  A result
+whose constants need more than MAX_CACHED_BITS bits is not kept either,
+which bounds the memory of a full cache.
 
 `pw2(s0,s1)` is the block construction with anchors j_l = 2^l: at even
 anchors the value is 2^(j*(2*s1+s0)/3), the exponent then grows with slope
@@ -40,6 +50,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple, Optional, Union
 
@@ -95,6 +106,16 @@ MAX_TABLE_ENTRIES = 10_000
 # for the rest of the expression.  The lexer refuses the token that would
 # pass the cap, so input past it is never read.
 MAX_EXPR_TOKENS = 50_000
+
+# bounds of parse's cache: entries, characters of a kept text, and bits of
+# a kept result's constants and root bases in all.  An exact-sweep weight
+# has at most 90 characters and 2 bits of constants.  The bit cap keeps out
+# short texts such as ((3)^32767)^1/2*((5)^21845)^1/2*..., which hold up to
+# 8 KB per root base, so a full cache stays within a few MB (README has
+# the figures).
+MAX_PARSE_CACHE = 1024
+MAX_CACHED_TEXT = 256
+MAX_CACHED_BITS = 1024
 
 # log2 magnitudes beyond this cannot be exponentiated into a float
 _LOG2_FLOAT_LIMIT = 1000.0
@@ -507,7 +528,26 @@ def canonicalize(e: SequenceExpr) -> SequenceProfile:
 # ---------------------------------------------------------------------------
 # rendering
 
+# a run of digits that parse refuses, as render would print it
+_LONG_NUMERAL = re.compile(r"[0-9]{%d}" % (MAX_NUMERAL_DIGITS + 1))
+
+
 def render(e: SequenceExpr) -> str:
+    """e in the DSL, which parse reads back as an equal expression.  A
+    numeral of more than MAX_NUMERAL_DIGITS digits, which parse would
+    refuse, raises SequenceError."""
+    try:
+        text = _render(e)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        text = None
+    if text is None or len(text) > MAX_NUMERAL_DIGITS and _LONG_NUMERAL.search(text):
+        raise SequenceError(f"cannot render a numeral of more than "
+                            f"{MAX_NUMERAL_DIGITS} digits, which parse could "
+                            f"not read back")
+    return text
+
+
+def _render(e: SequenceExpr) -> str:
     parts = [] if e.const == 1 else [str(e.const)]
     for base, r in e.roots:
         parts.append(f"({base})^{r}")
@@ -814,10 +854,48 @@ class _Parser:
 
 
 def parse(text: str) -> SequenceExpr:
-    """Parse the sequence DSL; raises ParseError with a byte offset."""
+    """Parse the sequence DSL; raises ParseError with a byte offset.
+
+    A str of at most MAX_CACHED_TEXT characters goes through a cache of
+    the MAX_PARSE_CACHE texts read most recently, so reading it again
+    returns the same expression object, unless its constants need more
+    than MAX_CACHED_BITS bits.  Any other argument is parsed every time.
+    Either way a text raises what the parser raises."""
+    if type(text) is str and len(text) <= MAX_CACHED_TEXT:
+        try:
+            return _parse_cached(text)
+        except _Unkept as big:
+            return big.args[0]
+    return _parse(text)
+
+
+def _parse(text: str) -> SequenceExpr:
     p = _Parser(_lex(text))
     e = p.expr()
     text, pos = p.next()
     if text:
         raise ParseError(f"unexpected trailing input {text!r}", pos)
     return e
+
+
+class _Unkept(Exception):
+    """Carries a parse result past the cache, which keeps no call that
+    raises."""
+
+
+def _const_bits(e: SequenceExpr) -> int:
+    """Bits of the constant and root bases of e and of its continuations."""
+    return (_bits(e.const) + sum(_bits(b) for b, _ in e.roots)
+            + sum(_const_bits(cont) for _, cont, _ in e.tables))
+
+
+def _parse_kept(text: str) -> SequenceExpr:
+    """_parse(text), raising _Unkept with the result when its constants
+    need more than MAX_CACHED_BITS bits."""
+    e = _parse(text)
+    if _const_bits(e) > MAX_CACHED_BITS:
+        raise _Unkept(e)
+    return e
+
+
+_parse_cached = lru_cache(maxsize=MAX_PARSE_CACHE)(_parse_kept)

@@ -365,7 +365,8 @@ def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
     radius falls most.  Equal errors go to the fewer centers, then the lower
     index; only blocks of one size and error tie on both, so the result does
     not depend on block order.  The value is min(lattice radius, operator
-    norm), so e_1 equals the norm.  It is sound but not monotone in k: with
+    norm), and the norm itself while no refinement fits, so e_1 equals the
+    norm.  It is sound but not monotone in k: with
     sigma 2^(-2/3*j), tau 2^(-7*j), (p1, q1, p2, q2) = (2/3, 3, 4, 1), dim 1
     and levels 2 it is 0.0441 at k = 9 and 0.0500 at k = 10.  One-dimensional
     sections use the exact interval covering.  k < 1, a section size n above
@@ -399,7 +400,9 @@ def entropy_upper(section: FiniteSection, k: int) -> EntropyBound:
         _, count, j = best
         ms[j] += 1
         errs[j] = _cover_error(scales[j], ms[j])
-    value = min(section.cover_radius(errs), nrm)
+    # the single center 0 covers at radius exactly the norm, which the ell_q2
+    # radius of the block errors can miss by an ulp
+    value = nrm if count == 1 else min(section.cover_radius(errs), nrm)
     return EntropyBound(value, k, "lattice-cover",
                         {"refinements": tuple(ms), "norm": nrm,
                          "centers": count})
@@ -439,13 +442,15 @@ def _log_ball_volume(M: Sequence[int], p: ExtReal, q: ExtReal,
 def entropy_lower(section: FiniteSection, k: int) -> EntropyBound:
     """Volume lower bound: e_k >= 2^(-(k-1)/n) (vol source-ball-image /
     vol target ball)^(1/n).  Exact Dirichlet-type formulas for mixed-norm
-    ball volumes keep the bound honest in every dimension."""
+    ball volumes keep the bound honest in every dimension.  The value is
+    at most the operator norm, since e_k <= e_1 = ||id||: in floats the
+    volume ratio can pass it by an ulp, where entropy_upper is the norm."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = section.n
     lv_src, lv_tgt = section.log2_ball_volumes
     lg = -(k - 1) / n + (lv_src - lv_tgt) / n
-    return EntropyBound(2.0 ** lg, k, "volume",
+    return EntropyBound(min(2.0 ** lg, section.closed_norm), k, "volume",
                         {"log2_vol_source_image": lv_src,
                          "log2_vol_target_ball": lv_tgt})
 

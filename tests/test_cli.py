@@ -87,6 +87,17 @@ class TestSeq:
         jsonschema.validate(doc, schemas.ERROR_SCHEMA)
         assert "bits" in doc["error"]
 
+    @pytest.mark.parametrize("expr", [
+        "(3)^20000", "2^({0}*j)*2^({0}*j)".format("9" * 4300)],
+        ids=["constant", "rate"])
+    def test_render_past_the_digit_limit_is_error(self, expr):
+        # Python's own "Exceeds the limit (4300 digits)" message came before
+        code, doc = run_fuzzed(["seq", "parse", expr])
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert doc["error"] == ("cannot render a numeral of more than 4300 "
+                                "digits, which parse could not read back")
+
     def test_eval_values(self, capsys):
         code, doc = invoke(capsys, "seq", "eval", "2^(j)", "--j", "0", "3", "10")
         assert code == 0

@@ -61,6 +61,30 @@ class TestExponentArithmetic:
         with pytest.raises(ValueError, match="^p1: non-ASCII character"):
             EmbeddingProblem("1", "1", "\u0663", 2, 2, 2, 1)
 
+    def test_ext_shares_string_values(self):
+        cache = embanalyzer._ext_text_cached
+        assert ext("4/3") is ext("4/3") == Fraction(4, 3)
+        assert ext(" INF ") is INF
+        # other types, and strings over the length cap, are read every time
+        before = cache.cache_info()
+        for x, want in ((1.5, Fraction(3, 2)), (Fraction(4, 3), Fraction(4, 3)),
+                        (3, Fraction(3)), (INF, INF),
+                        ("3/2".rjust(embanalyzer.MAX_CACHED_TEXT + 1), Fraction(3, 2))):
+            got = ext(x)
+            assert got == want and type(got) is type(want)
+        assert cache.cache_info() == before
+
+    @pytest.mark.parametrize("text, error", [
+        ("1/0", ZeroDivisionError), ("abc", ValueError), ("1e5000", ValueError),
+        ("\u0663", ValueError)])
+    def test_ext_errors_repeat(self, text, error):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as err:
+                ext(text)
+            raised.append(str(err.value))
+        assert raised[0] == raised[1]
+
     def test_recip_endpoints(self):
         assert recip(INF) == 0
         assert recip(Fraction(0)) == INF

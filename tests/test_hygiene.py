@@ -94,6 +94,43 @@ def test_no_uncalled_private_code():
             if name not in referenced] == []
 
 
+def cache_uses(source: str) -> tuple:
+    """(bounded, others): the number of lru_cache calls whose maxsize is a
+    MAX_* name, and the line of every other use of lru_cache or cache, a
+    bare decorator or maxsize None included."""
+    def cache_name(node):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        return name in ("lru_cache", "cache")
+
+    nodes = list(ast.walk(ast.parse(source)))
+    bounded = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and cache_name(node.func):
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Name) and size.id.startswith("MAX_"):
+                bounded.add(id(node.func))
+    return len(bounded), sorted(node.lineno for node in nodes
+                                if cache_name(node) and id(node) not in bounded)
+
+
+def test_every_cache_is_bounded_by_a_limit():
+    # an unbounded cache grows for the life of the process; a MAX_* size
+    # is a limit, which the README tests above make document its value
+    assert cache_uses(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "f = lru_cache(maxsize=MAX_A)(g)\nh = functools.lru_cache(MAX_B)(g)\n"
+        "@cache\ndef a(): pass\n@functools.lru_cache\ndef b(): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(): pass\n@lru_cache(64)\ndef d(): pass\n"
+        "@functools.cache\ndef e(): pass\n") == (2, [5, 7, 9, 11, 13])
+    found = {p.name: cache_uses(p.read_text())
+             for p in sorted((ROOT / "src/gsembed").glob("*.py"))}
+    assert found["seqdsl.py"][0] == found["embanalyzer.py"][0] == 1
+    assert [f"{name}:{line}" for name, (_, lines) in found.items()
+            for line in lines] == []
+
+
 def module_limits(path: Path) -> dict:
     """The MAX_* names that a module's top-level assignments bind, with
     their values; each is a constant expression such as 1 << 16."""

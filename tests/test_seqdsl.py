@@ -30,7 +30,9 @@ from gsembed import (
     table,
 )
 
-from gsembed.seqdsl import MAX_EXPR_TOKENS, MAX_NUMERAL_DIGITS, MAX_TABLE_ENTRIES, _lex
+from gsembed import seqdsl
+from gsembed.seqdsl import (MAX_CACHED_TEXT, MAX_EXPR_TOKENS, MAX_NUMERAL_DIGITS,
+                           MAX_TABLE_ENTRIES, _lex)
 
 from conftest import canonical_exprs, oscillating_exprs, rates, small_fractions
 
@@ -222,6 +224,84 @@ class TestParsing:
     def test_render_round_trip_pw(self, quad):
         e, _, _, _ = quad
         assert parse(render(e)) == e
+
+    @pytest.mark.parametrize("text", [
+        "(3)^20000", "2^({0}*j)*2^({0}*j)".format("9" * MAX_NUMERAL_DIGITS)])
+    def test_render_refuses_numerals_parse_refuses(self, text):
+        # 3^20000 has 9,543 digits and twice the rate 4,301: Python's own
+        # digit limit raised ValueError from str() before
+        e = parse(text)
+        with pytest.raises(SequenceError, match=f"cannot render a numeral of "
+                           f"more than {MAX_NUMERAL_DIGITS} digits"):
+            render(e)
+
+    def test_render_prints_numerals_at_the_limit(self):
+        e = parse("2^({0}*j)".format("9" * MAX_NUMERAL_DIGITS))
+        assert parse(render(e)) == e
+
+
+def _cache_state():
+    return seqdsl._parse_cached.cache_info()
+
+
+class TestParseCache:
+    """parse reads a short str through a bounded cache and shares its
+    result; anything else takes the path it took without the cache."""
+
+    def test_same_text_same_object(self):
+        text = "2^(5/7*j)*(1+j)^-3*exp(2*log(1+j)^1/5)*(table[1,2] then 3)"
+        assert parse(text) is parse(text)
+        assert parse(text) == product(
+            geometric(Fraction(5, 7)), log_power(-3), exp_log_pow(2, Fraction(1, 5)),
+            table([1, 2], const(3)))
+
+    def test_text_over_the_length_cap_is_not_kept(self):
+        text = "2^(11/13*j)".ljust(MAX_CACHED_TEXT + 1)
+        before = _cache_state()
+        assert parse(text) == geometric(Fraction(11, 13))
+        assert parse(text) is not parse(text)
+        assert _cache_state() == before
+        kept = text[:MAX_CACHED_TEXT]
+        assert parse(kept) is parse(kept)
+
+    def test_result_over_the_bit_cap_is_not_kept(self):
+        # 2^1023 needs 1,024 bits, 2^1024 one more
+        assert parse("(2)^1023") is parse("(2)^1023")
+        heavy = "((3)^700)^1/2*(2)^1024"
+        before = _cache_state().currsize
+        assert parse(heavy) == parse(heavy)
+        assert parse(heavy) is not parse(heavy)
+        assert _cache_state().currsize == before
+
+    @pytest.mark.parametrize("text, error, offset", [
+        ("2^(j)*)", ParseError, 6), ("3^(j)", ParseError, 0),
+        ("(" * 40 + "2" + ")" * 40, DepthError, None),
+        ("0*2^(j)", PositivityError, None)])
+    def test_errors_repeat(self, text, error, offset):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as err:
+                parse(text)
+            raised.append((str(err.value), getattr(err.value, "offset", None)))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == offset
+
+    @pytest.mark.parametrize("arg, error", [
+        (None, AttributeError), ([], AttributeError), (b"2^(j)", TypeError)])
+    def test_non_str_takes_the_uncached_path(self, arg, error):
+        # the error is the one parse raised before it had a cache
+        before = _cache_state()
+        with pytest.raises(error):
+            parse(arg)
+        assert _cache_state() == before
+
+    def test_str_subclass_is_parsed_uncached(self):
+        class Text(str):
+            pass
+
+        before = _cache_state()
+        assert parse(Text("2^(13/17*j)")) == geometric(Fraction(13, 17))
+        assert _cache_state() == before
 
 
 class TestNormalForm:

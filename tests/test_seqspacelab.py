@@ -545,6 +545,17 @@ class TestEntropyBounds:
         s = sec((1.0, 2.0), (1, 2), 2, 2, 2, 2)
         assert entropy_lower(s, 3).value > 0.0
 
+    def test_lower_at_most_norm(self):
+        # the volume ratio read 0.6666666666666667 here, an ulp above the
+        # norm that entropy_upper returns at k = 1
+        s = sec((1.5,), (6,), 4, 1, 4, 2)
+        assert entropy_lower(s, 1).value <= entropy_upper(s, 1).value
+
+    @given(data=st.data())
+    def test_lower_below_upper_at_k1(self, data):
+        s, _ = data.draw(tie_sections())
+        assert entropy_lower(s, 1).value <= entropy_upper(s, 1).value
+
 
 class TestRateFit:
     def test_needs_two_levels(self):
