@@ -18,8 +18,7 @@ problems that scale F asks every question.  These are cached properties,
 not fields: they take no part in equality or hashing, and a problem from
 _replace derives its own.  EmbeddingProblem and Target are frozen records
 on seqdsl's _Record base, with hand-written constructors, so no command
-imports dataclasses.  Only entropy_rate reads Boyd indices, so it imports
-seqcore itself, and the section commands of the lab never load it.
+imports dataclasses.
 
 ext keeps the values of the MAX_EXT_CACHE exponent strings of at most
 MAX_CACHED_TEXT characters that it read most recently, and returns the same
@@ -52,7 +51,6 @@ from .seqdsl import (
     _Record,
     decompose,
     evaluate,
-    geometric,
     parse,
     power,
     product,
@@ -83,10 +81,8 @@ __all__ = [
 INF = math.inf
 ExtReal = Union[Fraction, float]
 
-# largest decimal exponent |e| that ext reads in a string such as "1e-30";
-# Fraction builds 10^e in full, so "1e99999999" would hang.  The limit is
-# Python's own bound on the digits of an int read from a string.
-MAX_DECIMAL_EXPONENT = 4300
+# ext reads a decimal exponent |e| in a string such as "1e-30" up to
+# MAX_NUMERAL_DIGITS; Fraction builds 10^e in full, so "1e99999999" would hang
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)$")
 _DIGIT_RUN = re.compile(r"[\d_]+")
 
@@ -100,7 +96,9 @@ def ext(x) -> ExtReal:
 
     A str of at most MAX_CACHED_TEXT characters goes through a cache of the
     MAX_EXT_CACHE strings read most recently, so reading it again returns
-    the same object."""
+    the same object.  A Fraction, not a subclass, comes back as itself."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, str):
         if type(x) is str and len(x) <= MAX_CACHED_TEXT:
             return _ext_text_cached(x)
@@ -125,10 +123,10 @@ def _ext_text(x: str) -> ExtReal:
     m = _DECIMAL_EXPONENT.search(s)
     if m:
         digits = m.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
-                int(digits or "0") > MAX_DECIMAL_EXPONENT:
+        if len(digits) > len(str(MAX_NUMERAL_DIGITS)) or \
+                int(digits or "0") > MAX_NUMERAL_DIGITS:
             raise ValueError(f"decimal exponent above the limit of "
-                             f"{MAX_DECIMAL_EXPONENT}")
+                             f"{MAX_NUMERAL_DIGITS}")
     if len(s) > MAX_NUMERAL_DIGITS and any(
             len(run) - run.count("_") > MAX_NUMERAL_DIGITS
             for run in _DIGIT_RUN.findall(s)):
@@ -341,10 +339,11 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
     """Criterion sequence and membership target deciding the given property.
 
     kind "compact": weight_ratio 2^(j d (1/p1 - 1/p2)) 2^(j d / p*) in
-    ell_{q*}; kind "nuclear": p* and q* replaced by the tong exponents of
-    (p1,p2) and (q1,q2), which needs Banach exponents.  Both are read off
-    problem.recips, and a zero reciprocal target exponent means c0.  The
-    problem derives each criterion once (compact_criterion,
+    ell_{q*}, that is weight_ratio with its rate shifted by
+    d (1/p1 - 1/p2 + 1/p*); kind "nuclear": p* and q* replaced by the tong
+    exponents of (p1,p2) and (q1,q2), which needs Banach exponents.  Both
+    are read off problem.recips, and a zero reciprocal target exponent
+    means c0.  The problem derives each criterion once (compact_criterion,
     nuclear_criterion); this reads it.
     """
     if kind == "compact":
@@ -355,15 +354,16 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
 
 
 def _criterion(problem: EmbeddingProblem, kind: str) -> tuple:
-    """The criterion of kind, built from problem.recips and weight_ratio."""
+    """The criterion of kind: weight_ratio with its rate shifted, which is
+    the normal form of its product with the geometric factor."""
     rp1, rq1, rp2, rq2 = problem.recips
     if kind == "compact":
         star, fine = _star_recip(rp1, rp2), _star_recip(rq1, rq2)
     else:
         _require_banach(problem)
         star, fine = _tong_recip(rp1, rp2), _tong_recip(rq1, rq2)
-    expr = product(problem.weight_ratio,
-                   geometric(problem.dim * (rp1 - rp2 + star)))
+    ratio = problem.weight_ratio
+    expr = ratio._replace(rate=ratio.rate + problem.dim * (rp1 - rp2 + star))
     target = Target("c0") if fine == 0 else Target("ell", 1 / fine)
     return expr, target
 
@@ -564,16 +564,15 @@ class RateFormula(NamedTuple):
 def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     """Entropy-number asymptotics of a compact embedding.
 
-    Non-limiting regime (reciprocal criterion almost strongly increasing):
-    e_k behaves like the weight ratio at frequency k^(1/dim).  Limiting
-    regimes are matched against the catalog of sharp results: pure-log for
-    equal p, the slowly-varying integral formula for q1 > q2, and the
-    three-branch coupled-log law for p1 < p2 with q2 <= q1.  Scale F reads
-    the B-sandwich: not-compact when its necessary side is not compact, the
-    law of both sides when they agree, else inconclusive.
+    The regime is read off the upper rate of the compact criterion, the
+    weight ratio with a shifted rate.  Non-limiting regime (upper rate
+    negative): e_k behaves like the weight ratio at frequency k^(1/dim).
+    Limiting regimes are matched against the catalog of sharp results:
+    pure-log for equal p, the slowly-varying integral formula for q1 > q2,
+    and the three-branch coupled-log law for p1 < p2 with q2 <= q1.  Scale
+    F reads the B-sandwich: not-compact when its necessary side is not
+    compact, the law of both sides when they agree, else inconclusive.
     """
-    from .seqcore import is_almost_strongly_increasing
-
     if problem.scale == "F":
         suff, nec = problem.b_sandwich
         law = entropy_rate(nec)
@@ -587,9 +586,8 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
                            "entropy-rate", ("embedding is not compact",))
 
     crit = decompose(crit)
-    asi = is_almost_strongly_increasing(power(crit, Fraction(-1)))
     ratio = decompose(problem.weight_ratio)
-    if asi.status == "yes":
+    if crit.rate_interval[1] < 0:
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
         if not ratio.osc:
             u = -ratio.rate / problem.dim

@@ -528,8 +528,9 @@ def canonicalize(e: SequenceExpr) -> SequenceProfile:
 # ---------------------------------------------------------------------------
 # rendering
 
-# a run of digits that parse refuses, as render would print it
-_LONG_NUMERAL = re.compile(r"[0-9]{%d}" % (MAX_NUMERAL_DIGITS + 1))
+# a run of digits that parse refuses, as render would print it; the match
+# starts only where a run starts, so a run of L digits costs O(L), not O(L^2)
+_LONG_NUMERAL = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_NUMERAL_DIGITS + 1))
 
 
 def render(e: SequenceExpr) -> str:

@@ -64,6 +64,19 @@ def oscillating_exprs(draw):
     return product(pw2(s0, s1), geometric(r)), s0, s1, r
 
 
+# factors of a parsed product, each of which takes an exponent: roots,
+# constant powers, tables, pw2 and explog factors among them; constants are
+# parenthesized and exponents written p/q, since a numeral before '/' reads
+# as a fraction (3/2^(j) asks for base 3/2, (1+j)^2/2^(j) for the exponent
+# 2/2)
+FOLD_FACTORS = ["2^(j)", "2^(-3/2*j)", "(1+j)^2/1", "(1+log(1+j))^-1/3",
+                "exp(1/2*log(1+j)^1/3)", "pw2(s0=0,s1=1)", "pw2(s0=1/2,s1=2)",
+                "(3)", "(12)", "(2)", "(5/4)", "(0.5)", "((3)^1/2)", "((12)^1/2)",
+                "2^(1/3)", "(table[1,2] then 2^(j))", "(table[3] then (1+j))",
+                "(table[1/2] then (3)^1/2*pw2(s0=0,s1=1))",
+                "((3)^1/2*2^(j))", "(2^(j)/(12)^1/2*(1+j))"]
+
+
 banach_exponents = st.sampled_from(
     [Fraction(1), Fraction(6, 5), Fraction(3, 2), Fraction(2), Fraction(3),
      Fraction(7), float("inf")])

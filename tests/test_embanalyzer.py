@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
 from gsembed import (
@@ -20,6 +20,7 @@ from gsembed import (
     entropy_rate,
     ext,
     geometric,
+    is_almost_strongly_increasing,
     log_power,
     membership_partial_sums,
     nuclearity,
@@ -27,13 +28,33 @@ from gsembed import (
     power,
     product,
     recip,
+    render,
     tong,
 )
 import gsembed.embanalyzer as embanalyzer
 
-from conftest import banach_exponents, canonical_exprs, oscillating_exprs
+from conftest import (FOLD_FACTORS, banach_exponents, canonical_exprs,
+                      oscillating_exprs, quasi_exponents, small_fractions)
 
 HALF = Fraction(1, 2)
+
+# products of up to three factors, each with an optional exponent p/q
+weights = st.lists(
+    st.tuples(st.sampled_from(FOLD_FACTORS), st.none() | small_fractions(-2, 2)),
+    min_size=1, max_size=3).map(lambda ts: "*".join(
+        f if r is None else f"{f}^{r.numerator}/{r.denominator}" for f, r in ts))
+
+
+def reference_criterion(problem, kind):
+    """The criterion as the product of weight_ratio and the geometric factor
+    2^(j dim (1/p1 - 1/p2 + 1/r)), with its target, from the public
+    exponent functions."""
+    gap = dual_star if kind == "compact" else tong
+    rate = problem.dim * (recip(problem.p1) - recip(problem.p2)
+                          + recip(gap(problem.p1, problem.p2)))
+    fine = gap(problem.q1, problem.q2)
+    target = Target("c0") if fine == INF else Target("ell", fine)
+    return product(problem.weight_ratio, geometric(rate)), target
 
 
 class TestExponentArithmetic:
@@ -73,6 +94,16 @@ class TestExponentArithmetic:
             got = ext(x)
             assert got == want and type(got) is type(want)
         assert cache.cache_info() == before
+
+    def test_ext_returns_a_fraction_itself(self):
+        q = Fraction(4, 3)
+        assert ext(q) is q
+
+        class Ratio(Fraction):
+            pass
+
+        got = ext(Ratio(4, 3))
+        assert got == q and type(got) is Fraction
 
     @pytest.mark.parametrize("text, error", [
         ("1/0", ZeroDivisionError), ("abc", ValueError), ("1e5000", ValueError),
@@ -276,6 +307,19 @@ class TestCriterionSequence:
             fq1, fq2 = v.evidence[f"{side}_fine_indices"]
             fresh = EmbeddingProblem(*weights, p1, fq1, p2, fq2, 1)
             assert (v.criterion, v.target) == criterion_sequence(fresh, "compact")
+
+    @pytest.mark.parametrize("kind, exponents", [("compact", quasi_exponents),
+                                                  ("nuclear", banach_exponents)])
+    @given(data=st.data(), sigma=weights, tau=weights, dim=st.integers(1, 3))
+    def test_criterion_is_the_ratio_with_shifted_rate(self, kind, exponents, data,
+                                                      sigma, tau, dim):
+        pr = EmbeddingProblem(sigma, tau, *(data.draw(exponents) for _ in range(4)),
+                              dim)
+        expr, target = criterion_sequence(pr, kind)
+        want_expr, want_target = reference_criterion(pr, kind)
+        assert (expr, target) == (want_expr, want_target)
+        assert render(expr) == render(want_expr)
+        assert expr._replace(rate=pr.weight_ratio.rate) == pr.weight_ratio
 
     def test_kind_checked(self):
         pr = EmbeddingProblem("1", "1", 1, 1, 1, 1, 1)
@@ -616,6 +660,23 @@ class TestEntropyRate:
         r = entropy_rate(EmbeddingProblem(sigma, tau, 2, 2, 2, 2, 1))
         assert (r.kind, r.k_exponent, r.log_exponent) == ("non-limiting", 1, 0)
         assert r.residual is None
+
+    @given(weights, weights, quasi_exponents, quasi_exponents, quasi_exponents,
+           quasi_exponents, st.integers(1, 3))
+    # compact, with rate -1 but upper rate 0: not non-limiting
+    @example("2^(j)", "pw2(s0=0,s1=1)", 2, 2, 2, 2, 1)
+    def test_non_limiting_is_the_boyd_decision(self, sigma, tau, p1, q1, p2, q2,
+                                               dim):
+        # the upper rate of the criterion decides what the lower Boyd index
+        # of its reciprocal does
+        pr = EmbeddingProblem(sigma, tau, p1, q1, p2, q2, dim)
+        law = entropy_rate(pr)
+        crit, target = criterion_sequence(pr, "compact")
+        if ellr_membership(crit, target).status == "fails":
+            assert law.kind == "not-compact"
+            return
+        asi = is_almost_strongly_increasing(power(decompose(crit), Fraction(-1)))
+        assert (law.kind == "non-limiting") == (asi.status == "yes")
 
     def test_not_compact(self):
         pr = EmbeddingProblem("1", "2^(j)", 2, 2, 2, 2, 1)

@@ -35,13 +35,16 @@ def test_no_unused_imports():
 
 def imported_modules(source: str) -> set:
     """The top-level package of every module that an absolute import
-    statement names, at top level or inside a function."""
+    statement names, and the module of the package that a relative one
+    names, at top level or inside a function."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        elif isinstance(node, ast.ImportFrom) and node.module:
             names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):  # from . import name
+            names.update(alias.name for alias in node.names)
     return names
 
 
@@ -55,6 +58,17 @@ def test_no_module_imports_dataclasses():
                for p in sorted((ROOT / "src/gsembed").glob("*.py"))}
     assert "fractions" in imports["seqdsl.py"]
     assert [name for name, mods in imports.items() if "dataclasses" in mods] == []
+
+
+def test_engine_and_lab_never_import_seqcore():
+    # seqcore serves the seq commands alone; the engine reads the sign of
+    # a criterion's rate, not its Boyd indices, so analyze, the lab and
+    # reproduce start without it
+    assert imported_modules("def f():\n    from .seqcore import boyd_indices\n"
+                            "from . import seqdsl\n") == {"seqcore", "seqdsl"}
+    imports = {name: imported_modules((ROOT / "src/gsembed" / name).read_text())
+               for name in ("cli.py", "embanalyzer.py", "seqspacelab.py", "corpus.py")}
+    assert [name for name, mods in imports.items() if "seqcore" in mods] == ["cli.py"]
 
 
 def private_definitions(path: Path) -> list:

@@ -34,7 +34,8 @@ from gsembed import seqdsl
 from gsembed.seqdsl import (MAX_CACHED_TEXT, MAX_EXPR_TOKENS, MAX_NUMERAL_DIGITS,
                            MAX_TABLE_ENTRIES, _lex)
 
-from conftest import canonical_exprs, oscillating_exprs, rates, small_fractions
+from conftest import (FOLD_FACTORS, canonical_exprs, oscillating_exprs, rates,
+                      small_fractions)
 
 # characters and words of the DSL and whitespace, Unicode spaces among it
 _DSL_PIECES = [
@@ -239,6 +240,16 @@ class TestParsing:
         e = parse("2^({0}*j)".format("9" * MAX_NUMERAL_DIGITS))
         assert parse(render(e)) == e
 
+    def test_render_checks_digit_runs_in_linear_time(self):
+        # the digit check may not restart at every digit of a run, which
+        # costs about 10^10 steps on these 4.3 MB
+        big = 10 ** (MAX_NUMERAL_DIGITS - 1)
+        e = table([big + i for i in range(1000)], const(1))
+        t0 = time.perf_counter()
+        text = render(e)
+        assert time.perf_counter() - t0 < 5.0
+        assert text.count(str(big + 999)) == 1
+
 
 def _cache_state():
     return seqdsl._parse_cached.cache_info()
@@ -358,16 +369,6 @@ class TestNormalForm:
         assert parse(f"{t}*2^(j)/{t}") == geometric(1)
 
 
-# factors of a parsed product, each of which takes an exponent; constants
-# are parenthesized and exponents written p/q, since a numeral before '/'
-# reads as a fraction (3/2^(j) asks for base 3/2, (1+j)^2/2^(j) for the
-# exponent 2/2)
-FOLD_FACTORS = ["2^(j)", "2^(-3/2*j)", "(1+j)^2/1", "(1+log(1+j))^-1/3",
-                "exp(1/2*log(1+j)^1/3)", "pw2(s0=0,s1=1)", "pw2(s0=1/2,s1=2)",
-                "(3)", "(12)", "(2)", "(5/4)", "(0.5)", "((3)^1/2)", "((12)^1/2)",
-                "2^(1/3)", "(table[1,2] then 2^(j))", "(table[3] then (1+j))",
-                "(table[1/2] then (3)^1/2*pw2(s0=0,s1=1))",
-                "((3)^1/2*2^(j))", "(2^(j)/(12)^1/2*(1+j))"]
 # exponents p/q, so that a '/' after them divides; the large ones reach
 # MAX_CONST_BITS on the constants
 fold_exponents = st.one_of(
