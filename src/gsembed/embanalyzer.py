@@ -141,7 +141,7 @@ _ext_text_cached = lru_cache(maxsize=MAX_EXT_CACHE)(_ext_text)
 def recip(x: ExtReal) -> ExtReal:
     """1/x on (0, inf], with 1/inf = 0 and 1/0 = inf, kept exact."""
     if isinstance(x, Fraction):  # the common case: no float comparison, no copy
-        return 1 / x if x else INF
+        return Fraction(x.denominator, x.numerator) if x else INF
     if x == INF:
         return Fraction(0)
     if x == 0:
@@ -156,7 +156,8 @@ def _exponent(name: str, x) -> ExtReal:
         v = ext(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{name}: {exc}") from None
-    if v != INF and v <= 0:
+    # ext returns an exact Fraction or a float infinity
+    if v.numerator <= 0 if type(v) is Fraction else v != INF:
         raise ValueError(f"{name} must be positive or inf, got {v}")
     return v
 

@@ -121,6 +121,29 @@ class TestExponentArithmetic:
         assert recip(Fraction(0)) == INF
         assert recip(Fraction(2, 3)) == Fraction(3, 2)
 
+    def test_recip_of_a_fraction_is_one_over_it(self):
+        # recip swaps numerator and denominator; the sign moves to the top
+        # and a subclass comes back as a plain Fraction, as 1 / x does
+        class Ratio(Fraction):
+            pass
+
+        for x in (Fraction(2, 3), Fraction(7), Fraction(-3, 2), Fraction(-1, 5),
+                  Ratio(4, 9), Ratio(-5, 2)):
+            got = recip(x)
+            assert got == 1 / x and type(got) is Fraction
+            assert got.denominator > 0
+        assert recip(Fraction(0)) == INF and recip(Ratio(0)) == INF
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(0), "p1 must be positive or inf, got 0"),
+        (Fraction(-3, 2), "p1 must be positive or inf, got -3/2"),
+        (-INF, "p1 must be positive or inf, got -inf"),
+        ("0", "p1 must be positive or inf, got 0")])
+    def test_exponent_error_texts(self, value, text):
+        with pytest.raises(ValueError) as err:
+            embanalyzer._exponent("p1", value)
+        assert str(err.value) == text
+
     @pytest.mark.parametrize("fn, args, want", [
         (recip, (2,), Fraction(1, 2)),
         (recip, (Fraction(4, 3),), Fraction(3, 4)),
