@@ -12,6 +12,10 @@ get one-sided truncated sup/inf estimates that are widened into a
 two-sided interval using the certified ratio envelope.
 The widening constant is calibrated so the interval contains the true
 index for canonical inputs with |log exponent| <= 8 at BOYD_DEPTH = 256.
+
+Its users are seq boyd/admissible/standardize, acceptance criteria 04 and
+05 (boyd_indices_numeric, equivalent), and gsbench's span table, which
+names boyd_indices, is_almost_strongly_increasing and certify_admissible.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .seqdsl import (
     decompose,
     evaluate,
     log2_value,
-    power,
     product,
     table,
 )
@@ -39,16 +42,13 @@ __all__ = [
     "BoydIndices",
     "EquivalenceResult",
     "AsiResult",
-    "ModulusConversion",
     "Standardized",
     "StandardizeError",
-    "ModulusRejected",
     "certify_admissible",
     "boyd_indices",
     "boyd_indices_numeric",
     "equivalent",
     "standardize",
-    "sequence_from_modulus",
     "is_almost_strongly_increasing",
 ]
 
@@ -59,12 +59,6 @@ BOYD_DEPTH = 256  # the numeric Boyd bracket scans w_0..w_BOYD_DEPTH
 class StandardizeError(ValueError):
     """standardize cannot resample: the growth scale or sigma is outside
     its scope, or kappa0 is too small or too large."""
-
-
-class ModulusRejected(Exception):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class AdmissibilityCertificate(NamedTuple):
@@ -84,11 +78,13 @@ class AdmissibilityCertificate(NamedTuple):
     strongly_increasing: bool
 
 
-def _certificate(log2_d0, log2_d1, window: int) -> AdmissibilityCertificate:
-    """The certificate of the proven bounds 2^log2_d0 and 2^log2_d1."""
-    d0 = 2.0 ** float(log2_d0)
-    return AdmissibilityCertificate(d0, 2.0 ** float(log2_d1), log2_d0, log2_d1,
-                                    window, True, d0 > 1)
+def _float(field: str, x, exp2: bool = False) -> float:
+    """float(x), or 2^x when exp2 is set.  A value past the float range
+    raises ValueError naming field, which the CLI prints as its error."""
+    try:
+        return 2.0 ** float(x) if exp2 else float(x)
+    except OverflowError:
+        raise ValueError(f"{field}: the result leaves the float range") from None
 
 
 def _ratio_log_range(d: SequenceExpr) -> tuple:
@@ -134,7 +130,8 @@ def certify_admissible(e: SequenceExpr, window: int = 8) -> AdmissibilityCertifi
     # table prefixes sit outside the structural proof; fold in the scan
     lo = min([lo, *ratios], key=float)
     hi = max([hi, *ratios], key=float)
-    return _certificate(lo, hi, J)
+    d0 = _float("d0", lo, exp2=True)
+    return AdmissibilityCertificate(d0, _float("d1", hi, exp2=True), lo, hi, J, True, d0 > 1)
 
 
 def _max_prefix_len(e: SequenceExpr) -> int:
@@ -164,12 +161,8 @@ def boyd_indices(e: SequenceExpr) -> BoydIndices:
     """
     if not e.tables:
         lo, hi = e.rate_interval
-        return BoydIndices(
-            lower=lo, upper=hi,
-            lower_bracket=(float(lo), float(lo)),
-            upper_bracket=(float(hi), float(hi)),
-            exact=True, depth=BOYD_DEPTH,
-        )
+        flo, fhi = _float("lower_bracket", lo), _float("upper_bracket", hi)
+        return BoydIndices(True, lo, hi, (flo, flo), (fhi, fhi), BOYD_DEPTH)
     return boyd_indices_numeric(e)
 
 
@@ -337,52 +330,6 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
         cont = product(const(pin), cont)
 
     return Standardized(table(prefix_vals, cont), kappa0)
-
-
-class ModulusConversion(NamedTuple):
-    sequence: SequenceExpr
-    certificate: AdmissibilityCertificate
-    level: float  # exponent L of the polynomial envelope
-
-
-_MODULUS_LEVEL_CAP = 64.0
-
-
-def sequence_from_modulus(omega: SequenceExpr) -> ModulusConversion:
-    """Convert a modulus-type function into an admissible sequence.
-
-    omega is given in resampled form: entry j holds the value at t = 2^-j,
-    t in (0,1].  The returned sequence is sigma_j = 1/omega(2^-j) together
-    with a certificate d0 = 2^-L, d1 = 2^L derived from the two-sided
-    polynomial envelope that the conversion requires.  Inputs whose window
-    ratios force L beyond the cap are rejected with a witness pair (t1,t2).
-    """
-    sigma = power(omega, Fraction(-1))
-    cert = certify_admissible(sigma, window=16)
-    # the level stays exact when both ratio bounds are, so the returned
-    # bounds are never tighter than the certified ones
-    level = max(cert.log2_d1, -cert.log2_d0, Fraction(0))
-    L = float(level)
-    if L > _MODULUS_LEVEL_CAP:
-        j = _extreme_ratio_index(sigma, cert.window)
-        raise ModulusRejected(
-            f"modulus violates the polynomial envelope (needs level {L:.3g})",
-            witness=(2.0 ** -(j + 1), 2.0 ** -j),
-        )
-    return ModulusConversion(sequence=sigma,
-                             certificate=_certificate(-level, level, cert.window),
-                             level=L)
-
-
-def _extreme_ratio_index(e: SequenceExpr, window: int) -> int:
-    best_j, best = 0, -1.0
-    prev = float(log2_value(e, 0))
-    for j in range(window):
-        cur = float(log2_value(e, j + 1))
-        if abs(cur - prev) > best:
-            best, best_j = abs(cur - prev), j
-        prev = cur
-    return best_j
 
 
 class AsiResult(NamedTuple):

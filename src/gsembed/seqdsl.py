@@ -213,9 +213,9 @@ class SequenceExpr(_Record):
     the fractional parts, in (0, 1), of non-integer constant powers, whose
     whole parts are folded into const, so (3)^-1/2 is 1/3 * (3)^1/2; roots
     and explog ((kappa, c), ...) are sorted; tables
-    ((prefix, continuation, e), ...) are sorted by prefix, then by rendered
-    continuation; no exponent is zero.  pw2(s0,s1) adds s0 to rate and
-    s1 - s0 to osc.
+    ((prefix, continuation, e), ...) are sorted by prefix, then by
+    continuation in the order of __lt__; no exponent is zero.  pw2(s0,s1)
+    adds s0 to rate and s1 - s0 to osc.
     """
 
     _fields = ("const", "roots", "rate", "log_exp", "iterlog", "explog",
@@ -228,6 +228,12 @@ class SequenceExpr(_Record):
         d = self.__dict__
         d["const"], d["roots"], d["rate"], d["log_exp"] = const, roots, rate, log_exp
         d["iterlog"], d["explog"], d["osc"], d["tables"] = iterlog, explog, osc, tables
+
+    def __lt__(self, other):
+        """Field by field, nested tables' continuations too: a total order."""
+        if other.__class__ is self.__class__:
+            return self._values(self) < self._values(other)
+        return NotImplemented
 
     def depth(self) -> int:
         return 1 + max((cont.depth() for _, cont, _ in self.tables), default=0)
@@ -365,9 +371,9 @@ def _combine(terms) -> SequenceExpr:
             expo = expo - whole
         if expo:
             kept.append((base, expo))
+    # (prefix, continuation) is a dict key, unique, so e is never compared
     tabs = [(pref, cont, e) for (pref, cont), e in tables.items() if e]
-    if len(tabs) > 1:
-        tabs.sort(key=lambda t: (t[0], render(t[1])))
+    tabs.sort()
     return SequenceExpr(
         const_, tuple(kept), rate, log_exp, iterlog,
         tuple(sorted((k, c) for k, c in explog.items() if c)),

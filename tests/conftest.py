@@ -72,7 +72,8 @@ def oscillating_exprs(draw):
 FOLD_FACTORS = ["2^(j)", "2^(-3/2*j)", "(1+j)^2/1", "(1+log(1+j))^-1/3",
                 "exp(1/2*log(1+j)^1/3)", "pw2(s0=0,s1=1)", "pw2(s0=1/2,s1=2)",
                 "(3)", "(12)", "(2)", "(5/4)", "(0.5)", "((3)^1/2)", "((12)^1/2)",
-                "2^(1/3)", "(table[1,2] then 2^(j))", "(table[3] then (1+j))",
+                "2^(1/3)", "(table[1,2] then 2^(j))", "(table[1,2] then (1+j)^-2)",
+                "(table[3] then (1+j))",
                 "(table[1/2] then (3)^1/2*pw2(s0=0,s1=1))",
                 "((3)^1/2*2^(j))", "(2^(j)/(12)^1/2*(1+j))"]
 

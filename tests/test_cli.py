@@ -138,6 +138,17 @@ class TestSeq:
         jsonschema.validate(doc, schemas.ADMISSIBLE_SCHEMA)
         assert doc["exact"]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["admissible", "2^(2000*j)"], "d0: the result leaves the float range"),
+        (["boyd", f"2^({'9' * 400}*j)"], "lower_bracket: the result leaves the float range"),
+    ], ids=["admissible-d0", "boyd-bracket"])
+    def test_float_overflow_names_the_field(self, capsys, argv, error):
+        # the exact bound is a Fraction; only its float field overflows
+        code, doc = invoke(capsys, "seq", *argv)
+        assert code == 1
+        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
+        assert doc["error"] == error
+
     def test_standardize_roundtrip(self, capsys):
         code, doc = invoke(capsys, "seq", "standardize", "2^(1/2*j)",
                            "--growth", "2^(j)")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from gsembed import (
-    ModulusRejected,
     StandardizeError,
     boyd_indices,
     boyd_indices_numeric,
@@ -22,7 +21,6 @@ from gsembed import (
     product,
     pw2,
     render,
-    sequence_from_modulus,
     standardize,
     table,
 )
@@ -237,29 +235,6 @@ class TestStandardize:
     def test_rejects_oscillating_sigma(self):
         with pytest.raises(StandardizeError):
             standardize(pw2(0, 1), parse("2^(j)"))
-
-
-class TestModulus:
-    def test_round_trip(self):
-        sigma = parse("2^(2/3*j)*(1+j)^-1")
-        conv = sequence_from_modulus(power(sigma, Fraction(-1)))
-        assert equivalent(conv.sequence, sigma).status == "yes"
-        assert conv.level < 2
-
-    def test_certificate_never_tighter_than_rate(self):
-        # a large-denominator rate is where a nearest-fraction rounding of
-        # the level falls below the true ratio exponent
-        rate = Fraction(2367687598, 53491402865)
-        cert = sequence_from_modulus(geometric(-rate)).certificate
-        assert cert.log2_d1 >= rate
-        assert cert.log2_d0 <= -rate
-
-    def test_rejects_steep_modulus(self):
-        with pytest.raises(ModulusRejected) as ei:
-            sequence_from_modulus(geometric(-100))
-        assert ei.value.witness is not None
-        t1, t2 = ei.value.witness
-        assert 0 < t1 < t2 <= 1
 
 
 class TestAsi:

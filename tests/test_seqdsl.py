@@ -90,6 +90,9 @@ class TestParsing:
         assert evaluate(e, 0) == 1.0
         assert evaluate(e, 2) == 4.0
         assert evaluate(e, 3) == 8.0  # continuation takes over at its own index
+        # equal prefixes, and continuations past render's digit limit
+        e = parse("(table[1] then (3)^20000)*(table[1] then (5)^20000)")
+        assert [cont.const for _, cont, _ in e.tables] == [3 ** 20000, 5 ** 20000]
 
     @pytest.mark.parametrize("text, offset", [
         ("0." + "0" * 10**6 + "1", 0),
@@ -337,10 +340,34 @@ class TestNormalForm:
         b = parse("(table[2] then 1)*(table[1] then 2^(j))")
         assert a == b
         assert render(a) == render(b) == "(table[1] then 2^(1*j)) * (table[2] then 1)"
-        # equal prefixes: the rendered continuation breaks the tie
+        # equal prefixes: the continuation breaks the tie, field by field
         c = parse("(table[1] then 2^(j))*(table[1] then 1)")
         assert c == parse("(table[1] then 1)*(table[1] then 2^(j))")
+        assert render(c) == "(table[1] then 1) * (table[1] then 2^(1*j))"
         assert parse(render(c)) == c
+
+    def test_tables_are_ordered_without_render(self, monkeypatch):
+        def refuse(e):
+            raise AssertionError("the normal form rendered an expression")
+
+        monkeypatch.setattr(seqdsl, "render", refuse)
+        texts = ["(table[1] then 2^(j))", "(table[1] then (3)^1/2*2^(j))",
+                 "(table[1] then (table[2] then (1+j)))", "(table[1] then 1)"]
+        # _parse reads past parse's cache, so every product is built here
+        a = seqdsl._parse("*".join(texts))
+        b = seqdsl._parse("*".join(reversed(texts)))
+        assert a == b and len(a.tables) == 4
+        assert product(a, power(b, Fraction(-1, 2))) == power(a, Fraction(1, 2))
+        assert product(*map(seqdsl._parse, reversed(texts))) == a
+
+    @given(st.permutations(FOLD_FACTORS))
+    def test_factor_order_is_free(self, factors):
+        # FOLD_FACTORS holds two tables with the prefix [1,2], so their
+        # continuations decide their order
+        e = parse("*".join(factors))
+        assert e == parse("*".join(FOLD_FACTORS))
+        assert render(e) == render(parse("*".join(FOLD_FACTORS)))
+        assert parse(render(e)) == e
 
     @given(st.lists(st.tuples(small_fractions(0, 2), small_fractions(1, 3).filter(bool),
                               small_fractions(-2, 2)), min_size=1, max_size=4), rates)
