@@ -51,20 +51,19 @@ BOYD_SCHEMA = {
         "exact": {"type": "boolean"},
         "lower": {"type": ["string", "null"]},
         "upper": {"type": ["string", "null"]},
-        "lower_bracket": {"type": "array", "items": {"type": "number"}},
-        "upper_bracket": {"type": "array", "items": {"type": "number"}},
-        "depth": {"type": "integer"},
+        "lower_bracket": {"type": ["array", "null"], "items": {"type": "number"}},
+        "upper_bracket": {"type": ["array", "null"], "items": {"type": "number"}},
+        "depth": {"type": ["integer", "null"]},
     },
 }
 
 ADMISSIBLE_SCHEMA = {
     "type": "object",
-    "required": ["d0", "d1", "window", "exact"],
+    "required": ["log2_d0", "log2_d1", "window"],
     "properties": {
-        "d0": {"type": "number"},
-        "d1": {"type": "number"},
+        "log2_d0": NUMBER_OR_STRING,
+        "log2_d1": NUMBER_OR_STRING,
         "window": {"type": "integer"},
-        "exact": {"type": "boolean"},
         "strongly_increasing": {"type": "boolean"},
     },
 }

@@ -9,7 +9,8 @@ are the admissible ones; their upper/lower Boyd indices
 measure extreme growth along shifted windows.  For expressions whose
 structure is fully visible the indices come out exact; table-wrapped inputs
 get one-sided truncated sup/inf estimates that are widened into a
-two-sided interval using the certified ratio envelope.
+two-sided interval using the certified ratio envelope.  Exact bounds stay
+exact: ratio bounds are reported as log2(d0) and log2(d1), never as powers.
 The widening constant is calibrated so the interval contains the true
 index for canonical inputs with |log exponent| <= 8 at BOYD_DEPTH = 256.
 
@@ -62,29 +63,16 @@ class StandardizeError(ValueError):
 
 
 class AdmissibilityCertificate(NamedTuple):
-    """Two-sided bound on consecutive ratios over all indices.
+    """log2_d0 <= log2(w_{j+1}/w_j) <= log2_d1 for every j, each a Fraction
+    whenever every part of it is exact.  The normal form proves the bound
+    for the table-free tail; window counts the ratios that touch a table
+    prefix and were scanned (0 without tables).  strongly_increasing is
+    log2_d0 > 0, read exactly."""
 
-    The bound is proven structurally (exact=True), so it holds for every j,
-    not just the scanned window; log2_d0/log2_d1 are Fractions whenever
-    every part of the bound is exact.  strongly_increasing is d0 > 1.
-    """
-
-    d0: float
-    d1: float
     log2_d0: Union[Fraction, float]
     log2_d1: Union[Fraction, float]
     window: int
-    exact: bool
     strongly_increasing: bool
-
-
-def _float(field: str, x, exp2: bool = False) -> float:
-    """float(x), or 2^x when exp2 is set.  A value past the float range
-    raises ValueError naming field, which the CLI prints as its error."""
-    try:
-        return 2.0 ** float(x) if exp2 else float(x)
-    except OverflowError:
-        raise ValueError(f"{field}: the result leaves the float range") from None
 
 
 def _ratio_log_range(d: SequenceExpr) -> tuple:
@@ -115,23 +103,21 @@ def _ratio_log_range(d: SequenceExpr) -> tuple:
     return lo, hi
 
 
-def certify_admissible(e: SequenceExpr, window: int = 8) -> AdmissibilityCertificate:
-    """Certified (d0, d1) with d0 <= all consecutive ratios <= d1.
+def certify_admissible(e: SequenceExpr) -> AdmissibilityCertificate:
+    """Certified (log2_d0, log2_d1) with d0 <= all consecutive ratios <= d1.
 
-    window >= 8; table prefixes are always scanned in full so the returned
-    bound covers every index, not only the asymptotic part.
+    The ratios that touch a table prefix are scanned and folded in; the
+    float key keeps the structural bound on a float tie, which an exact
+    comparison would lose to the scan's rounding.
     """
-    if window < 8:
-        raise ValueError("window must be >= 8")
-    J = max(window, _max_prefix_len(e) + 2)
-    logs = [log2_value(e, j) for j in range(J + 1)]
-    ratios = [_add(logs[j + 1], -logs[j]) for j in range(J)]
     lo, hi = _ratio_log_range(decompose(e))
-    # table prefixes sit outside the structural proof; fold in the scan
-    lo = min([lo, *ratios], key=float)
-    hi = max([hi, *ratios], key=float)
-    d0 = _float("d0", lo, exp2=True)
-    return AdmissibilityCertificate(d0, _float("d1", hi, exp2=True), lo, hi, J, True, d0 > 1)
+    J = _max_prefix_len(e) + 2 if e.tables else 0
+    if J:
+        logs = [log2_value(e, j) for j in range(J + 1)]
+        ratios = [_add(logs[j + 1], -logs[j]) for j in range(J)]
+        lo = min([lo, *ratios], key=float)
+        hi = max([hi, *ratios], key=float)
+    return AdmissibilityCertificate(lo, hi, J, lo > 0)
 
 
 def _max_prefix_len(e: SequenceExpr) -> int:
@@ -140,15 +126,15 @@ def _max_prefix_len(e: SequenceExpr) -> int:
 
 
 class BoydIndices(NamedTuple):
-    """lower/upper are exact rationals when exact=True; the bracket fields
-    are always populated (degenerate intervals in the exact case)."""
+    """Either exact (lower/upper are rationals, the bracket fields None) or
+    bracketed by a numeric scan of depth terms (lower/upper None)."""
 
     exact: bool
     lower: Optional[Fraction]
     upper: Optional[Fraction]
-    lower_bracket: tuple
-    upper_bracket: tuple
-    depth: int
+    lower_bracket: Optional[tuple]
+    upper_bracket: Optional[tuple]
+    depth: Optional[int]
 
 
 def boyd_indices(e: SequenceExpr) -> BoydIndices:
@@ -160,9 +146,7 @@ def boyd_indices(e: SequenceExpr) -> BoydIndices:
     clips it to the certified ratio envelope.
     """
     if not e.tables:
-        lo, hi = e.rate_interval
-        flo, fhi = _float("lower_bracket", lo), _float("upper_bracket", hi)
-        return BoydIndices(True, lo, hi, (flo, flo), (fhi, fhi), BOYD_DEPTH)
+        return BoydIndices(True, *e.rate_interval, None, None, None)
     return boyd_indices_numeric(e)
 
 
@@ -178,7 +162,7 @@ def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
         diffs = [logs[j + k] - logs[k] for k in range(K - j + 1)]
         alpha_est = min(alpha_est, max(diffs) / j)
         beta_est = max(beta_est, min(diffs) / j)
-    cert = certify_admissible(e, window=min(K, 64))
+    cert = certify_admissible(e)
     env_lo, env_hi = float(cert.log2_d0), float(cert.log2_d1)
     # slowly varying factors drift the windowed slopes by at most their
     # one-step envelope spread times log2(1+j)/j, so widening by that much
@@ -199,8 +183,8 @@ def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
 
 class EquivalenceResult(NamedTuple):
     status: str  # yes | no | undecided
-    c_lower: Optional[float]
-    c_upper: Optional[float]
+    log2_c_lower: Optional[float]
+    log2_c_upper: Optional[float]
     witness: Optional[int]
     window: int
 
@@ -208,25 +192,22 @@ class EquivalenceResult(NamedTuple):
 def equivalent(e1: SequenceExpr, e2: SequenceExpr) -> EquivalenceResult:
     """Decide whether e1 and e2 stay within constant factors of each other.
 
-    yes carries band constants from the scanned window (the first 32 terms
-    and every table prefix) inflated by 10%; no carries a witness index
-    where the ratio leaves that band.  The verdict itself comes from exact
-    structure.
+    yes carries the log2 band of e1/e2 over the scanned window (the first
+    32 terms and every table prefix) widened by log2(1.1) on each side; no
+    carries a witness index where the ratio leaves that band.  The verdict
+    itself comes from exact structure.
     """
     J = max(32, _max_prefix_len(e1) + 2, _max_prefix_len(e2) + 2)
-    qs = [_add(log2_value(e1, j), -log2_value(e2, j)) for j in range(J)]
-    qmin, qmax = min(qs, key=float), max(qs, key=float)
-    c_lower = 2.0 ** float(qmin) / 1.1
-    c_upper = 2.0 ** float(qmax) * 1.1
+    qs = [float(_add(log2_value(e1, j), -log2_value(e2, j))) for j in range(J)]
+    band_lo, band_hi = min(qs) - math.log2(1.1), max(qs) + math.log2(1.1)
 
     # explicit prefixes touch finitely many entries, so the structural
-    # verdict belongs to the stripped tails; the band constants above
-    # already cover the prefix range (J >= prefix length + 2).  Constant
-    # factors never change the class, so const and roots are ignored.
+    # verdict belongs to the stripped tails; the band above already covers
+    # the prefix range (J >= prefix length + 2).  Constant factors never
+    # change the class, so const and roots are ignored.
     if decompose(e1)._replace(const=Fraction(1), roots=()) == \
             decompose(e2)._replace(const=Fraction(1), roots=()):
-        return EquivalenceResult("yes", c_lower, c_upper, None, J)
-    band_lo, band_hi = float(qmin) - math.log2(1.1), float(qmax) + math.log2(1.1)
+        return EquivalenceResult("yes", band_lo, band_hi, None, J)
     j = max(J, 1)
     for _ in range(220):
         q = float(log2_value(e1, j)) - float(log2_value(e2, j))
@@ -267,7 +248,7 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     than MAX_TABLE_ENTRIES is refused.  Requires a decomposable sigma and a
     decomposable, oscillation-free growth scale.
     """
-    cert = certify_admissible(growth, 8)
+    cert = certify_admissible(growth)
     if not cert.strongly_increasing:
         raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
     if kappa0 is None:  # the least kappa0 with kappa0 * log2(d0) >= 1

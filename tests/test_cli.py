@@ -119,6 +119,8 @@ class TestSeq:
         jsonschema.validate(doc, schemas.BOYD_SCHEMA)
         assert doc["exact"]
         assert doc["lower"] == "0" and doc["upper"] == "1"
+        # brackets and depth describe a numeric scan, which did not run
+        assert doc["lower_bracket"] is doc["upper_bracket"] is doc["depth"] is None
         # the oscillations cancel: the sequence is the constant 1
         code, doc = invoke(capsys, "seq", "boyd", "pw2(s0=0,s1=3)*(pw2(s0=0,s1=6))^-1/2")
         assert code == 0
@@ -136,18 +138,27 @@ class TestSeq:
         code, doc = invoke(capsys, "seq", "admissible", "2^(j)*(1+j)")
         assert code == 0
         jsonschema.validate(doc, schemas.ADMISSIBLE_SCHEMA)
-        assert doc["exact"]
+        # the ratio of 2^j (1+j) falls from 4 at j = 0 towards 2
+        assert (doc["log2_d0"], doc["log2_d1"]) == ("1", "2")
+        assert doc["window"] == 0 and doc["strongly_increasing"]
 
-    @pytest.mark.parametrize("argv, error", [
-        (["admissible", "2^(2000*j)"], "d0: the result leaves the float range"),
-        (["boyd", f"2^({'9' * 400}*j)"], "lower_bracket: the result leaves the float range"),
-    ], ids=["admissible-d0", "boyd-bracket"])
-    def test_float_overflow_names_the_field(self, capsys, argv, error):
-        # the exact bound is a Fraction; only its float field overflows
+    @pytest.mark.parametrize("argv, shown", [
+        (["admissible", f"2^({'9' * 400}*j)"],
+         {"log2_d0": "9" * 400, "log2_d1": "9" * 400, "window": 0}),
+        (["boyd", f"2^({'9' * 400}*j)"], {"lower": "9" * 400, "upper": "9" * 400}),
+        (["admissible", "2^(-2000*j)"],
+         {"log2_d0": "-2000", "log2_d1": "-2000", "strongly_increasing": False}),
+        (["boyd", "table[1,2] then 2^(2000*j)"], {"exact": False, "depth": 256}),
+    ], ids=["admissible-d0", "boyd-bracket", "admissible-d1-underflow", "boyd-table"])
+    def test_float_overflow_names_the_field(self, capsys, argv, shown):
+        # exact bounds print as rationals, never as float powers, so no
+        # field leaves the float range (or underflows to 0.0)
         code, doc = invoke(capsys, "seq", *argv)
-        assert code == 1
-        jsonschema.validate(doc, schemas.ERROR_SCHEMA)
-        assert doc["error"] == error
+        assert code == 0
+        jsonschema.validate(doc, schemas.ADMISSIBLE_SCHEMA if argv[0] == "admissible"
+                            else schemas.BOYD_SCHEMA)
+        assert {k: doc[k] for k in shown} == shown
+        assert not {"d0", "d1"} & set(doc)
 
     def test_standardize_roundtrip(self, capsys):
         code, doc = invoke(capsys, "seq", "standardize", "2^(1/2*j)",
@@ -585,8 +596,7 @@ DOCUMENT_KEYS = {
     "seq-boyd": (["seq", "boyd", "2^(j)"], {(): {
         "exact", "lower", "upper", "lower_bracket", "upper_bracket", "depth"}}),
     "seq-admissible": (["seq", "admissible", "2^(j)"], {(): {
-        "d0", "d1", "log2_d0", "log2_d1", "window", "exact",
-        "strongly_increasing"}}),
+        "log2_d0", "log2_d1", "window", "strongly_increasing"}}),
     "seq-standardize": (["seq", "standardize", "2^(1/2*j)", "--growth", "2^(j)"],
                         {(): {"result", "kappa0"}}),
     "analyze-compact": (ANALYZE + ["compact"], {
@@ -846,6 +856,14 @@ class TestDslFuzz:
         code, doc = run_fuzzed(["seq", command, "--", text])
         assert code in (0, 1)
         jsonschema.validate(doc, schema if code == 0 else schemas.ERROR_SCHEMA)
+        if command == "boyd":
+            # a table-free text that parses has exact indices, those of its
+            # profile
+            _, profile = run_fuzzed(["seq", "parse", "--", text])
+            if "error" not in profile and "table" not in profile["expr"]:
+                assert code == 0 and doc["exact"]
+                assert (doc["lower"], doc["upper"]) == \
+                    (profile["boyd_lower"], profile["boyd_upper"])
 
     @settings(max_examples=25)
     @given(text=dsl_texts, growth=dsl_texts,

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from gsembed import (
     StandardizeError,
@@ -15,6 +17,7 @@ from gsembed import (
     geometric,
     is_almost_strongly_increasing,
     iter_log,
+    log2_value,
     log_power,
     parse,
     power,
@@ -25,60 +28,59 @@ from gsembed import (
     table,
 )
 
-from gsembed.seqdsl import MAX_TABLE_ENTRIES
+from gsembed.seqdsl import MAX_TABLE_ENTRIES, _add
 
-from conftest import canonical_exprs, oscillating_exprs
+from conftest import FOLD_FACTORS, canonical_exprs, oscillating_exprs, small_fractions
+
+# products of one to four FOLD_FACTORS (tables among them) under powers
+fold_products = st.lists(st.tuples(st.sampled_from(FOLD_FACTORS), small_fractions(-2, 2)),
+                         min_size=1, max_size=4).map(
+    lambda fs: product(*(power(parse(f), x) for f, x in fs)))
 
 
 class TestAdmissibility:
     def test_geometric_exact(self):
         cert = certify_admissible(geometric(Fraction(3, 2)))
-        assert cert.exact
         assert cert.log2_d0 == cert.log2_d1 == Fraction(3, 2)
         assert cert.strongly_increasing
+        assert cert.window == 0  # no table, nothing scanned
 
     def test_log_factor_widens_above(self):
         # ratio of 2^j (1+j): largest at j=0 (factor 4), tending to 2
         cert = certify_admissible(parse("2^(j)*(1+j)"))
-        assert cert.exact
         assert cert.log2_d0 == 1
         assert cert.log2_d1 == 2
 
     def test_decreasing_log(self):
         # (1+j)^-1 has increasing ratios approaching 1 from below
         cert = certify_admissible(parse("(1+j)^-1"))
-        assert cert.exact
         assert cert.log2_d1 == 0
         assert cert.log2_d0 == -1
         assert not cert.strongly_increasing
 
     def test_pw2_range(self):
         cert = certify_admissible(pw2(0, 1))
-        assert cert.exact
         assert cert.log2_d0 == 0 and cert.log2_d1 == 1
 
     def test_table_spike_seen(self):
         e = table([1, 100, 1], geometric(1))
         cert = certify_admissible(e)
-        assert cert.d1 == pytest.approx(100.0)
-        assert cert.d0 == pytest.approx(1.0 / 100.0)
+        assert cert.log2_d1 == pytest.approx(math.log2(100))
+        assert cert.log2_d0 == pytest.approx(-math.log2(100))
+        assert cert.window == 5  # the ratios up to one past the prefix
 
-    def test_window_floor(self):
-        with pytest.raises(ValueError):
-            certify_admissible(geometric(1), window=2)
-
-    @given(canonical_exprs())
-    def test_certificate_bounds_observed_ratios(self, triple):
-        e, _, _ = triple
+    @given(canonical_exprs().map(lambda triple: triple[0]) | fold_products)
+    def test_certificate_bounds_observed_ratios(self, e):
+        # only the ratios that touch a table prefix are scanned; the normal
+        # form has to bound every later one
         cert = certify_admissible(e)
-        import gsembed
-
-        prev = gsembed.log2_value(e, 0)
-        for j in range(1, 24):
-            cur = gsembed.log2_value(e, j)
-            r = float(cur) - float(prev)
-            assert float(cert.log2_d0) - 1e-9 <= r <= float(cert.log2_d1) + 1e-9
-            prev = cur
+        logs = [log2_value(e, j) for j in range(301)]
+        for prev, cur in zip(logs, logs[1:]):
+            r = _add(cur, -prev)
+            if all(isinstance(x, Fraction) for x in (r, cert.log2_d0, cert.log2_d1)):
+                assert cert.log2_d0 <= r <= cert.log2_d1
+            else:
+                assert float(cert.log2_d0) - 1e-9 <= float(r) <= float(cert.log2_d1) + 1e-9
 
 
 class TestBoyd:
@@ -130,7 +132,11 @@ class TestEquivalence:
         e = parse("2^(j)*(1+j)^-1")
         r = equivalent(product(const(Fraction(7, 3)), e), e)
         assert r.status == "yes"
-        assert r.c_lower <= 7 / 3 <= r.c_upper
+        assert r.log2_c_lower <= math.log2(7 / 3) <= r.log2_c_upper
+
+    def test_fast_growth_against_a_constant(self):
+        # the band stays in log2, so a ratio of 2^3100 does not overflow
+        assert equivalent(parse("2^(100*j)"), const(1)).status == "no"
 
     def test_log_divergence(self):
         r = equivalent(parse("2^(j)"), parse("2^(j)*(1+j)"))
