@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--j", type=int, nargs="+", help="indices (default 0..16)")
     se.set_defaults(func=_cmd_seq_eval)
 
-    sb = seqsub.add_parser("boyd", help="Boyd indices, exact or bracketed")
+    sb = seqsub.add_parser("boyd", help="exact Boyd indices")
     sb.add_argument("expr")
     sb.set_defaults(func=_cmd_seq_boyd)
 
@@ -344,6 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():  # argparse reads "--name=--" as []
+            if value == []:
+                raise ValueError(f"argument --{name.replace('_', '-')}: expected a value")
         result, code = args.func(args)
         # a result beyond the float range (inf or nan) is an error too
         text = json.dumps(_jsonable(result), indent=2, allow_nan=False)

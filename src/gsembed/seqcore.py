@@ -6,13 +6,12 @@ are the admissible ones; their upper/lower Boyd indices
     upper = lim_j log2(sup_k w_{j+k}/w_k) / j
     lower = lim_j log2(inf_k w_{j+k}/w_k) / j
 
-measure extreme growth along shifted windows.  For expressions whose
-structure is fully visible the indices come out exact; table-wrapped inputs
-get one-sided truncated sup/inf estimates that are widened into a
-two-sided interval using the certified ratio envelope.  Exact bounds stay
-exact: ratio bounds are reported as log2(d0) and log2(d1), never as powers.
-The widening constant is calibrated so the interval contains the true
-index for canonical inputs with |log exponent| <= 8 at BOYD_DEPTH = 256.
+measure extreme growth along shifted windows.  Both are tail quantities:
+a finite table prefix moves sup_k w_{j+k}/w_k by a bounded factor only, so
+every index, and every equivalence verdict, is read off the table-free
+normal form decompose(e), exactly.  Ratio bounds are reported as log2(d0)
+and log2(d1), never as powers.  boyd_indices_numeric, a window scan of
+BOYD_DEPTH terms, is kept as an independent check of the exact indices.
 
 Its users are seq boyd/admissible/standardize, acceptance criteria 04 and
 05 (boyd_indices_numeric, equivalent), and gsbench's span table, which
@@ -22,6 +21,7 @@ names boyd_indices, is_almost_strongly_increasing and certify_admissible.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -106,18 +106,23 @@ def _ratio_log_range(d: SequenceExpr) -> tuple:
 def certify_admissible(e: SequenceExpr) -> AdmissibilityCertificate:
     """Certified (log2_d0, log2_d1) with d0 <= all consecutive ratios <= d1.
 
-    The ratios that touch a table prefix are scanned and folded in; the
-    float key keeps the structural bound on a float tie, which an exact
-    comparison would lose to the scan's rounding.
+    The ratios that touch a table prefix are scanned and folded in,
+    compared by _key, so the structural bound wins a float tie, which an
+    exact comparison would lose to the scan's rounding.
     """
     lo, hi = _ratio_log_range(decompose(e))
     J = _max_prefix_len(e) + 2 if e.tables else 0
     if J:
         logs = [log2_value(e, j) for j in range(J + 1)]
         ratios = [_add(logs[j + 1], -logs[j]) for j in range(J)]
-        lo = min([lo, *ratios], key=float)
-        hi = max([hi, *ratios], key=float)
+        lo = min([lo, *ratios], key=_key)
+        hi = max([hi, *ratios], key=_key)
     return AdmissibilityCertificate(lo, hi, J, lo > 0)
+
+
+def _key(x: Union[Fraction, float]) -> Union[Fraction, float]:
+    """float(x) where it fits a float, else x, which compares exactly."""
+    return float(x) if abs(x) <= sys.float_info.max else x
 
 
 def _max_prefix_len(e: SequenceExpr) -> int:
@@ -126,8 +131,9 @@ def _max_prefix_len(e: SequenceExpr) -> int:
 
 
 class BoydIndices(NamedTuple):
-    """Either exact (lower/upper are rationals, the bracket fields None) or
-    bracketed by a numeric scan of depth terms (lower/upper None)."""
+    """Exact indices (lower/upper rationals, the bracket fields None) from
+    boyd_indices, or a numeric bracket of depth terms (lower/upper None)
+    from boyd_indices_numeric."""
 
     exact: bool
     lower: Optional[Fraction]
@@ -138,22 +144,16 @@ class BoydIndices(NamedTuple):
 
 
 def boyd_indices(e: SequenceExpr) -> BoydIndices:
-    """Boyd indices of e, exact from structure or bracketed numerically.
-
-    The numeric path uses truncated sup/inf over k <= BOYD_DEPTH - j, which
-    only bounds the true shifted-window extremes from one side; the reported
-    interval widens the estimate by 1/8 + 16*log2(BOYD_DEPTH)/BOYD_DEPTH and
-    clips it to the certified ratio envelope.
-    """
-    if not e.tables:
-        return BoydIndices(True, *e.rate_interval, None, None, None)
-    return boyd_indices_numeric(e)
+    """Exact Boyd indices of e: the rate interval of its normal form
+    decompose(e), for every input, tables included."""
+    return BoydIndices(True, *decompose(e).rate_interval, None, None, None)
 
 
 def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
-    """Window-scan bracket for the Boyd indices, bypassing the structural
-    shortcut.  Used directly when an independent numeric check of an exact
-    answer is wanted."""
+    """Window-scan bracket for the Boyd indices of a table-free input, an
+    independent check of boyd_indices.  The widening is calibrated to
+    contain the exact index of canonical inputs with |log exponent| <= 8;
+    a long table prefix defeats it."""
     K = BOYD_DEPTH
     logs = [float(log2_value(e, j)) for j in range(K + 1)]
     alpha_est = math.inf
@@ -182,7 +182,7 @@ def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
 
 
 class EquivalenceResult(NamedTuple):
-    status: str  # yes | no | undecided
+    status: str  # yes | no
     log2_c_lower: Optional[float]
     log2_c_upper: Optional[float]
     witness: Optional[int]
@@ -192,29 +192,30 @@ class EquivalenceResult(NamedTuple):
 def equivalent(e1: SequenceExpr, e2: SequenceExpr) -> EquivalenceResult:
     """Decide whether e1 and e2 stay within constant factors of each other.
 
-    yes carries the log2 band of e1/e2 over the scanned window (the first
-    32 terms and every table prefix) widened by log2(1.1) on each side; no
-    carries a witness index where the ratio leaves that band.  The verdict
-    itself comes from exact structure.
+    yes iff the normal forms agree with tables stripped and constant
+    factors dropped; else their ratio is a non-constant monomial, unbounded
+    or tending to 0 along the even or odd pw2 anchors.  yes carries the
+    log2 band of e1/e2 over the scanned window (the first 32 terms and
+    every table prefix) widened by log2(1.1) on each side; no carries, as
+    evidence only, the first doubling index where the exact log2 ratio
+    leaves that band, or None when 220 doublings find none.
     """
     J = max(32, _max_prefix_len(e1) + 2, _max_prefix_len(e2) + 2)
-    qs = [float(_add(log2_value(e1, j), -log2_value(e2, j))) for j in range(J)]
-    band_lo, band_hi = min(qs) - math.log2(1.1), max(qs) + math.log2(1.1)
+    qs = [_add(log2_value(e1, j), -log2_value(e2, j)) for j in range(J)]
+    lo, hi, w = min(qs), max(qs), math.log2(1.1)
 
-    # explicit prefixes touch finitely many entries, so the structural
-    # verdict belongs to the stripped tails; the band above already covers
-    # the prefix range (J >= prefix length + 2).  Constant factors never
-    # change the class, so const and roots are ignored.
+    # explicit prefixes touch finitely many entries, so the verdict belongs
+    # to the stripped tails; constant factors never change the class
     if decompose(e1)._replace(const=Fraction(1), roots=()) == \
             decompose(e2)._replace(const=Fraction(1), roots=()):
-        return EquivalenceResult("yes", band_lo, band_hi, None, J)
-    j = max(J, 1)
+        return EquivalenceResult("yes", float(lo) - w, float(hi) + w, None, J)
+    j = J
     for _ in range(220):
-        q = float(log2_value(e1, j)) - float(log2_value(e2, j))
-        if q < band_lo or q > band_hi:
+        q = _add(log2_value(e1, j), -log2_value(e2, j))
+        if _add(q, -lo) < -w or _add(q, -hi) > w:
             return EquivalenceResult("no", None, None, j, J)
         j *= 2
-    return EquivalenceResult("undecided", None, None, None, J)
+    return EquivalenceResult("no", None, None, None, J)
 
 
 _NUMERAL_BITS = (10 ** MAX_NUMERAL_DIGITS).bit_length()  # 2^n has more digits iff |n| >= this
@@ -314,17 +315,12 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
 
 
 class AsiResult(NamedTuple):
-    status: str  # yes | no | undecided
+    status: str  # yes | no
     boyd: BoydIndices
 
 
 def is_almost_strongly_increasing(e: SequenceExpr) -> AsiResult:
-    """A sequence is almost strongly increasing iff its lower Boyd index is
-    positive.  Bracketed indices only ever certify yes; a bracket touching
-    zero stays undecided."""
+    """A sequence is almost strongly increasing iff its lower Boyd index,
+    read exactly off the normal form, is positive."""
     b = boyd_indices(e)
-    if b.exact:
-        return AsiResult("yes" if b.lower > 0 else "no", b)
-    if b.lower_bracket[0] > 0:
-        return AsiResult("yes", b)
-    return AsiResult("undecided", b)
+    return AsiResult("yes" if b.lower > 0 else "no", b)

@@ -495,13 +495,13 @@ def decompose(e: SequenceExpr) -> SequenceExpr:
 
 
 class SequenceProfile(NamedTuple):
-    """Asymptotic summary of an expression.
+    """Asymptotic summary of an expression's tail, its normal form
+    decompose(e).
 
-    rate/log_exponent are exact when known, None otherwise.  Boyd index
-    fields hold exact rationals when provable from structure and None when
-    only window bracketing applies (see seqcore.boyd_indices).  canonical
-    means the expression reduces to geometric x log-power x at most one
-    slowly varying atom, in which case both indices equal the rate.
+    rate is None when an oscillation leaves two rates; the Boyd indices
+    are exact rationals.  canonical means the tail reduces to geometric x
+    log-power x at most one slowly varying atom, in which case both
+    indices equal the rate.
     """
 
     canonical: bool
@@ -513,21 +513,13 @@ class SequenceProfile(NamedTuple):
 
 
 def canonicalize(e: SequenceExpr) -> SequenceProfile:
-    """Profile of e: rates, log exponent, slowly varying residue, Boyd data.
-
-    Table atoms defer their Boyd indices to window bracketing even though
-    the continuation decides them, so that reported exactness always tracks
-    what was proven from visible structure.
-    """
-    if e.tables:
-        # finite prefixes do not move any asymptotic quantity, but the
-        # profile only reports what the visible structure proves; window
-        # bracketing in seqcore recovers index intervals.
-        return SequenceProfile(False, None, None, None, None, None)
-    sv = e.sv_nodes
-    lo, hi = e.rate_interval
-    return SequenceProfile(not e.osc and len(sv) <= 1,
-                           None if e.osc else e.rate, e.log_exp,
+    """Profile of decompose(e): rates, log exponent, slowly varying residue
+    and Boyd indices.  A table prefix moves none of them."""
+    d = decompose(e)
+    sv = d.sv_nodes
+    lo, hi = d.rate_interval
+    return SequenceProfile(not d.osc and len(sv) <= 1,
+                           None if d.osc else d.rate, d.log_exp,
                            product(*sv) if sv else None, lo, hi)
 
 

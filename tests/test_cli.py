@@ -126,13 +126,18 @@ class TestSeq:
         assert code == 0
         assert (doc["exact"], doc["lower"], doc["upper"]) == (True, "0", "0")
 
-    def test_boyd_numeric_bracket(self, capsys):
-        # a table prefix hides the structure, so the indices are bracketed
-        code, doc = invoke(capsys, "seq", "boyd", "table[1,1,1] then 2^(1/2*j)")
+    @pytest.mark.parametrize("text, index", [
+        ("table[1,1,1] then 2^(1/2*j)", "1/2"),
+        # a window scan of 256 terms bracketed both indices below 0.77
+        ("table[" + ",".join(["1"] * 250) + "] then 2^(-250)*2^(j)", "1"),
+    ], ids=["short", "250-ones"])
+    def test_boyd_table_is_exact(self, capsys, text, index):
+        # a table prefix moves no index: both are read off the tail
+        code, doc = invoke(capsys, "seq", "boyd", text)
         assert code == 0
         jsonschema.validate(doc, schemas.BOYD_SCHEMA)
-        assert not doc["exact"] and doc["depth"] == 256
-        assert doc["lower_bracket"][0] <= 0.5 <= doc["lower_bracket"][1]
+        assert doc == {"exact": True, "lower": index, "upper": index,
+                       "lower_bracket": None, "upper_bracket": None, "depth": None}
 
     def test_admissible(self, capsys):
         code, doc = invoke(capsys, "seq", "admissible", "2^(j)*(1+j)")
@@ -148,8 +153,13 @@ class TestSeq:
         (["boyd", f"2^({'9' * 400}*j)"], {"lower": "9" * 400, "upper": "9" * 400}),
         (["admissible", "2^(-2000*j)"],
          {"log2_d0": "-2000", "log2_d1": "-2000", "strongly_increasing": False}),
-        (["boyd", "table[1,2] then 2^(2000*j)"], {"exact": False, "depth": 256}),
-    ], ids=["admissible-d0", "boyd-bracket", "admissible-d1-underflow", "boyd-table"])
+        (["boyd", "table[1,2] then 2^(2000*j)"],
+         {"exact": True, "lower": "2000", "upper": "2000", "depth": None}),
+        # the largest ratio, 2^(2N - 1), runs from the prefix's 2 into the tail
+        (["admissible", f"table[1,2] then 2^({'9' * 400}*j)"],
+         {"log2_d0": "1", "log2_d1": str(2 * int("9" * 400) - 1), "window": 4}),
+    ], ids=["admissible-d0", "boyd-bracket", "admissible-d1-underflow", "boyd-table",
+            "admissible-table"])
     def test_float_overflow_names_the_field(self, capsys, argv, shown):
         # exact bounds print as rationals, never as float powers, so no
         # field leaves the float range (or underflows to 0.0)
@@ -236,8 +246,14 @@ class TestFlagErrors:
         (["analyze", *PROBLEM_FLAGS, "--dim", "1", "--kind", "x"],
          "argument --kind: invalid choice: 'x'"),
         ([], "the following arguments are required: command"),
+        # argparse reads "--growth=--" as an empty list, not a string
+        (["seq", "standardize", "2^(j)", "--growth=--"],
+         "argument --growth: expected a value"),
+        (["lab", "ratefit", "--from-problem=--"],
+         "argument --from-problem: expected a value"),
     ], ids=["dim-cap", "k-cap", "depth", "numeric", "window", "prefix-len",
-            "restarts", "unknown", "dim-fraction", "kind", "no-subcommand"])
+            "restarts", "unknown", "dim-fraction", "kind", "no-subcommand",
+            "dash-growth", "dash-from-problem"])
     def test_bad_flag_is_error(self, capsys, argv, says):
         code = cli.run(argv)
         out, err = capsys.readouterr()
@@ -857,10 +873,10 @@ class TestDslFuzz:
         assert code in (0, 1)
         jsonschema.validate(doc, schema if code == 0 else schemas.ERROR_SCHEMA)
         if command == "boyd":
-            # a table-free text that parses has exact indices, those of its
-            # profile
+            # a text that parses has exact indices, those of its profile,
+            # tables or not
             _, profile = run_fuzzed(["seq", "parse", "--", text])
-            if "error" not in profile and "table" not in profile["expr"]:
+            if "error" not in profile:
                 assert code == 0 and doc["exact"]
                 assert (doc["lower"], doc["upper"]) == \
                     (profile["boyd_lower"], profile["boyd_upper"])

@@ -34,8 +34,8 @@ EXAMPLES = {
                       '2^(1*j) * pw2(s0=0,s1=1)', schemas.PROFILE_SCHEMA),
     "seq-boyd": ('gsembed seq boyd "pw2(s0=0,s1=1)"        # exact indices (0, 1), no brackets',
                  schemas.BOYD_SCHEMA),
-    "seq-boyd-numeric": ('gsembed seq boyd "table[1,1,1] then 2^(1/2*j)"',
-                         schemas.BOYD_SCHEMA),
+    "seq-boyd-table": ('gsembed seq boyd "table[1,1,1] then 2^(1/2*j)"   # a table prefix: '
+                       'exact, from the tail', schemas.BOYD_SCHEMA),
     "seq-eval": ('gsembed seq eval "2^(j)*(1+j)" --j 0 4 16', schemas.EVAL_SCHEMA),
     "seq-admissible": ('gsembed seq admissible "2^(j)*(1+j)"     # log2 bounds of '
                        'consecutive ratios',

@@ -115,6 +115,17 @@ class TestBoyd:
         assert nb.lower_bracket[0] <= float(r) <= nb.lower_bracket[1]
         assert nb.upper_bracket[0] <= float(r) <= nb.upper_bracket[1]
 
+    @given(fold_products)
+    def test_exact_indices_inside_the_certificate(self, e):
+        # every consecutive ratio lies in [d0, d1], so both indices do: the
+        # tail's structure and the prefix scan check each other
+        b, cert = boyd_indices(e), certify_admissible(e)
+        d0, d1 = cert.log2_d0, cert.log2_d1
+        if isinstance(d0, Fraction) and isinstance(d1, Fraction):
+            assert d0 <= b.lower <= b.upper <= d1
+        else:
+            assert float(d0) - 1e-9 <= b.lower <= b.upper <= float(d1) + 1e-9
+
     @given(oscillating_exprs())
     def test_numeric_bracket_oscillating(self, quad):
         # dyadic oscillation only carries a containment promise for the
@@ -135,8 +146,12 @@ class TestEquivalence:
         assert r.log2_c_lower <= math.log2(7 / 3) <= r.log2_c_upper
 
     def test_fast_growth_against_a_constant(self):
-        # the band stays in log2, so a ratio of 2^3100 does not overflow
+        # the band stays in log2 and the scan compares exact log2 ratios, so
+        # neither a ratio of 2^3100 nor one of 2^(32N), N = 400 nines,
+        # overflows
         assert equivalent(parse("2^(100*j)"), const(1)).status == "no"
+        r = equivalent(parse(f"2^({'9' * 400}*j)"), const(1))
+        assert (r.status, r.witness) == ("no", 32)
 
     def test_log_divergence(self):
         r = equivalent(parse("2^(j)"), parse("2^(j)*(1+j)"))
@@ -146,6 +161,10 @@ class TestEquivalence:
     def test_iterated_log_divergence(self):
         r = equivalent(iter_log(2), const(1))
         assert r.status == "no"
+        # this ratio stays inside the band for 220 doublings, but the normal
+        # forms differ, so the answer is no, without a witness
+        r = equivalent(parse("(1+log(1+j))^1/100"), const(1))
+        assert (r.status, r.witness) == ("no", None)
 
     def test_pw2_shares_one_normal_form(self):
         r = equivalent(parse("pw2(s0=1,s1=2)"), parse("pw2(s0=0,s1=1)*2^(j)"))
@@ -256,4 +275,7 @@ class TestAsi:
     def test_numeric_certifies_yes(self):
         e = table([1, 2], parse("2^(j)"))
         res = is_almost_strongly_increasing(e)
-        assert res.status in ("yes", "undecided")
+        assert res.status == "yes"
+        # the 250 equal values that left a 256-term window scan undecided
+        e = table([1] * 250, parse("2^(-250)*2^(j)"))
+        assert is_almost_strongly_increasing(e).status == "yes"
