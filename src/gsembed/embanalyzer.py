@@ -45,12 +45,10 @@ from typing import NamedTuple, Optional, Union
 from .seqdsl import (
     MAX_CACHED_TEXT,
     MAX_NUMERAL_DIGITS,
-    EvalOverflow,
     SequenceExpr,
     _OSC_ANCHORS,
     _Record,
     decompose,
-    evaluate,
     parse,
     power,
     product,
@@ -71,7 +69,6 @@ __all__ = [
     "RateFormula",
     "criterion_sequence",
     "ellr_membership",
-    "membership_partial_sums",
     "compactness",
     "nuclearity",
     "compact_not_nuclear_band",
@@ -434,48 +431,6 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
         status = "holds" if target.kind == "ell" and target.r == INF else "fails"
     ev["decided_by"], ev["value"] = rule, value
     return Verdict(status, expr, target, "sequence-membership", ev)
-
-
-def membership_partial_sums(expr: SequenceExpr, target: Target) -> dict:
-    """Numeric condensation probe backing the structural membership test.
-
-    For ell_r returns partial sums of |u_j|^r up to 2^L for L = 10, 12, 14;
-    for c0/ell_inf returns samples u_{2^i} for even i <= 14.  Values
-    saturate at inf once the evaluation overflows.
-    """
-    out: dict = {"target": str(target)}
-    if target.kind == "ell" and target.r != INF:
-        r = float(target.r)
-        sums, total, nxt = [], 0.0, 0
-        for L in (10, 12, 14):
-            hi = 1 << L
-            for j in range(nxt, hi + 1):
-                try:
-                    total += evaluate(expr, j) ** r
-                except EvalOverflow as e:
-                    # underflowed terms add nothing; true overflow swamps
-                    if e.scale > 0:
-                        total = INF
-                        break
-                except OverflowError:
-                    total = INF
-                    break
-            nxt = hi + 1
-            sums.append((L, total))
-            if total == INF:
-                break
-        out["partial_sums"] = sums
-    else:
-        samples = []
-        for i in range(0, 15, 2):
-            try:
-                samples.append((1 << i, evaluate(expr, 1 << i)))
-            except EvalOverflow as e:
-                samples.append((1 << i, 0.0 if e.scale < 0 else INF))
-            except OverflowError:
-                samples.append((1 << i, INF))
-        out["samples"] = samples
-    return out
 
 
 # ---------------------------------------------------------------------------

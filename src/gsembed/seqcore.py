@@ -8,10 +8,11 @@ are the admissible ones; their upper/lower Boyd indices
 
 measure extreme growth along shifted windows.  Both are tail quantities:
 a finite table prefix moves sup_k w_{j+k}/w_k by a bounded factor only, so
-every index, and every equivalence verdict, is read off the table-free
-normal form decompose(e), exactly.  Ratio bounds are reported as log2(d0)
-and log2(d1), never as powers.  boyd_indices_numeric, a window scan of
-BOYD_DEPTH terms, is kept as an independent check of the exact indices.
+every index is read off the table-free normal form decompose(e), exactly,
+and equivalent decides on the quotient of two normal forms, with no scan.
+Ratio bounds are reported as log2(d0) and log2(d1), never as powers.
+boyd_indices_numeric, a window scan of BOYD_DEPTH terms, is kept as an
+independent check of the exact indices.
 
 Its users are seq boyd/admissible/standardize, acceptance criteria 04 and
 05 (boyd_indices_numeric, equivalent), and gsbench's span table, which
@@ -34,6 +35,7 @@ from .seqdsl import (
     decompose,
     evaluate,
     log2_value,
+    power,
     product,
     table,
 )
@@ -182,40 +184,36 @@ def boyd_indices_numeric(e: SequenceExpr) -> BoydIndices:
 
 
 class EquivalenceResult(NamedTuple):
+    """yes iff ratio, the quotient of the normal forms with constant
+    factors dropped, is trivial; then every log2(e1_j/e2_j) lies in
+    [log2_c_lower, log2_c_upper], each a Fraction whenever the ratios it
+    hulls are exact.  no carries the non-constant ratio and no band."""
+
     status: str  # yes | no
-    log2_c_lower: Optional[float]
-    log2_c_upper: Optional[float]
-    witness: Optional[int]
-    window: int
+    log2_c_lower: Optional[Union[Fraction, float]]
+    log2_c_upper: Optional[Union[Fraction, float]]
+    ratio: SequenceExpr
 
 
 def equivalent(e1: SequenceExpr, e2: SequenceExpr) -> EquivalenceResult:
     """Decide whether e1 and e2 stay within constant factors of each other.
 
-    yes iff the normal forms agree with tables stripped and constant
-    factors dropped; else their ratio is a non-constant monomial, unbounded
-    or tending to 0 along the even or odd pw2 anchors.  yes carries the
-    log2 band of e1/e2 over the scanned window (the first 32 terms and
-    every table prefix) widened by log2(1.1) on each side; no carries, as
-    evidence only, the first doubling index where the exact log2 ratio
-    leaves that band, or None when 220 doublings find none.
+    Explicit prefixes touch finitely many entries and constant factors
+    never change the class, so the answer is read off ratio, the product
+    of decompose(e1) and decompose(e2)^-1 with constants dropped: yes iff
+    it is the constant 1; else it is a non-constant monomial, unbounded or
+    tending to 0 along the even or odd pw2 anchors.  Past the longest
+    table prefix P both inputs take their continuations' values at j, so
+    the ratio of a yes is the quotient of their constants there, and the
+    band is the hull of the log2 ratios at j = 0..P.
     """
-    J = max(32, _max_prefix_len(e1) + 2, _max_prefix_len(e2) + 2)
-    qs = [_add(log2_value(e1, j), -log2_value(e2, j)) for j in range(J)]
-    lo, hi, w = min(qs), max(qs), math.log2(1.1)
-
-    # explicit prefixes touch finitely many entries, so the verdict belongs
-    # to the stripped tails; constant factors never change the class
-    if decompose(e1)._replace(const=Fraction(1), roots=()) == \
-            decompose(e2)._replace(const=Fraction(1), roots=()):
-        return EquivalenceResult("yes", float(lo) - w, float(hi) + w, None, J)
-    j = J
-    for _ in range(220):
-        q = _add(log2_value(e1, j), -log2_value(e2, j))
-        if _add(q, -lo) < -w or _add(q, -hi) > w:
-            return EquivalenceResult("no", None, None, j, J)
-        j *= 2
-    return EquivalenceResult("no", None, None, None, J)
+    d1, d2 = (decompose(e)._replace(const=Fraction(1), roots=()) for e in (e1, e2))
+    ratio = product(d1, power(d2, -1))
+    if ratio != SequenceExpr():
+        return EquivalenceResult("no", None, None, ratio)
+    P = max(_max_prefix_len(e1), _max_prefix_len(e2))
+    qs = [_add(log2_value(e1, j), -log2_value(e2, j)) for j in range(P + 1)]
+    return EquivalenceResult("yes", min(qs), max(qs), ratio)
 
 
 _NUMERAL_BITS = (10 ** MAX_NUMERAL_DIGITS).bit_length()  # 2^n has more digits iff |n| >= this
@@ -252,10 +250,11 @@ def standardize(sigma: SequenceExpr, growth: SequenceExpr,
     cert = certify_admissible(growth)
     if not cert.strongly_increasing:
         raise StandardizeError("growth sequence is not strongly increasing (d0 <= 1)")
+    lg = cert.log2_d0
     if kappa0 is None:  # the least kappa0 with kappa0 * log2(d0) >= 1
-        lg = cert.log2_d0
         kappa0 = max(1, math.ceil(1 / lg if isinstance(lg, Fraction) else 1 / lg - 1e-12))
-    elif kappa0 * cert.log2_d0 < 1 - 1e-12:  # d0^kappa0 < 2, in logs
+    elif kappa0 * lg < (1 if isinstance(lg, Fraction) else 1 - 1e-12):
+        # d0^kappa0 < 2, in logs, exactly where log2(d0) is exact
         raise StandardizeError("kappa0 too small: d0^kappa0 < 2")
     if 4 * kappa0 + 8 > MAX_TABLE_ENTRIES:
         raise StandardizeError(f"kappa0 too large: its prefix of 4*kappa0 + 8 "

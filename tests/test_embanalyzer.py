@@ -22,7 +22,6 @@ from gsembed import (
     geometric,
     is_almost_strongly_increasing,
     log_power,
-    membership_partial_sums,
     nuclearity,
     parse,
     power,
@@ -493,23 +492,6 @@ class TestMembership:
         ev = ellr_membership(parse(text), tgt).evidence
         assert (ev["decided_by"], ev["value"]) == (rule, Fraction(value))
         assert ("anchor_rate_even" in ev) == (decompose(parse(text)).osc != 0)
-
-    def test_partial_sums_track_convergence(self):
-        out = membership_partial_sums(geometric(-1), Target("ell", Fraction(1)))
-        sums = out["partial_sums"]
-        totals = [t for _, t in sums]
-        assert totals == sorted(totals)
-        assert totals[-1] == pytest.approx(2.0, abs=1e-3)
-
-    def test_partial_sums_saturate_on_growth(self):
-        out = membership_partial_sums(geometric(2), Target("ell", Fraction(1)))
-        assert out["partial_sums"][-1][1] == INF
-
-    def test_sup_samples_for_c0(self):
-        out = membership_partial_sums(log_power(-1), Target("c0"))
-        vals = [v for _, v in out["samples"]]
-        assert vals == sorted(vals, reverse=True)
-        assert vals[-1] < 0.01
 
 
 class TestCompactness:

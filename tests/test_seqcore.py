@@ -146,25 +146,29 @@ class TestEquivalence:
         assert r.log2_c_lower <= math.log2(7 / 3) <= r.log2_c_upper
 
     def test_fast_growth_against_a_constant(self):
-        # the band stays in log2 and the scan compares exact log2 ratios, so
-        # neither a ratio of 2^3100 nor one of 2^(32N), N = 400 nines,
+        # the answer is the quotient of the normal forms, and the band stays
+        # in exact log2, so neither 2^(100*j) nor 2^(N*j), N = 400 nines,
         # overflows
-        assert equivalent(parse("2^(100*j)"), const(1)).status == "no"
-        r = equivalent(parse(f"2^({'9' * 400}*j)"), const(1))
-        assert (r.status, r.witness) == ("no", 32)
+        N = "9" * 400
+        r = equivalent(parse("2^(100*j)"), const(1))
+        assert (r.status, r.ratio) == ("no", parse("2^(100*j)"))
+        r = equivalent(parse(f"2^({N}*j)"), const(1))
+        assert (r.status, r.ratio) == ("no", parse(f"2^({N}*j)"))
+        # the prefix's ratio at j = 1 is 2^-N, outside the float range
+        r = equivalent(parse(f"table[1,1] then 2^({N}*j)"), parse(f"2^({N}*j)"))
+        assert (r.status, r.log2_c_lower, r.log2_c_upper) == ("yes", -int(N), 0)
+        assert isinstance(r.log2_c_lower, Fraction) and isinstance(r.log2_c_upper, Fraction)
 
     def test_log_divergence(self):
         r = equivalent(parse("2^(j)"), parse("2^(j)*(1+j)"))
-        assert r.status == "no"
-        assert r.witness is not None
+        assert (r.status, r.ratio) == ("no", parse("(1+j)^-1"))
 
     def test_iterated_log_divergence(self):
         r = equivalent(iter_log(2), const(1))
         assert r.status == "no"
-        # this ratio stays inside the band for 220 doublings, but the normal
-        # forms differ, so the answer is no, without a witness
+        # a ratio that grows slower than any scan could see is still no
         r = equivalent(parse("(1+log(1+j))^1/100"), const(1))
-        assert (r.status, r.witness) == ("no", None)
+        assert (r.status, r.ratio) == ("no", parse("(1+log(1+j))^1/100"))
 
     def test_pw2_shares_one_normal_form(self):
         r = equivalent(parse("pw2(s0=1,s1=2)"), parse("pw2(s0=0,s1=1)*2^(j)"))
@@ -174,6 +178,22 @@ class TestEquivalence:
         e = parse("2^(j)")
         r = equivalent(table([5, 1, 9], e), e)
         assert r.status == "yes"
+
+    @given(fold_products, fold_products,
+           st.sampled_from(["other", "times-3", "padded"]))
+    def test_yes_iff_trivial_ratio_and_band_holds(self, e1, other, pairing):
+        e2 = {"other": other, "times-3": product(const(3), e1),
+              "padded": product(table([5, 1, 9], const(1)), e1)}[pairing]
+        r = equivalent(e1, e2)
+        assert (r.status == "yes") == (r.ratio == const(1))
+        if r.status == "no":
+            return
+        for j in range(301):
+            q = _add(log2_value(e1, j), -log2_value(e2, j))
+            if all(isinstance(x, Fraction) for x in (q, r.log2_c_lower, r.log2_c_upper)):
+                assert r.log2_c_lower <= q <= r.log2_c_upper
+            else:
+                assert r.log2_c_lower - 1e-9 <= q <= r.log2_c_upper + 1e-9
 
 
 class TestStandardize:
@@ -205,6 +225,12 @@ class TestStandardize:
             standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=1)
         out = standardize(parse("2^(j)"), parse("2^(1/4*j)"), kappa0=4).result
         assert equivalent(out, parse("2^(4*j)")).status == "yes"
+        # an exact log2(d0) 1e-15 below 1 is compared exactly, with no slack,
+        # and agrees with the default kappa0
+        growth = parse("2^(999999999999999/1000000000000000*j)")
+        with pytest.raises(StandardizeError, match="kappa0 too small"):
+            standardize(parse("2^(j)"), growth, kappa0=1)
+        assert standardize(parse("2^(j)"), growth).kappa0 == 2
 
     def test_large_kappa0_is_checked_in_logs(self):
         # d0^kappa0 = 2^1024 leaves the float range; kappa0 * log2(d0) does not
