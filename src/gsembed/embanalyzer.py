@@ -8,12 +8,18 @@ membership test of a single criterion sequence in ell_r or c0, with the
 exponent r built from the integrability parameters by reciprocal-space
 arithmetic.  Exponents are validated in one place: the Exponents base of
 EmbeddingProblem and of the lab's FiniteSection normalises (p1, q1, p2,
-q2) with ext, rejects values that are not positive or inf, and holds
-recips = (1/p1, 1/q1, 1/p2, 1/q2) and is_banach(); its from_dict is the
-one JSON decoder of both models.  A problem also derives, once each,
-weight_ratio = sigma^-1 tau, its two criteria (compact_criterion,
-nuclear_criterion), which criterion_sequence reads, so compactness and
-entropy_rate share one compact criterion, and b_sandwich, the two scale-B
+q2) with ext and rejects values that are not positive or inf; its
+from_dict is the one JSON decoder of both models.  The reciprocal laws of
+an exponent pair are derived in one place too: _pair gives 1/a, 1/b,
+whether both lie in [1, inf], 1/a* and 1/t(a, b), and what a criterion
+reads of them, for the inner pair (p1, p2) and the outer pair (q1, q2) of
+every model, and dual_star, tong and compact_not_nuclear_band read it as
+well.  A model holds the two laws as inner and outer, and recips = (1/p1,
+1/q1, 1/p2, 1/q2) and is_banach() read them.  A problem also derives,
+once each, weight_ratio = sigma^-1 tau, its two criteria
+(compact_criterion, nuclear_criterion), which criterion_sequence reads,
+compact_membership, the membership of its compact criterion, which
+compactness and entropy_rate both read, and b_sandwich, the two scale-B
 problems that scale F asks every question.  These are cached properties,
 not fields: they take no part in equality or hashing, and a problem from
 _replace derives its own.  EmbeddingProblem and Target are frozen records
@@ -25,7 +31,9 @@ MAX_CACHED_TEXT characters that it read most recently, and returns the same
 object when it reads one again, as parse does for weights: a sweep asks the
 same few exponents over and over.  Sharing a value is safe, since a
 Fraction and math.inf are immutable, and a string that raises is not kept,
-so it raises the same ValueError again.
+so it raises the same ValueError again.  _pair keeps the laws of the
+MAX_PAIR_CACHE pairs it read most recently in the same way: a sweep draws
+its pairs from a few exponents, and a law is an immutable NamedTuple.
 
 Conventions: extended parameters live in [something positive, inf]; inf is
 math.inf and all arithmetic happens on reciprocals, where inf becomes the
@@ -47,11 +55,13 @@ from .seqdsl import (
     MAX_NUMERAL_DIGITS,
     SequenceExpr,
     _OSC_ANCHORS,
+    _MINUS_ONE,
+    _ONE,
     _Record,
+    _combine,
     decompose,
     parse,
     power,
-    product,
     render,
 )
 
@@ -86,6 +96,10 @@ _DIGIT_RUN = re.compile(r"[\d_]+")
 # exponent strings whose values ext keeps per process; a sweep draws its
 # exponents from a few strings
 MAX_EXT_CACHE = 256
+
+# exponent pairs whose reciprocal laws _pair keeps per process; a sweep
+# draws both pairs of a problem from its few exponents
+MAX_PAIR_CACHE = 256
 
 
 def ext(x) -> ExtReal:
@@ -159,11 +173,6 @@ def _exponent(name: str, x) -> ExtReal:
     return v
 
 
-def _banach(recips) -> bool:
-    """Every exponent in [1, inf], read on reciprocals."""
-    return all(r <= 1 for r in recips)
-
-
 def _from_recip(r: Fraction) -> ExtReal:
     return INF if r == 0 else 1 / r
 
@@ -178,20 +187,60 @@ def _tong_recip(a: Fraction, b: Fraction) -> Fraction:
     return 1 - (a - b) if a > b else Fraction(1)
 
 
-def _tong_params(r1, r2) -> tuple:
-    """(1/r1, 1/r2) for the parameters of Tong's formula, which need [1, inf]."""
-    rs = (recip(_exponent("r1", r1)), recip(_exponent("r2", r2)))
-    if not _banach(rs):
+class _PairLaw(NamedTuple):
+    """The reciprocal laws of an exponent pair (a, b), and what a criterion
+    reads of them for each gap exponent r, a* (compact) or t(a, b)
+    (nuclear): the coefficient 1/a - 1/b + 1/r of dim in its rate shift,
+    when (a, b) = (p1, p2), and its target, ell_r or c0 for 1/r = 0, when
+    (a, b) = (q1, q2).  The Tong fields are None unless the pair is
+    Banach."""
+
+    ra: Fraction  # 1/a
+    rb: Fraction  # 1/b
+    banach: bool  # a and b in [1, inf]
+    star: Fraction  # 1/a* = (1/b - 1/a)+
+    star_shift: Fraction
+    star_target: Target
+    tong: Optional[Fraction] = None  # 1/t(a, b) = 1 - (1/a - 1/b)+
+    tong_shift: Optional[Fraction] = None
+    tong_target: Optional[Target] = None
+
+
+@lru_cache(maxsize=MAX_PAIR_CACHE)
+def _pair(a: ExtReal, b: ExtReal) -> _PairLaw:
+    """The law of the pair (a, b) of exponents from _exponent.  Every
+    criterion, target and section reads its exponents here, and the
+    MAX_PAIR_CACHE pairs read most recently are kept, so equal pairs share
+    one law and a sweep inverts each of its few pairs once."""
+    ra, rb = recip(a), recip(b)
+    star = _star_recip(ra, rb)
+    law = _PairLaw(ra, rb, ra <= 1 and rb <= 1, star, ra - rb + star,
+                   _target(star))
+    if not law.banach:
+        return law
+    tong = _tong_recip(ra, rb)
+    return law._replace(tong=tong, tong_shift=ra - rb + tong,
+                        tong_target=_target(tong))
+
+
+def _params(r1, r2) -> _PairLaw:
+    """The law of the public parameters (r1, r2), each positive or inf."""
+    return _pair(_exponent("r1", r1), _exponent("r2", r2))
+
+
+def _tong_law(r1, r2) -> _PairLaw:
+    """The law of the parameters of Tong's formula, which need [1, inf]."""
+    law = _params(r1, r2)
+    if not law.banach:
         raise ValueError(
             f"tong exponent needs parameters in [1, inf], got ({r1}, {r2})")
-    return rs
+    return law
 
 
 def dual_star(r1, r2) -> ExtReal:
     """Exponent r* with 1/r* = (1/r2 - 1/r1)+; equals inf when r1 <= r2.
     Both parameters must be positive or inf."""
-    return _from_recip(_star_recip(recip(_exponent("r1", r1)),
-                                   recip(_exponent("r2", r2))))
+    return _from_recip(_params(r1, r2).star)
 
 
 def tong(r1, r2) -> ExtReal:
@@ -200,7 +249,7 @@ def tong(r1, r2) -> ExtReal:
     On reciprocals 1/t >= 1/r* always holds, i.e. t <= dual_star(r1, r2),
     with equality exactly when {r1, r2} = {1, inf}.
     """
-    return _from_recip(_tong_recip(*_tong_params(r1, r2)))
+    return _from_recip(_tong_law(r1, r2).tong)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +261,9 @@ class Exponents:
     Base of the frozen records EmbeddingProblem and FiniteSection, which
     list the four among their _fields and pass them to _set_exponents from
     __init__.  Their __init__ is the only validator, and from_dict the only
-    JSON decoder, of both models.
+    JSON decoder, of both models.  The reciprocal laws of the inner pair
+    (p1, p2) and of the outer pair (q1, q2) are read once, from _pair, and
+    recips and is_banach() read them.
     """
 
     @classmethod
@@ -233,13 +284,24 @@ class Exponents:
             self.__dict__[name] = _exponent(name, v)
 
     @cached_property
+    def inner(self) -> _PairLaw:
+        """The law of (p1, p2)."""
+        return _pair(self.p1, self.p2)
+
+    @cached_property
+    def outer(self) -> _PairLaw:
+        """The law of (q1, q2)."""
+        return _pair(self.q1, self.q2)
+
+    @cached_property
     def recips(self) -> tuple:
         """(1/p1, 1/q1, 1/p2, 1/q2) as exact Fractions, with 1/inf = 0."""
-        return tuple(recip(v) for v in (self.p1, self.q1, self.p2, self.q2))
+        inner, outer = self.inner, self.outer
+        return inner.ra, outer.ra, inner.rb, outer.rb
 
     def is_banach(self) -> bool:
         """All four exponents in [1, inf], where Tong's formula applies."""
-        return _banach(self.recips)
+        return self.inner.banach and self.outer.banach
 
 
 class EmbeddingProblem(_Record, Exponents):
@@ -261,8 +323,7 @@ class EmbeddingProblem(_Record, Exponents):
                 raise ValueError(f"{name} must be a weight expression string")
             self.__dict__[name] = w
         self._set_exponents(p1, q1, p2, q2)
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        _check_dim(dim)
         if scale not in ("B", "F"):
             raise ValueError("scale must be 'B' or 'F'")
         self.__dict__.update(dim=dim, scale=scale)
@@ -270,7 +331,7 @@ class EmbeddingProblem(_Record, Exponents):
     @cached_property
     def weight_ratio(self) -> SequenceExpr:
         """sigma^-1 tau, the weight part of every criterion sequence."""
-        return product(power(self.sigma, Fraction(-1)), self.tau)
+        return _combine(((self.sigma, _MINUS_ONE), (self.tau, _ONE)))
 
     @cached_property
     def compact_criterion(self) -> tuple:
@@ -284,6 +345,12 @@ class EmbeddingProblem(_Record, Exponents):
         return _criterion(self, "nuclear")
 
     @cached_property
+    def compact_membership(self) -> Verdict:
+        """ellr_membership of the compact criterion, which compactness and
+        entropy_rate's not-compact test both read."""
+        return ellr_membership(*criterion_sequence(self, "compact"))
+
+    @cached_property
     def b_sandwich(self) -> tuple:
         """The (sufficient, necessary) scale-B problems of a scale-F problem:
         B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)},
@@ -293,6 +360,11 @@ class EmbeddingProblem(_Record, Exponents):
         p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
         return (self._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
                 self._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
+
+
+def _check_dim(dim) -> None:
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
 
 
 class Target(_Record):
@@ -311,6 +383,11 @@ class Target(_Record):
         if self.kind == "c0":
             return "c0"
         return "ell_inf" if self.r == INF else f"ell_{self.r}"
+
+
+def _target(r: Fraction) -> Target:
+    """ell_{1/r}, or c0 for 1/r = 0."""
+    return Target("c0") if r == 0 else Target("ell", 1 / r)
 
 
 class Verdict(NamedTuple):
@@ -339,9 +416,10 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
     kind "compact": weight_ratio 2^(j d (1/p1 - 1/p2)) 2^(j d / p*) in
     ell_{q*}, that is weight_ratio with its rate shifted by
     d (1/p1 - 1/p2 + 1/p*); kind "nuclear": p* and q* replaced by the tong
-    exponents of (p1,p2) and (q1,q2), which needs Banach exponents.  Both
-    are read off problem.recips, and a zero reciprocal target exponent
-    means c0.  The problem derives each criterion once (compact_criterion,
+    exponents of (p1,p2) and (q1,q2), which needs Banach exponents.  The
+    shift is read off the pair law problem.inner and the target off
+    problem.outer, where a zero reciprocal target exponent means c0.  The
+    problem derives each criterion once (compact_criterion,
     nuclear_criterion); this reads it.
     """
     if kind == "compact":
@@ -353,16 +431,16 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
 
 def _criterion(problem: EmbeddingProblem, kind: str) -> tuple:
     """The criterion of kind: weight_ratio with its rate shifted, which is
-    the normal form of its product with the geometric factor."""
-    rp1, rq1, rp2, rq2 = problem.recips
+    the normal form of its product with the geometric factor, and
+    weight_ratio itself when the shift is 0."""
     if kind == "compact":
-        star, fine = _star_recip(rp1, rp2), _star_recip(rq1, rq2)
+        shift, target = problem.inner.star_shift, problem.outer.star_target
     else:
         _require_banach(problem)
-        star, fine = _tong_recip(rp1, rp2), _tong_recip(rq1, rq2)
-    ratio = problem.weight_ratio
-    expr = ratio._replace(rate=ratio.rate + problem.dim * (rp1 - rp2 + star))
-    target = Target("c0") if fine == 0 else Target("ell", 1 / fine)
+        shift, target = problem.inner.tong_shift, problem.outer.tong_target
+    expr = problem.weight_ratio
+    if shift:
+        expr = expr._replace(rate=expr.rate + problem.dim * shift)
     return expr, target
 
 
@@ -441,7 +519,7 @@ def compactness(problem: EmbeddingProblem) -> Verdict:
     the B-sandwich on scale F (its two sides may fall apart)."""
     if problem.scale == "F":
         return _sandwich_verdict(problem, compactness)
-    return _criterion_verdict(problem, "compact", "compactness")
+    return _criterion_verdict(problem.compact_membership, "compactness")
 
 
 def nuclearity(problem: EmbeddingProblem) -> Verdict:
@@ -450,15 +528,14 @@ def nuclearity(problem: EmbeddingProblem) -> Verdict:
     if problem.scale == "F":
         _require_banach(problem)  # before either side, one of which may be Banach
         return _sandwich_verdict(problem, nuclearity)
-    return _criterion_verdict(problem, "nuclear", "nuclearity")
+    return _criterion_verdict(
+        ellr_membership(*criterion_sequence(problem, "nuclear")), "nuclearity")
 
 
-def _criterion_verdict(problem: EmbeddingProblem, kind: str, name: str) -> Verdict:
-    """Scale-B verdict: membership of the criterion sequence of kind."""
-    expr, target = criterion_sequence(problem, kind)
-    v = ellr_membership(expr, target)
-    ev = dict(v.evidence, criterion=render(expr))
-    return Verdict(v.status, expr, target, f"sequence-{name}-criterion", ev)
+def _criterion_verdict(v: Verdict, name: str) -> Verdict:
+    """Scale-B verdict of name from the membership v of its criterion."""
+    ev = dict(v.evidence, criterion=render(v.criterion))
+    return Verdict(v.status, v.criterion, v.target, f"sequence-{name}-criterion", ev)
 
 
 def _require_banach(model: Exponents) -> None:
@@ -491,9 +568,10 @@ def _sandwich_verdict(problem: EmbeddingProblem, decide) -> Verdict:
 def compact_not_nuclear_band(p1, p2, dim: int) -> Band:
     """Gap values delta where the classical embedding is compact but not
     nuclear: the half-open band (dim/p*, dim/tong(p1,p2)].  Empty exactly
-    when {p1, p2} = {1, inf}."""
-    r1, r2 = _tong_params(p1, p2)
-    return Band(dim * _star_recip(r1, r2), dim * _tong_recip(r1, r2))
+    when {p1, p2} = {1, inf}.  dim must be a positive int."""
+    _check_dim(dim)
+    law = _tong_law(p1, p2)
+    return Band(dim * law.star, dim * law.tong)
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +614,12 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
             law = RateFormula("inconclusive", None, None, None, None,
                               "entropy-rate", ("sandwich entropy laws differ",))
         return law._replace(notes=law.notes + ("via-B-sandwich",))
-    crit, target = criterion_sequence(problem, "compact")
-    if ellr_membership(crit, target).status == "fails":
+    membership = problem.compact_membership
+    if membership.status == "fails":
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
 
-    crit = decompose(crit)
+    crit = decompose(membership.criterion)
     ratio = decompose(problem.weight_ratio)
     if crit.rate_interval[1] < 0:
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
@@ -559,7 +637,7 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
                            "entropy-nonlimiting-ratio", notes)
 
     rp1, rq1, rp2, rq2 = problem.recips
-    qstar_recip = _star_recip(rq1, rq2)
+    qstar_recip = problem.outer.star
     if not crit.osc and crit.rate == 0:
         pure_log = not crit.explog and crit.iterlog == 0
         beta = -crit.log_exp

@@ -17,7 +17,9 @@ all blocks, in O(n).
 A section validates its exponents through the engine's Exponents base and
 derives everything that does not depend on an entropy index k once, as
 cached properties:
-  - recips = (1/p1, 1/q1, 1/p2, 1/q2);
+  - inner and outer, the engine's reciprocal laws of (p1, p2) and (q1, q2),
+    which equal pairs share, and recips = (1/p1, 1/q1, 1/p2, 1/q2) read
+    off them;
   - gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal blocks;
   - closed_norm, the exact operator norm that embedding_norm_closed returns;
   - cover_scales = ((M_j^(1/p2), 1/beta_j))_j and cover_radius, the ell_q2
@@ -39,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .seqdsl import _Record, log2_value
 from .embanalyzer import (INF, EmbeddingProblem, Exponents, ExtReal, _from_recip,
-                          _require_banach, _star_recip, _tong_recip, entropy_rate)
+                          _require_banach, entropy_rate)
 
 __all__ = [
     "FiniteSection",
@@ -99,22 +101,20 @@ class FiniteSection(_Record, Exponents):
         """Block norms beta_j^-1 M_j^(1/p*): beta_j^-1 times the norm of the
         ell_p1^M -> ell_p2^M identity, 1 for p1 <= p2 and M^(1/p2 - 1/p1)
         otherwise."""
-        rp1, _, rp2, _ = self.recips
-        excess = float(_star_recip(rp1, rp2))
+        excess = float(self.inner.star)
         return tuple(float(m) ** excess / b for b, m in zip(self.beta, self.M))
 
     @cached_property
     def closed_norm(self) -> float:
         """The exact operator norm that embedding_norm_closed returns."""
-        _, rq1, _, rq2 = self.recips
-        return _lp_norm(_from_recip(_star_recip(rq1, rq2)))(self.gains)
+        return _lp_norm(_from_recip(self.outer.star))(self.gains)
 
     @cached_property
     def cover_scales(self) -> tuple:
         """(M_j^(1/p2), 1/beta_j) per block: a cube of half-width c in block
         j has target ell_p2 radius M_j^(1/p2) c, and the source ball's image
         spans c = 1/beta_j there.  The first entry is 1.0 for p2 = inf."""
-        inv_p2 = float(self.recips[2])
+        inv_p2 = float(self.inner.rb)
         return tuple((float(m) ** inv_p2, 1.0 / b)
                      for b, m in zip(self.beta, self.M))
 
@@ -173,8 +173,8 @@ def _sections(problem: EmbeddingProblem, levels: Sequence[int]):
     if levels[0] < 0:
         raise ValueError("levels must be >= 0")
     d = problem.dim
-    rp1, _, rp2, _ = problem.recips
-    gap = d * (rp1 - rp2)
+    inner = problem.inner
+    gap = d * (inner.ra - inner.rb)
     beta, M = [], []
     for L in levels:
         for j in range(len(beta), L + 1):
@@ -305,10 +305,9 @@ def nuclear_norm_tong(section: FiniteSection) -> float:
     """Exact nuclear norm of the section for Banach parameters:
     || (beta_j^-1 M_j^(1/t(p1,p2)))_j ||_{t(q1,q2)}."""
     _require_banach(section)
-    rp1, rq1, rp2, rq2 = section.recips
-    tp = float(_tong_recip(rp1, rp2))
+    tp = float(section.inner.tong)
     terms = [float(m) ** tp / b for b, m in zip(section.beta, section.M)]
-    return _lp_norm(_from_recip(_tong_recip(rq1, rq2)))(terms)
+    return _lp_norm(_from_recip(section.outer.tong))(terms)
 
 
 def nuclear_norm_oracle(section: FiniteSection) -> dict:

@@ -205,6 +205,57 @@ class TestExponentArithmetic:
             assert recip(t) > recip(s)
 
 
+class TestPairLaw:
+    """embanalyzer._pair against the public exponent functions and the
+    definitions on reciprocals."""
+
+    @given(banach_exponents | quasi_exponents, banach_exponents | quasi_exponents)
+    def test_fields_match_public_laws(self, a, b):
+        a, b = ext(a), ext(b)
+        law = embanalyzer._pair(a, b)
+        ra, rb = recip(a), recip(b)
+        assert (law.ra, law.rb) == (ra, rb)
+        assert law.banach == (a >= 1 and b >= 1)
+        star = dual_star(a, b)
+        assert law.star == recip(star) == max(Fraction(0), rb - ra)
+        assert law.star_shift == ra - rb + law.star
+        assert law.star_target == (Target("c0") if star == INF else Target("ell", star))
+        if not law.banach:
+            assert law.tong is law.tong_shift is law.tong_target is None
+            with pytest.raises(ValueError, match="tong exponent needs"):
+                tong(a, b)
+            return
+        t = tong(a, b)
+        assert law.tong == recip(t) == 1 - max(Fraction(0), ra - rb)
+        assert law.tong_shift == ra - rb + law.tong
+        assert law.tong_target == (Target("c0") if t == INF else Target("ell", t))
+
+    def test_equal_pairs_share_one_law(self):
+        law = embanalyzer._pair(Fraction(2), INF)
+        assert embanalyzer._pair(Fraction(4, 2), float("inf")) is law
+        assert embanalyzer._pair(ext("2"), ext("inf")) is law
+        assert embanalyzer._pair(INF, Fraction(2)) is not law
+
+    def test_compact_membership_is_decided_once(self, monkeypatch):
+        calls = []
+        decide = embanalyzer.ellr_membership
+        monkeypatch.setattr(embanalyzer, "ellr_membership",
+                            lambda *args: calls.append(args) or decide(*args))
+        pr = EmbeddingProblem("2^(j)", "1", 2, 1, 4, 2, 1)
+        compactness(pr)
+        entropy_rate(pr)
+        assert len(calls) == 1
+        assert compactness(pr).criterion is pr.compact_membership.criterion
+
+    @given(sigma=weights, tau=weights, data=st.data(), dim=st.integers(1, 3))
+    def test_not_compact_iff_compactness_fails(self, sigma, tau, data, dim):
+        # scale B: entropy_rate's not-compact test reads compactness's verdict
+        pr = EmbeddingProblem(sigma, tau, *(data.draw(quasi_exponents)
+                                            for _ in range(4)), dim)
+        assert (compactness(pr).status == "fails") == \
+            (entropy_rate(pr).kind == "not-compact")
+
+
 class TestProblems:
     def test_string_weights_are_parsed(self):
         pr = EmbeddingProblem("2^(j)", "1", 1, 1, "inf", "inf", 1)
@@ -232,8 +283,14 @@ class TestProblems:
         # cached members stay out of equality, hashing, repr and _replace
         twin = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
         assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
-        assert "recips" not in repr(pr)
-        assert pr._replace(p1=1).recips == (1, 0, Fraction(1, 4), 1)
+        assert "recips" not in repr(pr) and "inner" not in repr(pr)
+        assert pr.inner is twin.inner and pr.outer is twin.outer
+        # a problem from _replace reads the law of its own pair
+        other = pr._replace(p1=1)
+        assert other.recips == (1, 0, Fraction(1, 4), 1)
+        assert other.inner is embanalyzer._pair(Fraction(1), Fraction(4))
+        assert (other.inner.ra, pr.inner.ra) == (1, HALF)
+        assert other.outer is pr.outer
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -597,6 +654,11 @@ class TestBand:
         assert band.lower == 0
         assert band.upper == Fraction(5, 6)
         assert not band.empty
+        # dim is a positive int, as in EmbeddingProblem: -1 gave the
+        # inverted band (0, -3/4] for (2, 4), and 2.5 gave floats
+        for dim in (-1, 2.5, True, 0):
+            with pytest.raises(ValueError, match="dim must be a positive integer"):
+                compact_not_nuclear_band(2, 4, dim)
 
     def test_extreme_pairs_collapse(self):
         assert compact_not_nuclear_band(1, "inf", 3).empty

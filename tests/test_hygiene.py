@@ -140,9 +140,44 @@ def test_every_cache_is_bounded_by_a_limit():
         "@functools.cache\ndef e(): pass\n") == (2, [5, 7, 9, 11, 13])
     found = {p.name: cache_uses(p.read_text())
              for p in sorted((ROOT / "src/gsembed").glob("*.py"))}
-    assert found["seqdsl.py"][0] == found["embanalyzer.py"][0] == 1
+    assert (found["seqdsl.py"][0], found["embanalyzer.py"][0]) == (1, 2)
     assert [f"{name}:{line}" for name, (_, lines) in found.items()
             for line in lines] == []
+
+
+def referring_functions(source: str, name: str) -> list:
+    """The innermost function around each reference to name, as a name, a
+    module attribute or an import, and "<module>" for one outside every
+    function; the def of name itself is no reference."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name or \
+                    isinstance(child, ast.Attribute) and child.attr == name or \
+                    isinstance(child, ast.alias) and child.name == name:
+                found.append(where)
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_exponent_laws_have_one_source():
+    # each gap exponent is derived in one place, the pair law _pair, which
+    # every criterion, target and section reads; a second caller would be a
+    # second formula
+    assert referring_functions(
+        "from m import f\ndef f(): pass\ndef g():\n    def h(): return m.f(1)\n"
+        "    return f\nx = [f]\n", "f") == ["<module>", "h", "g", "<module>"]
+    sources = {p: p.read_text() for d in ("src/gsembed", "tests", "gsbench")
+               for p in sorted((ROOT / d).glob("*.py"))}
+    for name in ("_star_recip", "_tong_recip"):
+        assert [f"{p.relative_to(ROOT)}:{where}" for p, text in sources.items()
+                for where in referring_functions(text, name)] == \
+            ["src/gsembed/embanalyzer.py:_pair"]
 
 
 def module_limits(path: Path) -> dict:
