@@ -16,11 +16,14 @@ reads of them, for the inner pair (p1, p2) and the outer pair (q1, q2) of
 every model, and dual_star, tong and compact_not_nuclear_band read it as
 well.  A model holds the two laws as inner and outer, and recips = (1/p1,
 1/q1, 1/p2, 1/q2) and is_banach() read them.  A problem also derives,
-once each, weight_ratio = sigma^-1 tau, its two criteria
-(compact_criterion, nuclear_criterion), which criterion_sequence reads,
-compact_membership, the membership of its compact criterion, which
-compactness and entropy_rate both read, and b_sandwich, the two scale-B
-problems that scale F asks every question.  These are cached properties,
+once each, weight_ratio = sigma^-1 tau, ratio_tail = decompose(weight_ratio),
+its two criteria (compact_criterion, nuclear_criterion), which
+criterion_sequence reads, compact_membership, the membership of its
+compact criterion, which compactness and entropy_rate both read, and
+b_sandwich, the two scale-B problems that scale F asks every question.
+A criterion with tables is decided on its tail, ratio_tail with the
+criterion's rate shift, and entropy_rate reads the same tail, so a
+problem strips its tables once.  These are cached properties,
 not fields: they take no part in equality or hashing, and a problem from
 _replace derives its own.  EmbeddingProblem and Target are frozen records
 on seqdsl's _Record base, with hand-written constructors, so no command
@@ -334,6 +337,13 @@ class EmbeddingProblem(_Record, Exponents):
         return _combine(((self.sigma, _MINUS_ONE), (self.tau, _ONE)))
 
     @cached_property
+    def ratio_tail(self) -> SequenceExpr:
+        """decompose(weight_ratio), the one table-stripping call of a
+        problem with tables: each criterion's tail is this with the
+        criterion's rate shift (_tail)."""
+        return decompose(self.weight_ratio)
+
+    @cached_property
     def compact_criterion(self) -> tuple:
         """(criterion sequence, Target) deciding compactness."""
         return _criterion(self, "compact")
@@ -348,7 +358,7 @@ class EmbeddingProblem(_Record, Exponents):
     def compact_membership(self) -> Verdict:
         """ellr_membership of the compact criterion, which compactness and
         entropy_rate's not-compact test both read."""
-        return ellr_membership(*criterion_sequence(self, "compact"))
+        return _membership(self, "compact")
 
     @cached_property
     def b_sandwich(self) -> tuple:
@@ -383,6 +393,13 @@ class Target(_Record):
         if self.kind == "c0":
             return "c0"
         return "ell_inf" if self.r == INF else f"ell_{self.r}"
+
+    @cached_property
+    def r_recip(self) -> Fraction:
+        """1/r of an ell_r target, 0 for c0 (and for ell_inf).  A pair
+        law's targets are shared by every problem of the pair, so each
+        inverts its r once."""
+        return recip(self.r) if self.kind == "ell" else Fraction(0)
 
 
 def _target(r: Fraction) -> Target:
@@ -444,6 +461,26 @@ def _criterion(problem: EmbeddingProblem, kind: str) -> tuple:
     return expr, target
 
 
+def _tail(problem: EmbeddingProblem, expr: SequenceExpr) -> SequenceExpr:
+    """decompose(expr) of a criterion expr of problem, read off ratio_tail:
+    expr is weight_ratio with a shifted rate, and decompose leaves the
+    shift where it is."""
+    ratio, tail = problem.weight_ratio, problem.ratio_tail
+    if expr is ratio:
+        return tail
+    return tail._replace(rate=tail.rate + (expr.rate - ratio.rate))
+
+
+def _membership(problem: EmbeddingProblem, kind: str) -> Verdict:
+    """ellr_membership of the criterion of kind.  A criterion with tables
+    is decided on its tail, which has the same membership, and its verdict
+    carries the criterion itself."""
+    expr, target = criterion_sequence(problem, kind)
+    if not expr.tables:
+        return ellr_membership(expr, target)
+    return ellr_membership(_tail(problem, expr), target)._replace(criterion=expr)
+
+
 # ---------------------------------------------------------------------------
 # exact membership
 
@@ -494,7 +531,7 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
 
     def key():  # lazy: most sequences are decided by their rate
         yield lead
-        s = recip(target.r) if target.kind == "ell" else Fraction(0)
+        s = target.r_recip
         yield pre + "log", d.log_exp if sparse else d.log_exp + s
         for _, c in reversed(d.explog):
             yield pre + "explog", c
@@ -528,8 +565,7 @@ def nuclearity(problem: EmbeddingProblem) -> Verdict:
     if problem.scale == "F":
         _require_banach(problem)  # before either side, one of which may be Banach
         return _sandwich_verdict(problem, nuclearity)
-    return _criterion_verdict(
-        ellr_membership(*criterion_sequence(problem, "nuclear")), "nuclearity")
+    return _criterion_verdict(_membership(problem, "nuclear"), "nuclearity")
 
 
 def _criterion_verdict(v: Verdict, name: str) -> Verdict:
@@ -619,8 +655,9 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
 
-    crit = decompose(membership.criterion)
-    ratio = decompose(problem.weight_ratio)
+    crit, ratio = membership.criterion, problem.weight_ratio
+    if ratio.tables:
+        crit, ratio = _tail(problem, crit), problem.ratio_tail
     if crit.rate_interval[1] < 0:
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
         if not ratio.osc:

@@ -20,11 +20,16 @@ a constant, irrational constant powers, one exponent per smooth atom, one
 exponent of the basic oscillation pw2(s0=0,s1=1), and an exponent map for
 the table atoms.  Products and powers add and scale exponents and every
 map is sorted, so reordering factors gives an equal expression.
-Constants are capped at MAX_CONST_BITS bits, a run of digits in a
-numeral at MAX_NUMERAL_DIGITS, a parsed table prefix at MAX_TABLE_ENTRIES
-values, and an expression at MAX_EXPR_TOKENS tokens.  decompose, which
-replaces table atoms by their continuations, is the one table-stripping
-call.  render refuses a numeral that parse could not read back.
+The constant and the root bases of a monomial are capped at
+MAX_CONST_BITS bits in all, a run of digits in a numeral at
+MAX_NUMERAL_DIGITS, a parsed table prefix at MAX_TABLE_ENTRIES values, and
+an expression at MAX_EXPR_TOKENS tokens.  decompose, which replaces table
+atoms by their continuations, is the one table-stripping call.  render
+refuses a numeral that parse could not read back.
+
+parse scans a text once with one compiled pattern into the texts of its
+tokens, and the parser walks that list by index.  No offset is kept per
+token: an error rescans the text once to report the offset of its token.
 
 parse keeps the results of the MAX_PARSE_CACHE texts of at most
 MAX_CACHED_TEXT characters that it read most recently, and returns the
@@ -51,6 +56,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple, Optional, Union
 
@@ -83,36 +89,40 @@ MAX_DEPTH = 32
 
 # bit length allowed for the numerator and the denominator of a constant;
 # a product or power that could pass it raises SequenceError before the
-# integer power is computed
+# integer power is computed.  The constant and the root bases of a
+# monomial share it: _combine refuses a result that needs more bits in all
+# before it sorts the roots.
 MAX_CONST_BITS = 1 << 16
 
 # most digits in one run of a numeral (its whole part, fractional part or
 # denominator): Python's own limit on the digits of an int read from a
 # string.  Fraction("0.000...1") builds 10^(fraction digits) before int()
 # refuses them, so the parser and embanalyzer.ext refuse longer runs first.
-# The lexer reads a run to one digit past the cap at most, so a longer run
-# is refused at the numeral's offset without being read to its end.
+# A numeral token holds a run to one digit past the cap at most, so a
+# longer run is refused at the numeral's offset, and the lexer reads no
+# more than MAX_EXPR_TOKENS characters of the text past that token.
 MAX_NUMERAL_DIGITS = 4300
 
 # most values in one table prefix.  A problem file, unlike argv, puts no
 # bound on an expression's length, and parse time grows linearly with a
 # prefix: about 0.05 s at this cap.  The lexer refuses the comma that
-# would start one more value, so input past the cap is never read.
+# would start one more value, and reads no more than MAX_EXPR_TOKENS
+# characters of the text past it.
 MAX_TABLE_ENTRIES = 10_000
 
 # most tokens in one expression, so that parse time and memory stay bounded
 # however long a problem file's expression is.  A table prefix of
 # MAX_TABLE_ENTRIES fractions p/q takes 40,004 tokens, which leaves room
-# for the rest of the expression.  The lexer refuses the token that would
-# pass the cap, so input past it is never read.
+# for the rest of the expression.  A token holds a character at least, so
+# only a longer text can pass the cap; the lexer reads it up to the token
+# that would pass the cap, which it refuses, and never past it.
 MAX_EXPR_TOKENS = 50_000
 
 # bounds of parse's cache: entries, characters of a kept text, and bits of
 # a kept result's constants and root bases in all.  An exact-sweep weight
 # has at most 90 characters and 2 bits of constants.  The bit cap keeps out
-# short texts such as ((3)^32767)^1/2*((5)^21845)^1/2*..., which hold up to
-# 8 KB per root base, so a full cache stays within a few MB (README has
-# the figures).
+# short texts such as (3)^32767, whose constant holds about 6 KB, so a full
+# cache stays within a few MB (README has the figures).
 MAX_PARSE_CACHE = 1024
 MAX_CACHED_TEXT = 256
 MAX_CACHED_BITS = 1024
@@ -320,6 +330,11 @@ def _combine(terms) -> SequenceExpr:
     scale and add, the integer part of every power of a root base folds
     into the constant, zero exponents drop out and atoms are sorted.
 
+    The constant and the root bases of the result need MAX_CONST_BITS
+    bits at most in all, which is checked before the roots are sorted, so
+    a product of many large roots is refused before its bases are
+    compared.  A product without roots pays for no check.
+
     Fraction arithmetic is most of the cost, so none is done with 0 or 1:
     zero exponents are skipped, r = _ONE scales nothing, and every
     accumulator starts at its first contribution."""
@@ -362,7 +377,7 @@ def _combine(terms) -> SequenceExpr:
             key = pref, cont
             tables[key] = tables[key] + e if key in tables else e
     kept = []
-    for base, expo in sorted(roots.items()):
+    for base, expo in roots.items():
         # the whole part of every root folds into the constant, so a kept
         # root exponent lies in (0, 1) whatever the grouping of the factors
         whole = expo.numerator // expo.denominator
@@ -371,6 +386,12 @@ def _combine(terms) -> SequenceExpr:
             expo = expo - whole
         if expo:
             kept.append((base, expo))
+    if kept:
+        need = _own_bits(const_, kept)
+        if need > MAX_CONST_BITS:
+            raise SequenceError(f"constant and roots need {need} bits in all, "
+                                f"above the limit of {MAX_CONST_BITS}")
+        kept.sort()
     # (prefix, continuation) is a dict key, unique, so e is never compared
     tabs = [(pref, cont, e) for (pref, cont), e in tables.items() if e]
     tabs.sort()
@@ -383,6 +404,11 @@ def _combine(terms) -> SequenceExpr:
 
 def _bits(q: Fraction) -> int:
     return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _own_bits(const_: Fraction, roots) -> int:
+    """Bits of a constant and of the bases of roots ((base, e), ...)."""
+    return _bits(const_) + sum(_bits(b) for b, _ in roots)
 
 
 def _fold_const(acc: Fraction, base: Fraction, n: int) -> Fraction:
@@ -577,13 +603,20 @@ def _render(e: SequenceExpr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_SYMBOLS = "^()[],*/+-="
-
-# one token after any whitespace: a numeral of ASCII digits with at most one
-# point, each run of digits read to MAX_NUMERAL_DIGITS + 1 at most, a name,
-# or any other single character
-_TOKEN = re.compile(r"\s*([0-9]{1,%d}(?:\.[0-9]{0,%d})?|[^\W\d]\w*|\S)"
+# one token: a numeral of ASCII digits with at most one point, each run of
+# digits read to MAX_NUMERAL_DIGITS + 1 at most, a name, or any other
+# single character.  A scan skips whitespace between the matches.
+_TOKEN = re.compile(r"[0-9]{1,%d}(?:\.[0-9]{0,%d})?|[^\W\d]\w*|\S"
                     % ((MAX_NUMERAL_DIGITS + 1,) * 2))
+
+# first characters of the tokens that _lex passes without a further look:
+# an ASCII name, or a symbol other than the ones of a table prefix
+_PLAIN = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_^()*/+-=")
+
+# the end token of _lex and what _Parser pads it with: the parser looks
+# up to four tokens ahead, and it consumes the end token once at most
+# before it returns or raises
+_END_PAD = ("",) * 5
 
 
 def _num(text: str):
@@ -599,81 +632,120 @@ def _is_one(text: str) -> bool:
 
 
 def _lex(src: str) -> list:
-    """The tokens of src as (text, offset) pairs, the last one ("",
-    len(src)).  A token's kind is its first character: an ASCII digit for a
-    numeral, a letter or _ for a name, anything else for a symbol.  Such
-    tuples are untracked by the garbage collector, so input refused at
-    MAX_EXPR_TOKENS leaves no objects behind for a full collection to scan."""
-    toks = []
-    entries = 0  # values of the table prefix being read; 0 outside one
-    # scanned up to the trailing whitespace, so that every match is a token
-    for m in _TOKEN.finditer(src, 0, len(src.rstrip())):
+    """The token texts of src from one scan, then the end token "".  A
+    token's kind is its first character: an ASCII digit for a numeral, a
+    letter or _ for a name, anything else for a symbol.  No offset is kept:
+    an error finds the offset of its token by one rescan (_offset).  The
+    garbage collector does not track a str, so input refused at
+    MAX_EXPR_TOKENS leaves no objects behind for a full collection to scan.
+
+    A token holds one character at least, so a text of at most
+    MAX_EXPR_TOKENS characters is read whole, by findall, and checked
+    after.  A longer text is checked as it is read, so the scan stops at
+    the first token refused, or at the token that would pass the cap."""
+    end = len(src.rstrip())  # the scan stops where trailing whitespace starts
+    if end <= MAX_EXPR_TOKENS:
+        toks = _TOKEN.findall(src, 0, end)
+        _check_tokens(src, toks)
+    else:
+        toks = []
+        _check_tokens(src, _read(src, end, toks))
+    toks.append("")
+    return toks
+
+
+def _read(src: str, end: int, toks: list):
+    """Yield the token texts of src[:end], each appended to toks first;
+    the token that would pass MAX_EXPR_TOKENS is refused."""
+    for m in _TOKEN.finditer(src, 0, end):
         if len(toks) == MAX_EXPR_TOKENS:
             raise ParseError(f"expression with more than {MAX_EXPR_TOKENS} "
-                             f"tokens", m.start(1))
-        t = m[1]
+                             f"tokens", m.start())
+        toks.append(m[0])
+        yield m[0]
+
+
+def _check_tokens(src: str, texts) -> None:
+    """Refuse the first token of texts, the k-th of src, that is an
+    unexpected character, a numeral with a run of more than
+    MAX_NUMERAL_DIGITS digits, or the comma that would start value
+    MAX_TABLE_ENTRIES + 1 of a table prefix."""
+    entries = 0  # values of the table prefix being read; 0 outside one
+    for k, t in enumerate(texts):
         c = t[0]
+        if c in _PLAIN:
+            continue
         if "0" <= c <= "9":
             if len(t) > MAX_NUMERAL_DIGITS and \
                     max(map(len, t.split("."))) > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral with more than {MAX_NUMERAL_DIGITS} "
-                                 f"digits in a row", m.start(1))
-        elif c in _SYMBOLS:
-            if c == "[":
-                entries = 1
-            elif c == "]":
-                entries = 0
-            elif c == "," and entries:
+                                 f"digits in a row", _offset(src, k))
+        elif c == "[":
+            entries = 1
+        elif c == "]":
+            entries = 0
+        elif c == ",":
+            if entries:
                 entries += 1
                 if entries > MAX_TABLE_ENTRIES:
                     raise ParseError(f"table with more than {MAX_TABLE_ENTRIES} "
-                                     f"entries", m.start(1))
+                                     f"entries", _offset(src, k))
         elif not (c.isalpha() or c == "_"):
-            raise ParseError(f"unexpected character {c!r}", m.start(1))
-        toks.append((t, m.start(1)))
-    toks.append(("", len(src)))
-    return toks
+            raise ParseError(f"unexpected character {c!r}", _offset(src, k))
+
+
+def _offset(src: str, k: int) -> int:
+    """The offset of token k of src, by a rescan that stops there;
+    len(src) when src has no token k, as for the end token."""
+    m = next(islice(_TOKEN.finditer(src), k, None), None)
+    return len(src) if m is None else m.start()
 
 
 class _Parser:
-    def __init__(self, toks: list):
+    """Recursive descent over the token texts of src, walked by index.
+    The texts are padded with end tokens, so a lookahead needs no bounds
+    check, and an error reports the offset of its token by _offset."""
+
+    def __init__(self, src: str, toks: list):
+        self.src = src
         self.toks = toks
+        toks.extend(_END_PAD)
         self.i = 0
         self.nesting = 0  # open parentheses and table continuations
 
-    def peek(self, ahead: int = 0) -> tuple:
-        toks, k = self.toks, self.i + ahead
-        return toks[k] if k < len(toks) else toks[-1]
+    def offset(self, k: int) -> int:
+        return _offset(self.src, k)
 
-    def next(self) -> tuple:
+    def next(self) -> str:
         t = self.toks[self.i]
-        if t[0]:  # the end token stays put
-            self.i += 1
+        self.i += 1
         return t
 
-    def expect(self, text: str) -> tuple:
+    def expect(self, text: str) -> None:
         t = self.next()
-        if t[0] != text:
-            raise ParseError(f"expected {text!r}, found {t[0] or 'end of input'!r}", t[1])
-        return t
+        if t != text:
+            raise ParseError(f"expected {text!r}, found {t or 'end of input'!r}",
+                             self.offset(self.i - 1))
 
     def at(self, text: str, ahead: int = 0) -> bool:
-        return self.peek(ahead)[0] == text
+        return self.toks[self.i + ahead] == text
 
     # rational := ['-'] NUM ['/' NUM]
     def rational(self) -> Fraction:
         neg = self.at("-")
         if neg:
-            self.next()
-        text, pos = self.next()
+            self.i += 1
+        k = self.i
+        text = self.next()
         if not "0" <= text[:1] <= "9":
-            raise ParseError(f"expected number, found {text or 'end of input'!r}", pos)
+            raise ParseError(f"expected number, found {text or 'end of input'!r}",
+                             self.offset(k))
         v = _num(text)
-        if self.at("/") and "0" <= self.peek(1)[0][:1] <= "9":
-            self.next()
-            den = _num(self.next()[0])
+        if self.at("/") and "0" <= self.toks[self.i + 1][:1] <= "9":
+            den = _num(self.toks[self.i + 1])
+            self.i += 2
             if den == 0:
-                raise ParseError("zero denominator", pos)
+                raise ParseError("zero denominator", self.offset(k))
             return Fraction(-v if neg else v, den)
         return Fraction(-v if neg else v)
 
@@ -682,7 +754,7 @@ class _Parser:
         """The product of the terms, folded by one _combine."""
         terms = [self.term(False)]
         while self.at("*") or self.at("/"):
-            terms.append(self.term(self.next()[0] == "/"))
+            terms.append(self.term(self.next() == "/"))
         if len(terms) > 1:
             return _combine(terms)
         f, r = terms[0]
@@ -694,7 +766,7 @@ class _Parser:
         f = self.factor()
         r = _ONE
         if self.at("^"):
-            self.next()
+            self.i += 1
             r = self.rational()
         if f.roots or not (r is _ONE or f.const is _ONE or f.const == 1):
             # a constant raised to r is powered first, as power() powers
@@ -707,18 +779,19 @@ class _Parser:
         return f, r
 
     def factor(self) -> SequenceExpr:
-        text, pos = self.peek()
+        k = self.i
+        text = self.toks[k]
         if "0" <= text[:1] <= "9" or text == "-":
             base = self.rational()
             # base-2 geometric: 2^( linear )
             if self.at("^") and self.at("(", 1):
-                self.next()
-                self.next()
-                node = self.linear(base, pos)
+                self.i += 2
+                node = self.linear(base, k)
                 self.expect(")")
                 return node
             if base <= 0:
-                raise PositivityError(f"constant {base} is not positive (at offset {pos})")
+                raise PositivityError(f"constant {base} is not positive "
+                                      f"(at offset {self.offset(k)})")
             return const(base)
         if text == "table":
             return self.table_form()
@@ -728,26 +801,25 @@ class _Parser:
             return self.exp_form()
         if text == "(":
             # (1+j)^b | (1+log(1+j))^b | ( expr )
-            if _is_one(self.peek(1)[0]) and self.at("+", 2):
+            if _is_one(self.toks[k + 1]) and self.at("+", 2):
                 if self.at("j", 3) and self.at(")", 4):
-                    for _ in range(5):
-                        self.next()
+                    self.i += 5
                     return log_power(self.opt_exponent())
                 if self.at("log", 3):
-                    for _ in range(4):  # ( 1 + log
-                        self.next()
+                    self.i += 4  # ( 1 + log
                     self.expect("(")
                     self.one_plus_j()
                     self.expect(")")
                     self.expect(")")
                     return iter_log(self.opt_exponent())
-            self.next()
+            self.i += 1
             inner = self.nested()
             self.expect(")")
             return inner
         if text[:1].isalpha() or text[:1] == "_":
-            raise ParseError(f"unbound name {text!r}", pos)
-        raise ParseError(f"expected a factor, found {text or 'end of input'!r}", pos)
+            raise ParseError(f"unbound name {text!r}", self.offset(k))
+        raise ParseError(f"expected a factor, found {text or 'end of input'!r}",
+                         self.offset(k))
 
     def nested(self) -> SequenceExpr:
         # checked before descending, so deep input fails with DepthError
@@ -755,43 +827,43 @@ class _Parser:
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise DepthError(f"expression nesting exceeds limit {MAX_DEPTH} "
-                             f"(at offset {self.peek()[1]})")
+                             f"(at offset {self.offset(self.i)})")
         inner = self.expr()
         self.nesting -= 1
         return inner
 
     def opt_exponent(self) -> Fraction:
         if self.at("^"):
-            self.next()
+            self.i += 1
             return self.rational()
         return _ONE
 
-    def dyadic_log2(self, base: Fraction, pos: int) -> int:
+    def dyadic_log2(self, base: Fraction, k: int) -> int:
         """Exact exponent m with base = 2^m; geometric atoms stay exact
-        only for power-of-two bases."""
+        only for power-of-two bases.  k is the index of the base's token."""
         num, den = base.numerator, base.denominator
         if base > 0 and den == 1 and num & (num - 1) == 0:
             return num.bit_length() - 1
         if base > 0 and num == 1 and den & (den - 1) == 0:
             return -(den.bit_length() - 1)
-        raise ParseError("geometric atoms must use a power-of-two base", pos)
+        raise ParseError("geometric atoms must use a power-of-two base",
+                         self.offset(k))
 
     def one_plus_j(self):
-        text, pos = self.next()
-        if not _is_one(text):
-            raise ParseError("expected '1+j'", pos)
+        if not _is_one(self.next()):
+            raise ParseError("expected '1+j'", self.offset(self.i - 1))
         self.expect("+")
-        text, pos = self.next()
-        if text != "j":
-            raise ParseError("expected '1+j'", pos)
+        if self.next() != "j":
+            raise ParseError("expected '1+j'", self.offset(self.i - 1))
 
     # linear := rational '*' j | j ['*' rational] | rational,  after 'b^('
-    def linear(self, base: Fraction, pos: int) -> SequenceExpr:
+    def linear(self, base: Fraction, k: int) -> SequenceExpr:
+        """The atom b^(linear) of the base b whose token has index k."""
         if self.at("j"):
-            self.next()
+            self.i += 1
             coeff = _ONE
             if self.at("*"):
-                self.next()
+                self.i += 1
                 coeff = self.rational()
         else:
             coeff = self.rational()
@@ -799,11 +871,11 @@ class _Parser:
                 # constant exponent
                 if base <= 0:
                     raise PositivityError(f"constant {base} is not positive "
-                                          f"(at offset {pos})")
+                                          f"(at offset {self.offset(k)})")
                 return power(const(base), coeff)
-            self.next()
+            self.i += 1
             self.expect("j")
-        m = self.dyadic_log2(base, pos)
+        m = self.dyadic_log2(base, k)
         return geometric(coeff if m == 1 else coeff * m)
 
     def table_form(self) -> SequenceExpr:
@@ -811,7 +883,7 @@ class _Parser:
         self.expect("[")
         vals = [self.rational()]
         while self.at(","):
-            self.next()
+            self.i += 1
             vals.append(self.rational())
         self.expect("]")
         self.expect("then")
@@ -823,16 +895,18 @@ class _Parser:
         self.expect("(")
         params = {}
         for _ in range(2):
-            name, pos = self.next()
+            name = self.next()
             if name not in ("s0", "s1"):
-                raise ParseError("pw2 expects parameters s0 and s1", pos)
+                raise ParseError("pw2 expects parameters s0 and s1",
+                                 self.offset(self.i - 1))
             self.expect("=")
             params[name] = self.rational()
             if self.at(","):
-                self.next()
+                self.i += 1
         self.expect(")")
         if set(params) != {"s0", "s1"}:
-            raise ParseError("pw2 expects parameters s0 and s1", self.peek()[1])
+            raise ParseError("pw2 expects parameters s0 and s1",
+                             self.offset(self.i))
         return pw2(params["s0"], params["s1"])
 
     def exp_form(self) -> SequenceExpr:
@@ -848,7 +922,8 @@ class _Parser:
         kappa = self.rational()
         self.expect(")")
         if not (0 < kappa < 1):
-            raise ParseError("exp-log exponent must lie strictly between 0 and 1", self.peek()[1])
+            raise ParseError("exp-log exponent must lie strictly between 0 and 1",
+                             self.offset(self.i))
         return exp_log_pow(coeff, kappa)
 
 
@@ -869,11 +944,11 @@ def parse(text: str) -> SequenceExpr:
 
 
 def _parse(text: str) -> SequenceExpr:
-    p = _Parser(_lex(text))
+    p = _Parser(text, _lex(text))
     e = p.expr()
-    text, pos = p.next()
-    if text:
-        raise ParseError(f"unexpected trailing input {text!r}", pos)
+    rest = p.next()
+    if rest:
+        raise ParseError(f"unexpected trailing input {rest!r}", p.offset(p.i - 1))
     return e
 
 
@@ -884,7 +959,7 @@ class _Unkept(Exception):
 
 def _const_bits(e: SequenceExpr) -> int:
     """Bits of the constant and root bases of e and of its continuations."""
-    return (_bits(e.const) + sum(_bits(b) for b, _ in e.roots)
+    return (_own_bits(e.const, e.roots)
             + sum(_const_bits(cont) for _, cont, _ in e.tables))
 
 

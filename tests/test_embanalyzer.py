@@ -247,6 +247,39 @@ class TestPairLaw:
         assert len(calls) == 1
         assert compactness(pr).criterion is pr.compact_membership.criterion
 
+    def test_weight_ratio_is_decomposed_once(self, monkeypatch):
+        # each criterion's tail is the decomposed ratio with its rate shift,
+        # so compactness, nuclearity and entropy_rate strip the tables once
+        stripped = []
+        strip = embanalyzer.decompose
+        monkeypatch.setattr(embanalyzer, "decompose",
+                            lambda e: (e.tables and stripped.append(e)) or strip(e))
+        pr = EmbeddingProblem("table[1,5/2] then 2^(3*j)*(1+j)^2",
+                              "table[4] then (1+log(1+j))^-1", 2, 1, 4, 2, 1)
+        c, n, e = compactness(pr), nuclearity(pr), entropy_rate(pr)
+        assert stripped == [pr.weight_ratio]
+        for v, kind in ((c, "compact"), (n, "nuclear")):
+            # the verdict carries the criterion itself, tables included
+            assert v.criterion is criterion_sequence(pr, kind)[0]
+            assert v.criterion.tables
+            assert "table[1,5/2]" in v.evidence["criterion"]
+            ref = ellr_membership(*criterion_sequence(pr, kind))
+            assert (v.status, v.target) == (ref.status, ref.target)
+            assert dict(ref.evidence, criterion=render(v.criterion)) == v.evidence
+        assert e.kind == "non-limiting" and not e.ratio.tables
+
+    def test_membership_reads_the_targets_reciprocal(self, monkeypatch):
+        # a pair law's targets are shared, so each inverts its r once
+        assert Target("ell", Fraction(3, 2)).r_recip == Fraction(2, 3)
+        assert Target("ell", INF).r_recip == 0 and Target("c0").r_recip == 0
+        pr = EmbeddingProblem("(1+j)^3", "1", 2, 3, 2, 1, 1)
+        compactness(pr)
+        calls = []
+        monkeypatch.setattr(embanalyzer, "recip",
+                            lambda x: calls.append(x) or recip(x))
+        assert compactness(pr._replace(dim=2)).evidence["decided_by"] == "log"
+        assert calls == []
+
     @given(sigma=weights, tau=weights, data=st.data(), dim=st.integers(1, 3))
     def test_not_compact_iff_compactness_fails(self, sigma, tau, data, dim):
         # scale B: entropy_rate's not-compact test reads compactness's verdict

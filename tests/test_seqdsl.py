@@ -31,8 +31,9 @@ from gsembed import (
 )
 
 from gsembed import seqdsl
-from gsembed.seqdsl import (MAX_CACHED_TEXT, MAX_EXPR_TOKENS, MAX_NUMERAL_DIGITS,
-                           MAX_TABLE_ENTRIES, _lex)
+from gsembed.seqdsl import (MAX_CACHED_TEXT, MAX_CONST_BITS, MAX_EXPR_TOKENS,
+                           MAX_NUMERAL_DIGITS, MAX_TABLE_ENTRIES, _bits, _lex,
+                           _offset)
 
 from conftest import (FOLD_FACTORS, canonical_exprs, oscillating_exprs, rates,
                       small_fractions)
@@ -46,6 +47,167 @@ _DSL_PIECES = [
 # outside ASCII, a lone surrogate, a null and ASCII outside the language
 _HOSTILE = ["\u00b2", "\u0663", "\u00bd", "\uff11", "\u00e9", "\u2160",
             "\ud800", "\x00", "!", "#"]
+
+
+# every error branch of the lexer and the parser, with the message and the
+# offset each raises, pinned so that how the tokens are scanned and walked
+# cannot move them; a PositivityError or DepthError carries its offset in
+# the message alone
+HOSTILE_TEXTS = [
+    pytest.param(" 1 *" * (MAX_EXPR_TOKENS // 2) + " 1", ParseError,
+                 'expression with more than 50000 tokens (at offset 100001)', 100001,
+                 id='token-cap'),
+    pytest.param("1*" * (MAX_EXPR_TOKENS // 2) + "!", ParseError,
+                 'expression with more than 50000 tokens (at offset 50000)', 50000,
+                 id='token-cap-at-bad-char'),
+    pytest.param("2 * " + "7" * (MAX_NUMERAL_DIGITS + 1), ParseError,
+                 'numeral with more than 4300 digits in a row (at offset 4)', 4,
+                 id='numeral-digits'),
+    pytest.param("3/2*1." + "0" * (MAX_NUMERAL_DIGITS + 1), ParseError,
+                 'numeral with more than 4300 digits in a row (at offset 4)', 4,
+                 id='numeral-fraction-digits'),
+    pytest.param("2*table[" + "1, " * MAX_TABLE_ENTRIES + "1] then 1", ParseError,
+                 'table with more than 10000 entries (at offset 30006)', 30006,
+                 id='table-entries'),
+    pytest.param("2^(j) *\n !", ParseError,
+                 "unexpected character '!' (at offset 9)", 9,
+                 id='unexpected-ascii'),
+    pytest.param("2*.5", ParseError,
+                 "unexpected character '.' (at offset 2)", 2,
+                 id='unexpected-point'),
+    pytest.param("1.2.3", ParseError,
+                 "unexpected character '.' (at offset 3)", 3,
+                 id='unexpected-second-point'),
+    pytest.param("(1+j)^\u00b2", ParseError,
+                 "unexpected character '\u00b2' (at offset 6)", 6,
+                 id='unexpected-superscript'),
+    pytest.param("2^(\u0663*j)", ParseError,
+                 "unexpected character '\u0663' (at offset 3)", 3,
+                 id='unexpected-arabic-digit'),
+    pytest.param("# " + "9" * (MAX_NUMERAL_DIGITS + 1), ParseError,
+                 "unexpected character '#' (at offset 0)", 0,
+                 id='bad-char-before-long-numeral'),
+    pytest.param("2*!" + " " * MAX_EXPR_TOKENS + "1", ParseError,
+                 "unexpected character '!' (at offset 2)", 2,
+                 id='long-text-unexpected'),
+    pytest.param("9" * (2 * MAX_EXPR_TOKENS), ParseError,
+                 'numeral with more than 4300 digits in a row (at offset 0)', 0,
+                 id='long-text-numeral-digits'),
+    pytest.param("2^(j", ParseError,
+                 "expected ')', found 'end of input' (at offset 4)", 4,
+                 id='expect-close'),
+    pytest.param("2^(j   ", ParseError,
+                 "expected ')', found 'end of input' (at offset 7)", 7,
+                 id='expect-close-trailing-space'),
+    pytest.param("table[1 then 1", ParseError,
+                 "expected ']', found 'then' (at offset 8)", 8,
+                 id='expect-bracket'),
+    pytest.param("table[1]  2", ParseError,
+                 "expected 'then', found '2' (at offset 10)", 10,
+                 id='expect-then'),
+    pytest.param("pw2(s0 0,s1=1)", ParseError,
+                 "expected '=', found '0' (at offset 7)", 7,
+                 id='expect-equals'),
+    pytest.param("exp(1*log(1+j)^1/2", ParseError,
+                 "expected ')', found 'end of input' (at offset 18)", 18,
+                 id='expect-close-exp'),
+    pytest.param("exp(1*lg(1+j)^1/2)", ParseError,
+                 "expected 'log', found 'lg' (at offset 6)", 6,
+                 id='expect-log'),
+    pytest.param("2^(j*x)", ParseError,
+                 "expected number, found 'x' (at offset 5)", 5,
+                 id='number-name'),
+    pytest.param("(1+j)^", ParseError,
+                 "expected number, found 'end of input' (at offset 6)", 6,
+                 id='number-end'),
+    pytest.param("-", ParseError,
+                 "expected number, found 'end of input' (at offset 1)", 1,
+                 id='number-minus-end'),
+    pytest.param("--2", ParseError,
+                 "expected number, found '-' (at offset 1)", 1,
+                 id='number-double-minus'),
+    pytest.param("3/0", ParseError,
+                 'zero denominator (at offset 0)', 0,
+                 id='zero-denominator'),
+    pytest.param("2^( 1/0*j)", ParseError,
+                 'zero denominator (at offset 4)', 4,
+                 id='zero-denominator-rate'),
+    pytest.param("2 * -3", PositivityError,
+                 'constant -3 is not positive (at offset 4)', None,
+                 id='positive-constant'),
+    pytest.param("0", PositivityError,
+                 'constant 0 is not positive (at offset 0)', None,
+                 id='positive-zero'),
+    pytest.param("  -2^(3)", PositivityError,
+                 'constant -2 is not positive (at offset 2)', None,
+                 id='positive-linear'),
+    pytest.param("0^(1/2)", PositivityError,
+                 'constant 0 is not positive (at offset 0)', None,
+                 id='positive-linear-zero'),
+    pytest.param("2^(j)*sigma", ParseError,
+                 "unbound name 'sigma' (at offset 6)", 6,
+                 id='unbound-name'),
+    pytest.param("a\u00b2", ParseError,
+                 "unbound name 'a\u00b2' (at offset 0)", 0,
+                 id='unbound-unicode-name'),
+    pytest.param("2*)", ParseError,
+                 "expected a factor, found ')' (at offset 2)", 2,
+                 id='factor-symbol'),
+    pytest.param("2*", ParseError,
+                 "expected a factor, found 'end of input' (at offset 2)", 2,
+                 id='factor-end'),
+    pytest.param("", ParseError,
+                 "expected a factor, found 'end of input' (at offset 0)", 0,
+                 id='factor-empty'),
+    pytest.param("   ", ParseError,
+                 "expected a factor, found 'end of input' (at offset 3)", 3,
+                 id='factor-blank'),
+    pytest.param("[1]", ParseError,
+                 "expected a factor, found '[' (at offset 0)", 0,
+                 id='factor-bracket'),
+    pytest.param("(" * 33 + "2" + ")" * 33, DepthError,
+                 'expression nesting exceeds limit 32 (at offset 33)', None,
+                 id='depth-parentheses'),
+    pytest.param("table[1] then " * 33 + "1", DepthError,
+                 'expression nesting exceeds limit 32 (at offset 462)', None,
+                 id='depth-tables'),
+    pytest.param("2*3^(j)", ParseError,
+                 'geometric atoms must use a power-of-two base (at offset 2)', 2,
+                 id='power-of-two-base'),
+    pytest.param("-4^(j)", ParseError,
+                 'geometric atoms must use a power-of-two base (at offset 0)', 0,
+                 id='power-of-two-base-negative'),
+    pytest.param("(1+log(2+j))", ParseError,
+                 "expected '1+j' (at offset 7)", 7,
+                 id='one-plus-j-first'),
+    pytest.param("exp(1*log(1+k)^1/2)", ParseError,
+                 "expected '1+j' (at offset 12)", 12,
+                 id='one-plus-j-third'),
+    pytest.param("(1+log(1+", ParseError,
+                 "expected '1+j' (at offset 9)", 9,
+                 id='one-plus-j-end'),
+    pytest.param("pw2(a=0,s1=1)", ParseError,
+                 'pw2 expects parameters s0 and s1 (at offset 4)', 4,
+                 id='pw2-name'),
+    pytest.param("pw2(s0=0,s0=1) ", ParseError,
+                 'pw2 expects parameters s0 and s1 (at offset 15)', 15,
+                 id='pw2-missing'),
+    pytest.param("pw2(", ParseError,
+                 'pw2 expects parameters s0 and s1 (at offset 4)', 4,
+                 id='pw2-end'),
+    pytest.param("exp(1*log(1+j)^2) ", ParseError,
+                 'exp-log exponent must lie strictly between 0 and 1 (at offset 18)', 18,
+                 id='exp-kappa'),
+    pytest.param("2^(j) 3", ParseError,
+                 "unexpected trailing input '3' (at offset 6)", 6,
+                 id='trailing'),
+    pytest.param("2)", ParseError,
+                 "unexpected trailing input ')' (at offset 1)", 1,
+                 id='trailing-close'),
+    pytest.param("(1+j", ParseError,
+                 "expected ')', found '+' (at offset 2)", 2,
+                 id='open-one-plus-j'),
+]
 
 
 class TestParsing:
@@ -164,6 +326,44 @@ class TestParsing:
         assert err.value.offset == MAX_EXPR_TOKENS
         assert built == []
 
+    def test_constant_bits_are_capped_in_all(self):
+        # 400 roots of distinct constants, each within MAX_CONST_BITS, held
+        # 24,358,832 bits of root bases, and parsing their product took over
+        # three times as long as reading the factors, most of it sorting the
+        # roots; the total is refused before the sort, so refusing the
+        # product costs about what reading its factors does
+        factors = [f"(({1001 + i}/{1000 + i})^5957)^1/2" for i in range(400)]
+        gc.collect()
+        t0 = time.process_time()
+        for f in factors:
+            parse(f)
+        t1 = time.process_time()
+        with pytest.raises(SequenceError) as err:
+            parse("*".join(factors))
+        assert time.process_time() - t1 < 2 * (t1 - t0)
+        assert str(err.value) == ("constant and roots need 24358833 bits in "
+                                  f"all, above the limit of {MAX_CONST_BITS}")
+
+    @pytest.mark.parametrize("text, bits", [
+        ("((3)^19000)^1/2*((3)^19000)^1/2", None),
+        ("((3)^19000)^1/2*((5)^10000)^1/2", None),
+        ("((3)^12000)^1/2*((5)^20000)^1/2/((3)^12000)^1/2", None),
+        ("((3)^30000)^1/2*((5)^20000)^1/2", 93989),
+        ("((3)^19000)^5/2", 90344),
+    ], ids=["folds-whole", "two-roots", "root-cancels", "two-large-roots",
+            "root-and-its-whole-part"])
+    def test_constant_and_roots_share_the_cap(self, text, bits):
+        # the result's constant and root bases together, each of which
+        # alone is within the cap; a cancelled root does not count
+        if bits is None:
+            e = parse(text)
+            assert _bits(e.const) + sum(_bits(b) for b, _ in e.roots) <= \
+                MAX_CONST_BITS
+            return
+        with pytest.raises(SequenceError, match=f"need {bits} bits in all, "
+                                                f"above the limit of {MAX_CONST_BITS}"):
+            parse(text)
+
     def test_refusal_leaves_nothing_long_lived(self):
         # lexing to the cap must not push its tokens into the oldest
         # generation, or the refusal pays for full collections of the whole
@@ -205,6 +405,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("sigma")
 
+    @pytest.mark.parametrize("text, error, message, offset", HOSTILE_TEXTS)
+    def test_hostile_text_errors(self, text, error, message, offset):
+        with pytest.raises(error) as err:
+            parse(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "offset", None) == offset
+
     @given(st.one_of(st.lists(st.sampled_from(_DSL_PIECES), max_size=30),
                      st.lists(st.sampled_from(_DSL_PIECES + _HOSTILE), max_size=30))
            .map("".join))
@@ -214,9 +422,12 @@ class TestParsing:
         except ParseError as err:
             assert 0 <= err.offset < len(src)
             return
-        assert toks[-1] == ("", len(src))
+        # the offsets come from the rescan that errors use; the end token's
+        # is len(src)
+        offsets = [_offset(src, k) for k in range(len(toks))]
+        assert toks[-1] == "" and offsets[-1] == len(src)
         end = 0
-        for text, offset in toks[:-1]:
+        for text, offset in zip(toks[:-1], offsets):
             assert text and offset >= end  # so offsets strictly increase
             assert src[offset:offset + len(text)] == text
             assert src[end:offset].strip() == ""
