@@ -20,14 +20,15 @@ once each, weight_ratio = sigma^-1 tau, ratio_tail = decompose(weight_ratio),
 its two criteria (compact_criterion, nuclear_criterion), which
 criterion_sequence reads, compact_membership, the membership of its
 compact criterion, which compactness and entropy_rate both read, and
-b_sandwich, the two scale-B problems that scale F asks every question.
-A criterion with tables is decided on its tail, ratio_tail with the
-criterion's rate shift, and entropy_rate reads the same tail, so a
-problem strips its tables once.  These are cached properties,
-not fields: they take no part in equality or hashing, and a problem from
-_replace derives its own.  EmbeddingProblem and Target are frozen records
-on seqdsl's _Record base, with hand-written constructors, so no command
-imports dataclasses.
+b_sandwich, the two scale-B problems that scale F asks every question,
+which read its weight_ratio and ratio_tail.  A criterion with tables is
+decided on its tail, ratio_tail with the criterion's rate shift, and
+entropy_rate reads the same tail, so a problem strips its tables once.
+These are cached properties, not fields: they take no part in equality or
+hashing, and a problem from _replace derives its own.  A verdict keeps its
+criterion and target as values, which the CLI renders when it prints.
+EmbeddingProblem and Target are frozen records on seqdsl's _Record base,
+with hand-written constructors, so no command imports dataclasses.
 
 ext keeps the values of the MAX_EXT_CACHE exponent strings of at most
 MAX_CACHED_TEXT characters that it read most recently, and returns the same
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -61,6 +62,7 @@ from .seqdsl import (
     _MINUS_ONE,
     _ONE,
     _Record,
+    _cached,
     _combine,
     decompose,
     parse,
@@ -265,8 +267,8 @@ class Exponents:
     list the four among their _fields and pass them to _set_exponents from
     __init__.  Their __init__ is the only validator, and from_dict the only
     JSON decoder, of both models.  The reciprocal laws of the inner pair
-    (p1, p2) and of the outer pair (q1, q2) are read once, from _pair, and
-    recips and is_banach() read them.
+    (p1, p2) and of the outer pair (q1, q2) are read once, from _pair, into
+    the cached inner and outer, which recips and is_banach() read.
     """
 
     @classmethod
@@ -286,17 +288,17 @@ class Exponents:
         for name, v in zip(("p1", "q1", "p2", "q2"), values):
             self.__dict__[name] = _exponent(name, v)
 
-    @cached_property
+    @_cached
     def inner(self) -> _PairLaw:
         """The law of (p1, p2)."""
         return _pair(self.p1, self.p2)
 
-    @cached_property
+    @_cached
     def outer(self) -> _PairLaw:
         """The law of (q1, q2)."""
         return _pair(self.q1, self.q2)
 
-    @cached_property
+    @_cached
     def recips(self) -> tuple:
         """(1/p1, 1/q1, 1/p2, 1/q2) as exact Fractions, with 1/inf = 0."""
         inner, outer = self.inner, self.outer
@@ -331,36 +333,36 @@ class EmbeddingProblem(_Record, Exponents):
             raise ValueError("scale must be 'B' or 'F'")
         self.__dict__.update(dim=dim, scale=scale)
 
-    @cached_property
+    @_cached
     def weight_ratio(self) -> SequenceExpr:
         """sigma^-1 tau, the weight part of every criterion sequence."""
         return _combine(((self.sigma, _MINUS_ONE), (self.tau, _ONE)))
 
-    @cached_property
+    @_cached
     def ratio_tail(self) -> SequenceExpr:
         """decompose(weight_ratio), the one table-stripping call of a
         problem with tables: each criterion's tail is this with the
         criterion's rate shift (_tail)."""
         return decompose(self.weight_ratio)
 
-    @cached_property
+    @_cached
     def compact_criterion(self) -> tuple:
         """(criterion sequence, Target) deciding compactness."""
         return _criterion(self, "compact")
 
-    @cached_property
+    @_cached
     def nuclear_criterion(self) -> tuple:
         """(criterion sequence, Target) deciding nuclearity; ValueError
         unless the exponents are Banach."""
         return _criterion(self, "nuclear")
 
-    @cached_property
+    @_cached
     def compact_membership(self) -> Verdict:
         """ellr_membership of the compact criterion, which compactness and
         entropy_rate's not-compact test both read."""
         return _membership(self, "compact")
 
-    @cached_property
+    @_cached
     def b_sandwich(self) -> tuple:
         """The (sufficient, necessary) scale-B problems of a scale-F problem:
         B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)},
@@ -368,8 +370,11 @@ class EmbeddingProblem(_Record, Exponents):
         (q1 -> min, q2 -> max) factors through id_F.  Compact and nuclear
         maps form ideals, and e_k(R T S) <= |R| e_k(T) |S|."""
         p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
-        return (self._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
-                self._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
+        sides = (self._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
+                 self._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
+        for side in sides:  # the same sigma and tau, so the same ratio and tail
+            side.__dict__.update(weight_ratio=self.weight_ratio, ratio_tail=self.ratio_tail)
+        return sides
 
 
 def _check_dim(dim) -> None:
@@ -394,7 +399,7 @@ class Target(_Record):
             return "c0"
         return "ell_inf" if self.r == INF else f"ell_{self.r}"
 
-    @cached_property
+    @_cached
     def r_recip(self) -> Fraction:
         """1/r of an ell_r target, 0 for c0 (and for ell_inf).  A pair
         law's targets are shared by every problem of the pair, so each
@@ -455,20 +460,21 @@ def _criterion(problem: EmbeddingProblem, kind: str) -> tuple:
     else:
         _require_banach(problem)
         shift, target = problem.inner.tong_shift, problem.outer.tong_target
-    expr = problem.weight_ratio
-    if shift:
-        expr = expr._replace(rate=expr.rate + problem.dim * shift)
-    return expr, target
+    ratio = problem.weight_ratio
+    return (_shifted(ratio, problem.dim * shift) if shift else ratio), target
+
+
+def _shifted(e: SequenceExpr, shift: Fraction) -> SequenceExpr:
+    """e with its rate raised by shift, from one constructor call."""
+    return SequenceExpr(e.const, e.roots, e.rate + shift, e.log_exp,
+                        e.iterlog, e.explog, e.osc, e.tables)
 
 
 def _tail(problem: EmbeddingProblem, expr: SequenceExpr) -> SequenceExpr:
     """decompose(expr) of a criterion expr of problem, read off ratio_tail:
     expr is weight_ratio with a shifted rate, and decompose leaves the
     shift where it is."""
-    ratio, tail = problem.weight_ratio, problem.ratio_tail
-    if expr is ratio:
-        return tail
-    return tail._replace(rate=tail.rate + (expr.rate - ratio.rate))
+    return _shifted(problem.ratio_tail, expr.rate - problem.weight_ratio.rate)
 
 
 def _membership(problem: EmbeddingProblem, kind: str) -> Verdict:
@@ -516,15 +522,15 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
         anchor-log, anchor-explog, anchor-iterlog,
         anchor-limit                               sparse zero anchors
 
-    and evidence["value"] holds that entry as a Fraction.  A monomial with
-    osc != 0 also reports anchor_rate_even and anchor_rate_odd.
+    and evidence["value"] holds that entry as a Fraction, evidence["target"] the
+    Target itself; with osc != 0, anchor_rate_even and anchor_rate_odd too.
     """
     d = decompose(expr)
-    ev = {"target": str(target)}
+    ev = {"target": target}
     lead, sparse = ("rate", d.rate), False
     if d.osc:
         even, odd = (d.rate + d.osc * a for a in _OSC_ANCHORS)
-        ev["anchor_rate_even"], ev["anchor_rate_odd"] = str(even), str(odd)
+        ev["anchor_rate_even"], ev["anchor_rate_odd"] = even, odd
         lead = ("anchor-rate", max(even, odd))
         sparse = lead[1] == 0
     pre = "anchor-" if sparse else ""
@@ -569,9 +575,9 @@ def nuclearity(problem: EmbeddingProblem) -> Verdict:
 
 
 def _criterion_verdict(v: Verdict, name: str) -> Verdict:
-    """Scale-B verdict of name from the membership v of its criterion."""
-    ev = dict(v.evidence, criterion=render(v.criterion))
-    return Verdict(v.status, v.criterion, v.target, f"sequence-{name}-criterion", ev)
+    """Scale-B verdict of name from v, whose evidence gains the criterion."""
+    v.evidence["criterion"] = v.criterion
+    return Verdict(v.status, v.criterion, v.target, f"sequence-{name}-criterion", v.evidence)
 
 
 def _require_banach(model: Exponents) -> None:

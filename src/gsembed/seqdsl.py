@@ -214,6 +214,20 @@ class _Record:
         return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
 
 
+class _cached:
+    """A record's cached property: the first read keeps func's value in the
+    instance __dict__, with no class-wide lock as in Python 3.11's stdlib."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class SequenceExpr(_Record):
     """A weight sequence as the monomial const * prod (base)^e * 2^(rate*j)
     * (1+j)^log_exp * (1+log(1+j))^iterlog * prod exp(c*log(1+j)^kappa)

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from numbers import Real
 from typing import NamedTuple, Optional, Sequence
 
-from .seqdsl import _Record, log2_value
+from .seqdsl import _Record, _cached, log2_value
 from .embanalyzer import (INF, EmbeddingProblem, Exponents, ExtReal, _from_recip,
                           _require_banach, entropy_rate)
 
@@ -96,7 +95,7 @@ class FiniteSection(_Record, Exponents):
         self.__dict__.update(beta=beta, M=tuple(M))
         self._set_exponents(p1, q1, p2, q2)
 
-    @cached_property
+    @_cached
     def gains(self) -> tuple:
         """Block norms beta_j^-1 M_j^(1/p*): beta_j^-1 times the norm of the
         ell_p1^M -> ell_p2^M identity, 1 for p1 <= p2 and M^(1/p2 - 1/p1)
@@ -104,12 +103,12 @@ class FiniteSection(_Record, Exponents):
         excess = float(self.inner.star)
         return tuple(float(m) ** excess / b for b, m in zip(self.beta, self.M))
 
-    @cached_property
+    @_cached
     def closed_norm(self) -> float:
         """The exact operator norm that embedding_norm_closed returns."""
         return _lp_norm(_from_recip(self.outer.star))(self.gains)
 
-    @cached_property
+    @_cached
     def cover_scales(self) -> tuple:
         """(M_j^(1/p2), 1/beta_j) per block: a cube of half-width c in block
         j has target ell_p2 radius M_j^(1/p2) c, and the source ball's image
@@ -118,13 +117,13 @@ class FiniteSection(_Record, Exponents):
         return tuple((float(m) ** inv_p2, 1.0 / b)
                      for b, m in zip(self.beta, self.M))
 
-    @cached_property
+    @_cached
     def cover_radius(self):
         """The ell_q2 norm, which turns a list of block cover errors into
         the radius of the cover."""
         return _lp_norm(self.q2)
 
-    @cached_property
+    @_cached
     def log2_ball_volumes(self) -> tuple:
         """(log2 volume of the source ball's image, log2 volume of the target
         ball) in dimension n."""
@@ -135,7 +134,7 @@ class FiniteSection(_Record, Exponents):
     def levels(self) -> int:
         return len(self.M) - 1
 
-    @cached_property
+    @_cached
     def n(self) -> int:
         return sum(self.M)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gsembed import EmbeddingProblem
+from gsembed import EmbeddingProblem, cli
 
 SPANS = Path(__file__).resolve().parent.parent / "gsbench" / "spans.py"
 
@@ -50,7 +50,8 @@ def test_install_and_uninstall_restore_bindings(spans):
     try:
         from gsembed import embanalyzer
         assert embanalyzer.ellr_membership is not before["gsembed.embanalyzer"]["ellr_membership"]
-        rec.run_op(0, embanalyzer.compactness,
+        # deciding renders nothing; printing the verdict renders its criterion
+        rec.run_op(0, lambda pr: cli._jsonable(embanalyzer.compactness(pr)),
                    EmbeddingProblem("2^(2*j)", "1", 1, 1, "inf", "inf", 1))
     finally:
         rec.uninstall()

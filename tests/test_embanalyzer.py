@@ -262,11 +262,29 @@ class TestPairLaw:
             # the verdict carries the criterion itself, tables included
             assert v.criterion is criterion_sequence(pr, kind)[0]
             assert v.criterion.tables
-            assert "table[1,5/2]" in v.evidence["criterion"]
+            assert v.evidence["criterion"] is v.criterion
+            assert "table[1,5/2]" in render(v.evidence["criterion"])
             ref = ellr_membership(*criterion_sequence(pr, kind))
             assert (v.status, v.target) == (ref.status, ref.target)
-            assert dict(ref.evidence, criterion=render(v.criterion)) == v.evidence
+            assert dict(ref.evidence, criterion=v.criterion) == v.evidence
         assert e.kind == "non-limiting" and not e.ratio.tables
+
+    def test_sandwich_sides_share_the_ratio(self, monkeypatch):
+        # both scale-B sides of a scale-F problem have its sigma and tau, so
+        # they read its weight ratio and tail instead of deriving their own
+        combined, stripped = [], []
+        combine, strip = embanalyzer._combine, embanalyzer.decompose
+        monkeypatch.setattr(embanalyzer, "_combine",
+                            lambda factors: combined.append(factors) or combine(factors))
+        monkeypatch.setattr(embanalyzer, "decompose",
+                            lambda e: (e.tables and stripped.append(e)) or strip(e))
+        pr = EmbeddingProblem("table[1,2] then 2^(2*j)*(1+j)", "(1+j)^3",
+                              2, 1, 3, 4, 1, scale="F")
+        compactness(pr), nuclearity(pr), entropy_rate(pr)
+        assert len(combined) == 1 and stripped == [pr.weight_ratio]
+        for side in pr.b_sandwich:
+            assert side.weight_ratio is pr.weight_ratio
+            assert side.ratio_tail is pr.ratio_tail
 
     def test_membership_reads_the_targets_reciprocal(self, monkeypatch):
         # a pair law's targets are shared, so each inverts its r once
@@ -601,6 +619,45 @@ class TestCompactness:
         v = compactness(pr)
         assert "criterion" in v.evidence
         assert v.tag == "sequence-compactness-criterion"
+
+    def test_deciding_renders_nothing(self, monkeypatch):
+        # a verdict keeps its criterion and target as values; the CLI
+        # renders them when it prints, and the decision calls neither
+        from gsembed import cli, seqdsl
+
+        def verdict(status, crit, target, value, kind, **anchors):
+            tag = f"sequence-{kind}-criterion"
+            return {"status": status, "criterion": crit, "target": target, "tag": tag,
+                    "evidence": {"target": target, **anchors, "decided_by":
+                                 "anchor-rate" if anchors else "rate",
+                                 "value": value, "criterion": crit}}
+
+        tables = "(table[1,5/2] then 2^(3*j) * (1+j)^2)^-1 * " \
+            "(table[4] then (1+log(1+j))^-1)"
+        pw2 = "(1+j)^-1 * (table[3] then 2^(2*j) * (pw2(s0=0,s1=1))^2)^-1"
+        cases = [
+            (EmbeddingProblem("table[1,5/2] then 2^(3*j)*(1+j)^2",
+                              "table[4] then (1+log(1+j))^-1", 2, 1, 4, 2, 1),
+             verdict("holds", "2^(1/4*j) * " + tables, "c0", "-11/4", "compactness"),
+             verdict("holds", "2^(1*j) * " + tables, "ell_2", "-2", "nuclearity")),
+            (EmbeddingProblem("table[3] then 2^(2*j)*pw2(s0=0,s1=2)", "(1+j)^-1",
+                              1, 2, 2, "inf", 2),
+             verdict("holds", "2^(1*j) * " + pw2, "c0", "-5/3", "compactness",
+                     anchor_rate_even="-7/3", anchor_rate_odd="-5/3"),
+             verdict("holds", "2^(2*j) * " + pw2, "ell_2", "-2/3", "nuclearity",
+                     anchor_rate_even="-4/3", anchor_rate_odd="-2/3")),
+        ]
+
+        def refuse(*args):
+            raise AssertionError("rendered while deciding")
+
+        with monkeypatch.context() as m:
+            for owner, name in ((seqdsl, "render"), (embanalyzer, "render"),
+                                (Target, "__str__")):
+                m.setattr(owner, name, refuse)
+            verdicts = [(compactness(pr), nuclearity(pr)) for pr, _, _ in cases]
+        for (c, n), (_, c_doc, n_doc) in zip(verdicts, cases):
+            assert (cli._jsonable(c), cli._jsonable(n)) == (c_doc, n_doc)
 
     def test_f_scale_sandwich_agrees_when_clear(self):
         pr = EmbeddingProblem("2^(2*j)", "1", 2, 1, 3, 4, 1, scale="F")

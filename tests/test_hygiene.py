@@ -60,6 +60,31 @@ def test_no_module_imports_dataclasses():
     assert [name for name, mods in imports.items() if "dataclasses" in mods] == []
 
 
+def functools_names(source: str) -> set:
+    """Every name that source imports from functools or reads as an
+    attribute of it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_imports_functools_cached_property():
+    # Python 3.11's cached_property takes a class-wide lock on each first
+    # read; the records use seqdsl._cached, which writes __dict__ directly
+    assert functools_names("import functools\nfrom functools import lru_cache\n"
+                           "x = functools.cached_property\n") == \
+        {"lru_cache", "cached_property"}
+    found = {p.name: functools_names(p.read_text())
+             for p in sorted((ROOT / "src/gsembed").glob("*.py"))}
+    assert "lru_cache" in found["embanalyzer.py"]
+    assert [name for name, names in found.items() if "cached_property" in names] == []
+
+
 def test_engine_and_lab_never_import_seqcore():
     # seqcore serves the seq commands alone; the engine reads the sign of
     # a criterion's rate, not its Boyd indices, so analyze, the lab and

@@ -6,6 +6,7 @@ import pytest
 
 from gsembed import (INF, EmbeddingProblem, FiniteSection, SequenceExpr, Target,
                      parse)
+from gsembed import embanalyzer, seqdsl
 
 # a builder per record, with the repr that a dataclass of the same fields
 # printed
@@ -127,3 +128,43 @@ def test_from_dict_defaults_and_extra_keys():
     assert EmbeddingProblem.from_dict(doc).scale == "B"
     assert EmbeddingProblem.from_dict(dict(doc, scale="F")) == \
         RECORDS["EmbeddingProblem"][0]()
+
+
+def test_cached_property_runs_once_and_keeps_its_value():
+    # seqdsl._cached: the getter runs on the first read, its value lands in
+    # the instance __dict__, and later reads find it there
+    runs = []
+
+    class Probe(seqdsl._Record):
+        _fields = ("x",)
+
+        def __init__(self, x):
+            self.__dict__["x"] = x
+
+        @seqdsl._cached
+        def double(self):
+            """Twice x."""
+            runs.append(self.x)
+            return 2 * self.x
+
+    assert isinstance(Probe.double, seqdsl._cached)
+    assert Probe.double.__doc__ == "Twice x."
+    p = Probe(3)
+    assert "double" not in vars(p)
+    assert p.double == 6 and p.double == 6
+    assert runs == [3] and vars(p)["double"] == 6
+    with pytest.raises(AttributeError, match="cannot assign to field 'double'"):
+        p.double = 7
+    assert p.double == 6 and p == Probe(3)
+
+
+def test_records_use_the_lock_free_cached_property():
+    for cls, name in ((EmbeddingProblem, "weight_ratio"), (EmbeddingProblem, "inner"),
+                      (Target, "r_recip"), (FiniteSection, "closed_norm")):
+        assert isinstance(getattr(cls, name), seqdsl._cached), name
+    pr = EmbeddingProblem("2^(j)", "1", 2, 2, 4, 4, 1)
+    assert pr.outer is vars(pr)["outer"] is embanalyzer._pair(pr.q1, pr.q2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'outer'"):
+        pr.outer = None
+    s = FiniteSection((1.0,), (2,), 2, 2, 4, 4)
+    assert s.n == 2 and vars(s)["n"] == 2
