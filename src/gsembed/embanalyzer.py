@@ -14,19 +14,20 @@ an exponent pair are derived in one place too: _pair gives 1/a, 1/b,
 whether both lie in [1, inf], 1/a* and 1/t(a, b), and what a criterion
 reads of them, for the inner pair (p1, p2) and the outer pair (q1, q2) of
 every model, and dual_star, tong and compact_not_nuclear_band read it as
-well.  A model holds the two laws as inner and outer, and recips = (1/p1,
-1/q1, 1/p2, 1/q2) and is_banach() read them.  A problem also derives,
+well.  A model holds the two laws as inner and outer, which is_banach()
+and every reader of a reciprocal exponent read.  A problem also derives,
 once each, weight_ratio = sigma^-1 tau, ratio_tail = decompose(weight_ratio),
 its two criteria (compact_criterion, nuclear_criterion), which
 criterion_sequence reads, compact_membership, the membership of its
 compact criterion, which compactness and entropy_rate both read, and
-b_sandwich, the two scale-B problems that scale F asks every question,
-which read its weight_ratio and ratio_tail.  A criterion with tables is
-decided on its tail, ratio_tail with the criterion's rate shift, and
-entropy_rate reads the same tail, so a problem strips its tables once.
-These are cached properties, not fields: they take no part in equality or
-hashing, and a problem from _replace derives its own.  A verdict keeps its
-criterion and target as values, which the CLI renders when it prints.
+b_sandwich, the fine indices of the two scale-B sides of scale F, which
+test the problem's own criteria against the targets of their pair laws.
+A criterion with tables is decided on its tail, ratio_tail with the
+criterion's rate shift, and entropy_rate reads the same tail, so a problem
+strips its tables once.  These are cached properties, not fields: they
+take no part in equality or hashing, and a problem from _replace derives
+its own.  A verdict keeps its criterion and target as values, which the
+CLI renders when it prints, and an evidence dict of its own.
 EmbeddingProblem and Target are frozen records on seqdsl's _Record base,
 with hand-written constructors, so no command imports dataclasses.
 
@@ -182,16 +183,6 @@ def _from_recip(r: Fraction) -> ExtReal:
     return INF if r == 0 else 1 / r
 
 
-def _star_recip(a: Fraction, b: Fraction) -> Fraction:
-    """1/r* = (b - a)+ from a = 1/r1 and b = 1/r2."""
-    return b - a if b > a else Fraction(0)
-
-
-def _tong_recip(a: Fraction, b: Fraction) -> Fraction:
-    """1/t(r1, r2) = 1 - (a - b)+ from a = 1/r1 and b = 1/r2."""
-    return 1 - (a - b) if a > b else Fraction(1)
-
-
 class _PairLaw(NamedTuple):
     """The reciprocal laws of an exponent pair (a, b), and what a criterion
     reads of them for each gap exponent r, a* (compact) or t(a, b)
@@ -218,24 +209,19 @@ def _pair(a: ExtReal, b: ExtReal) -> _PairLaw:
     MAX_PAIR_CACHE pairs read most recently are kept, so equal pairs share
     one law and a sweep inverts each of its few pairs once."""
     ra, rb = recip(a), recip(b)
-    star = _star_recip(ra, rb)
+    star = rb - ra if rb > ra else Fraction(0)
     law = _PairLaw(ra, rb, ra <= 1 and rb <= 1, star, ra - rb + star,
                    _target(star))
     if not law.banach:
         return law
-    tong = _tong_recip(ra, rb)
+    tong = 1 - (ra - rb) if ra > rb else Fraction(1)
     return law._replace(tong=tong, tong_shift=ra - rb + tong,
                         tong_target=_target(tong))
 
 
-def _params(r1, r2) -> _PairLaw:
-    """The law of the public parameters (r1, r2), each positive or inf."""
-    return _pair(_exponent("r1", r1), _exponent("r2", r2))
-
-
 def _tong_law(r1, r2) -> _PairLaw:
     """The law of the parameters of Tong's formula, which need [1, inf]."""
-    law = _params(r1, r2)
+    law = _pair(_exponent("r1", r1), _exponent("r2", r2))
     if not law.banach:
         raise ValueError(
             f"tong exponent needs parameters in [1, inf], got ({r1}, {r2})")
@@ -245,7 +231,7 @@ def _tong_law(r1, r2) -> _PairLaw:
 def dual_star(r1, r2) -> ExtReal:
     """Exponent r* with 1/r* = (1/r2 - 1/r1)+; equals inf when r1 <= r2.
     Both parameters must be positive or inf."""
-    return _from_recip(_params(r1, r2).star)
+    return _from_recip(_pair(_exponent("r1", r1), _exponent("r2", r2)).star)
 
 
 def tong(r1, r2) -> ExtReal:
@@ -268,7 +254,7 @@ class Exponents:
     __init__.  Their __init__ is the only validator, and from_dict the only
     JSON decoder, of both models.  The reciprocal laws of the inner pair
     (p1, p2) and of the outer pair (q1, q2) are read once, from _pair, into
-    the cached inner and outer, which recips and is_banach() read.
+    the cached inner and outer, which every reader of a reciprocal reads.
     """
 
     @classmethod
@@ -297,12 +283,6 @@ class Exponents:
     def outer(self) -> _PairLaw:
         """The law of (q1, q2)."""
         return _pair(self.q1, self.q2)
-
-    @_cached
-    def recips(self) -> tuple:
-        """(1/p1, 1/q1, 1/p2, 1/q2) as exact Fractions, with 1/inf = 0."""
-        inner, outer = self.inner, self.outer
-        return inner.ra, outer.ra, inner.rb, outer.rb
 
     def is_banach(self) -> bool:
         """All four exponents in [1, inf], where Tong's formula applies."""
@@ -360,21 +340,19 @@ class EmbeddingProblem(_Record, Exponents):
     def compact_membership(self) -> Verdict:
         """ellr_membership of the compact criterion, which compactness and
         entropy_rate's not-compact test both read."""
-        return _membership(self, "compact")
+        return _membership(self, "compact", self.outer)
 
     @_cached
     def b_sandwich(self) -> tuple:
-        """The (sufficient, necessary) scale-B problems of a scale-F problem:
-        B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)},
-        so id_F factors through (q1 -> max(p1, q1), q2 -> min(p2, q2)), and
-        (q1 -> min, q2 -> max) factors through id_F.  Compact and nuclear
-        maps form ideals, and e_k(R T S) <= |R| e_k(T) |S|."""
+        """The fine indices (q1, q2) of the (sufficient, necessary) scale-B
+        sides of a scale-F problem: B_{p,min(p,q)} embeds into F_{p,q} and
+        F_{p,q} into B_{p,max(p,q)}, so id_F factors through
+        (q1 -> max(p1, q1), q2 -> min(p2, q2)), and (q1 -> min, q2 -> max)
+        factors through id_F.  Compact and nuclear maps form ideals, and
+        e_k(R T S) <= |R| e_k(T) |S|.  A side has the problem's criteria,
+        tested against the targets of its pair law _pair(*side)."""
         p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
-        sides = (self._replace(scale="B", q1=max(p1, q1), q2=min(p2, q2)),
-                 self._replace(scale="B", q1=min(p1, q1), q2=max(p2, q2)))
-        for side in sides:  # the same sigma and tau, so the same ratio and tail
-            side.__dict__.update(weight_ratio=self.weight_ratio, ratio_tail=self.ratio_tail)
-        return sides
+        return (max(p1, q1), min(p2, q2)), (min(p1, q1), max(p2, q2))
 
 
 def _check_dim(dim) -> None:
@@ -477,11 +455,13 @@ def _tail(problem: EmbeddingProblem, expr: SequenceExpr) -> SequenceExpr:
     return _shifted(problem.ratio_tail, expr.rate - problem.weight_ratio.rate)
 
 
-def _membership(problem: EmbeddingProblem, kind: str) -> Verdict:
-    """ellr_membership of the criterion of kind.  A criterion with tables
-    is decided on its tail, which has the same membership, and its verdict
-    carries the criterion itself."""
-    expr, target = criterion_sequence(problem, kind)
+def _membership(problem: EmbeddingProblem, kind: str, outer: _PairLaw) -> Verdict:
+    """ellr_membership of the criterion of kind against the target of the
+    outer law, problem.outer or a B-sandwich side's _pair(*side).  A
+    criterion with tables is decided on its tail, which has the same
+    membership, and its verdict carries the criterion itself."""
+    expr = criterion_sequence(problem, kind)[0]
+    target = outer.star_target if kind == "compact" else outer.tong_target
     if not expr.tables:
         return ellr_membership(expr, target)
     return ellr_membership(_tail(problem, expr), target)._replace(criterion=expr)
@@ -561,7 +541,7 @@ def compactness(problem: EmbeddingProblem) -> Verdict:
     """Compactness of the embedding; exact on scale B, transferred through
     the B-sandwich on scale F (its two sides may fall apart)."""
     if problem.scale == "F":
-        return _sandwich_verdict(problem, compactness)
+        return _sandwich_verdict(problem, "compact")
     return _criterion_verdict(problem.compact_membership, "compactness")
 
 
@@ -569,15 +549,15 @@ def nuclearity(problem: EmbeddingProblem) -> Verdict:
     """Nuclearity of the embedding.  Only Banach parameters admit the
     criterion; scale F transfers it through the B-sandwich."""
     if problem.scale == "F":
-        _require_banach(problem)  # before either side, one of which may be Banach
-        return _sandwich_verdict(problem, nuclearity)
-    return _criterion_verdict(_membership(problem, "nuclear"), "nuclearity")
+        return _sandwich_verdict(problem, "nuclear")
+    return _criterion_verdict(_membership(problem, "nuclear", problem.outer), "nuclearity")
 
 
 def _criterion_verdict(v: Verdict, name: str) -> Verdict:
-    """Scale-B verdict of name from v, whose evidence gains the criterion."""
-    v.evidence["criterion"] = v.criterion
-    return Verdict(v.status, v.criterion, v.target, f"sequence-{name}-criterion", v.evidence)
+    """Scale-B verdict of name from the membership v, which may be cached,
+    with a new evidence dict: v's and the criterion."""
+    return Verdict(v.status, v.criterion, v.target, f"sequence-{name}-criterion",
+                   dict(v.evidence, criterion=v.criterion))
 
 
 def _require_banach(model: Exponents) -> None:
@@ -587,24 +567,27 @@ def _require_banach(model: Exponents) -> None:
             "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
 
 
-def _sandwich_verdict(problem: EmbeddingProblem, decide) -> Verdict:
-    """The verdict of decide on scale F: holds if the sufficient side
-    holds, fails if the necessary side fails, else inconclusive."""
+def _sandwich_verdict(problem: EmbeddingProblem, kind: str) -> Verdict:
+    """The scale-F verdict on the criterion of kind: holds if it holds
+    against the sufficient side's target, fails if it fails against the
+    necessary side's, else inconclusive.  The criterion comes first, so its
+    Banach check refuses before either side's law is read."""
+    crit = criterion_sequence(problem, kind)[0]
     suff, nec = problem.b_sandwich
-    v_suff, v_nec = decide(suff), decide(nec)
+    v_suff, v_nec = (_membership(problem, kind, _pair(*side)) for side in (suff, nec))
     ev = {
         "route": "via-B-sandwich",
-        "sufficient_fine_indices": (str(suff.q1), str(suff.q2)),
-        "necessary_fine_indices": (str(nec.q1), str(nec.q2)),
+        "sufficient_fine_indices": (str(suff[0]), str(suff[1])),
+        "necessary_fine_indices": (str(nec[0]), str(nec[1])),
         "sufficient_status": v_suff.status,
         "necessary_status": v_nec.status,
     }
     if v_suff.status == "holds":
-        return Verdict("holds", v_suff.criterion, v_suff.target, "via-B-sandwich", ev)
+        return Verdict("holds", crit, v_suff.target, "via-B-sandwich", ev)
     if v_nec.status == "fails":
-        return Verdict("fails", v_nec.criterion, v_nec.target, "via-B-sandwich", ev)
+        return Verdict("fails", crit, v_nec.target, "via-B-sandwich", ev)
     ev["reason"] = "sandwich bounds disagree; scale-F boundary case"
-    return Verdict("inconclusive", v_suff.criterion, v_suff.target, "via-B-sandwich", ev)
+    return Verdict("inconclusive", crit, v_suff.target, "via-B-sandwich", ev)
 
 
 def compact_not_nuclear_band(p1, p2, dim: int) -> Band:
@@ -646,17 +629,26 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     Limiting regimes are matched against the catalog of sharp results:
     pure-log for equal p, the slowly-varying integral formula for q1 > q2,
     and the three-branch coupled-log law for p1 < p2 with q2 <= q1.  Scale
-    F reads the B-sandwich: not-compact when its necessary side is not
-    compact, the law of both sides when they agree, else inconclusive.
+    F reads _entropy with the pair law of each B-sandwich side: not-compact
+    when the necessary side is not compact, the law of both sides when they
+    agree, else inconclusive.
     """
     if problem.scale == "F":
         suff, nec = problem.b_sandwich
-        law = entropy_rate(nec)
-        if law.kind != "not-compact" and law != entropy_rate(suff):
+        law = _entropy(problem, _pair(*nec))
+        if law.kind != "not-compact" and law != _entropy(problem, _pair(*suff)):
             law = RateFormula("inconclusive", None, None, None, None,
                               "entropy-rate", ("sandwich entropy laws differ",))
         return law._replace(notes=law.notes + ("via-B-sandwich",))
-    membership = problem.compact_membership
+    return _entropy(problem, problem.outer)
+
+
+def _entropy(problem: EmbeddingProblem, outer: _PairLaw) -> RateFormula:
+    """The scale-B law of problem with the fine indices of the law outer:
+    1/p1 and 1/p2 from problem.inner, 1/q1, 1/q2, 1/q* and the compact
+    target from outer."""
+    membership = problem.compact_membership if outer == problem.outer else \
+        _membership(problem, "compact", outer)
     if membership.status == "fails":
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
@@ -679,8 +671,8 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
                            render(ratio) + " at j = log2(k)/dim", ratio,
                            "entropy-nonlimiting-ratio", notes)
 
-    rp1, rq1, rp2, rq2 = problem.recips
-    qstar_recip = problem.outer.star
+    rp1, rp2 = problem.inner.ra, problem.inner.rb
+    rq1, rq2, qstar_recip = outer.ra, outer.rb, outer.star
     if not crit.osc and crit.rate == 0:
         pure_log = not crit.explog and crit.iterlog == 0
         beta = -crit.log_exp

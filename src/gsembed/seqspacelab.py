@@ -18,8 +18,8 @@ A section validates its exponents through the engine's Exponents base and
 derives everything that does not depend on an entropy index k once, as
 cached properties:
   - inner and outer, the engine's reciprocal laws of (p1, p2) and (q1, q2),
-    which equal pairs share, and recips = (1/p1, 1/q1, 1/p2, 1/q2) read
-    off them;
+    which equal pairs share, and from which every routine here reads the
+    reciprocals of the exponents;
   - gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal blocks;
   - closed_norm, the exact operator norm that embedding_norm_closed returns;
   - cover_scales = ((M_j^(1/p2), 1/beta_j))_j and cover_radius, the ell_q2
@@ -234,7 +234,6 @@ def _search_winner(section: FiniteSection) -> tuple:
         raise ValueError(f"norm search: section size n = {section.n} exceeds "
                          f"the limit of {MAX_SEARCH_N}")
     beta = section.beta
-    rp1, rq1, rp2, rq2 = section.recips
     inner1, inner2 = _lp_norm(section.p1), _lp_norm(section.p2)
     outer1, outer2 = _lp_norm(section.q1), _lp_norm(section.q2)
 
@@ -244,7 +243,7 @@ def _search_winner(section: FiniteSection) -> tuple:
 
     # extremal block vector: flat when the inner index shrinks (Hoelder
     # equality), spike when it grows
-    flat = rp2 > rp1
+    flat = section.inner.rb > section.inner.ra
     shapes = [[1.0] * m if flat else [1.0] + [0.0] * (m - 1)
               for m in section.M]
 
@@ -256,7 +255,7 @@ def _search_winner(section: FiniteSection) -> tuple:
 
     # coupled weights matter when the outer index shrinks; with unit-p1
     # block shapes the optimal source amplitudes follow a Hoelder pattern
-    gap = rq2 - rq1
+    gap = section.outer.rb - section.outer.ra
     if gap > 0:
         r = 1.0 / float(gap)
         w_exp = 0.0 if section.q1 == INF else r / float(section.q1)

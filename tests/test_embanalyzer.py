@@ -270,8 +270,9 @@ class TestPairLaw:
         assert e.kind == "non-limiting" and not e.ratio.tables
 
     def test_sandwich_sides_share_the_ratio(self, monkeypatch):
-        # both scale-B sides of a scale-F problem have its sigma and tau, so
-        # they read its weight ratio and tail instead of deriving their own
+        # both scale-B sides of a scale-F problem differ from it in their
+        # fine indices alone, so F tests the problem's own criteria, built
+        # on its one weight ratio and tail, against the sides' targets
         combined, stripped = [], []
         combine, strip = embanalyzer._combine, embanalyzer.decompose
         monkeypatch.setattr(embanalyzer, "_combine",
@@ -282,9 +283,7 @@ class TestPairLaw:
                               2, 1, 3, 4, 1, scale="F")
         compactness(pr), nuclearity(pr), entropy_rate(pr)
         assert len(combined) == 1 and stripped == [pr.weight_ratio]
-        for side in pr.b_sandwich:
-            assert side.weight_ratio is pr.weight_ratio
-            assert side.ratio_tail is pr.ratio_tail
+        assert pr.b_sandwich == ((2, 3), (1, 4))
 
     def test_membership_reads_the_targets_reciprocal(self, monkeypatch):
         # a pair law's targets are shared, so each inverts its r once
@@ -329,16 +328,18 @@ class TestProblems:
 
     def test_derived_members(self):
         pr = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
-        assert pr.recips == (HALF, 0, Fraction(1, 4), 1)
+        assert (pr.inner.ra, pr.outer.ra, pr.inner.rb, pr.outer.rb) == \
+            (HALF, 0, Fraction(1, 4), 1)
         assert pr.weight_ratio == product(power(pr.sigma, -1), pr.tau)
         # cached members stay out of equality, hashing, repr and _replace
         twin = EmbeddingProblem("2^(j)*(1+j)", "(table[3] then 1)", 2, "inf", 4, 1, 1)
         assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
-        assert "recips" not in repr(pr) and "inner" not in repr(pr)
+        assert "outer" not in repr(pr) and "inner" not in repr(pr)
         assert pr.inner is twin.inner and pr.outer is twin.outer
         # a problem from _replace reads the law of its own pair
         other = pr._replace(p1=1)
-        assert other.recips == (1, 0, Fraction(1, 4), 1)
+        assert (other.inner.ra, other.outer.ra, other.inner.rb, other.outer.rb) == \
+            (1, 0, Fraction(1, 4), 1)
         assert other.inner is embanalyzer._pair(Fraction(1), Fraction(4))
         assert (other.inner.ra, pr.inner.ra) == (1, HALF)
         assert other.outer is pr.outer
@@ -402,28 +403,37 @@ class TestCriterionSequence:
         assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
 
     @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
-    def test_f_scale_builds_each_side_criterion_once(self, p1, q1, p2, q2):
-        # classify on scale F: the sandwich is built once, and each of its
-        # two sides derives its compact and its nuclear criterion once
-        built = []
-        build = embanalyzer._criterion
+    @example(Fraction(2), Fraction(1), Fraction(3), Fraction(4))
+    def test_f_scale_builds_each_criterion_once(self, p1, q1, p2, q2):
+        # classify on scale F: the two sides of the sandwich differ from the
+        # problem in their fine indices alone, so the problem is the only
+        # one built, and it derives its compact and its nuclear criterion
+        # once for both sides
+        built, problems = [], []
+        build, init = embanalyzer._criterion, EmbeddingProblem.__init__
 
         def counted(problem, kind):
             built.append((id(problem), kind))
             return build(problem, kind)
 
+        def counted_init(problem, *args, **kw):
+            problems.append(problem)
+            init(problem, *args, **kw)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(embanalyzer, "_criterion", counted)
+            mp.setattr(EmbeddingProblem, "__init__", counted_init)
             pr = EmbeddingProblem("2^(2*j)*(1+j)", "(1+j)^3", p1, q1, p2, q2, 1,
                                   scale="F")
             compactness(pr), nuclearity(pr), entropy_rate(pr)
-        assert sorted(built) == sorted((id(side), kind) for side in pr.b_sandwich
-                                       for kind in ("compact", "nuclear"))
+        assert len(problems) == 1 and problems[0] is pr
+        assert sorted(built) == [(id(pr), "compact"), (id(pr), "nuclear")]
 
     @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
     def test_f_scale_sandwich_problems_are_fresh(self, p1, q1, p2, q2):
-        # both bounding problems of the sandwich come from _replace; each
-        # decides as a problem built from scratch with its fine indices
+        # each side of the sandwich is the problem's criterion against the
+        # target of the side's fine indices, and decides as a scale-B
+        # problem built from scratch with those fine indices
         weights = ("2^(j)*(1+j)^1/2", "(1+j)^-1/2")
         pr = EmbeddingProblem(*weights, p1, q1, p2, q2, 1, scale="F")
         criterion_sequence(pr, "compact")  # fills the F problem's own cache
@@ -620,6 +630,21 @@ class TestCompactness:
         assert "criterion" in v.evidence
         assert v.tag == "sequence-compactness-criterion"
 
+    def test_evidence_is_fresh(self):
+        # a verdict builds its own evidence dict: the cached membership it
+        # reads keeps its own, and an edit to one verdict reaches no other
+        pr = EmbeddingProblem("2^(2*j)", "1", 1, 1, "inf", "inf", 1)
+        v = compactness(pr)
+        assert "criterion" not in pr.compact_membership.evidence
+        assert v.evidence == dict(pr.compact_membership.evidence,
+                                  criterion=v.criterion)
+        v.evidence["criterion"] = "edited"
+        v.evidence["extra"] = 1
+        again = compactness(pr)
+        assert again.evidence["criterion"] is again.criterion
+        assert "extra" not in again.evidence
+        assert "extra" not in pr.compact_membership.evidence
+
     def test_deciding_renders_nothing(self, monkeypatch):
         # a verdict keeps its criterion and target as values; the CLI
         # renders them when it prints, and the decision calls neither
@@ -709,10 +734,15 @@ class TestNuclearity:
 
     def test_f_scale_quasi_banach_rejected(self, monkeypatch):
         # the sufficient side, q1 -> max(2, 1/2) = 2, is Banach and holds;
-        # the refusal comes before either side is built
+        # the problem's own criterion refuses before either side's law is read
         pr = EmbeddingProblem("2^(4*j)", "1", 2, HALF, 2, 2, 1, scale="F")
+        assert not pr.is_banach()  # reads the problem's own two laws
+
+        def no_side(*args):
+            raise AssertionError(f"read the law of the side {args}")
+
         with monkeypatch.context() as mp:
-            mp.setattr(EmbeddingProblem, "b_sandwich", None)
+            mp.setattr(embanalyzer, "_pair", no_side)
             with pytest.raises(ValueError) as f_err:
                 nuclearity(pr)
         with pytest.raises(ValueError) as b_err:

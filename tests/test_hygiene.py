@@ -170,17 +170,16 @@ def test_every_cache_is_bounded_by_a_limit():
             for line in lines] == []
 
 
-def referring_functions(source: str, name: str) -> list:
-    """The innermost function around each reference to name, as a name, a
-    module attribute or an import, and "<module>" for one outside every
-    function; the def of name itself is no reference."""
+def calling_functions(source: str, name: str) -> list:
+    """The innermost function around each call of name, as a name or a
+    module attribute, and "<module>" for one outside every function."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Name) and child.id == name or \
-                    isinstance(child, ast.Attribute) and child.attr == name or \
-                    isinstance(child, ast.alias) and child.name == name:
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == name or
+                    isinstance(child.func, ast.Attribute) and child.func.attr == name):
                 found.append(where)
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
@@ -192,17 +191,56 @@ def referring_functions(source: str, name: str) -> list:
 
 def test_exponent_laws_have_one_source():
     # each gap exponent is derived in one place, the pair law _pair, which
-    # every criterion, target and section reads; a second caller would be a
-    # second formula
-    assert referring_functions(
-        "from m import f\ndef f(): pass\ndef g():\n    def h(): return m.f(1)\n"
-        "    return f\nx = [f]\n", "f") == ["<module>", "h", "g", "<module>"]
+    # every criterion, target and section reads; a second builder of a law
+    # would be a second formula
+    assert calling_functions(
+        "from m import f\ndef f(): pass\ndef g(x: f) -> f:\n"
+        "    def h(): return m.f(1)\n    return f(h)\nx = [f, f()]\n", "f") == \
+        ["h", "g", "<module>"]
     sources = {p: p.read_text() for d in ("src/gsembed", "tests", "gsbench")
                for p in sorted((ROOT / d).glob("*.py"))}
-    for name in ("_star_recip", "_tong_recip"):
-        assert [f"{p.relative_to(ROOT)}:{where}" for p, text in sources.items()
-                for where in referring_functions(text, name)] == \
-            ["src/gsembed/embanalyzer.py:_pair"]
+    assert [f"{p.relative_to(ROOT)}:{where}" for p, text in sources.items()
+            for where in calling_functions(text, "_PairLaw")] == \
+        ["src/gsembed/embanalyzer.py:_pair"]
+
+
+def dict_writers(source: str) -> list:
+    """'line text' of each use of an object's __dict__, except self.__dict__
+    in a method of a class, and obj.__dict__ in _cached.__get__.  A read
+    counts too, since an alias of __dict__ writes through."""
+    found = []
+
+    def visit(node, method):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "__dict__":
+                owner = ast.unparse(child.value)
+                if not (method and owner == "self" or
+                        method == ("_cached", "__get__") and owner == "obj"):
+                    found.append(f"{child.lineno} {ast.unparse(child)}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (node.name, child.name)
+                      if isinstance(node, ast.ClassDef) else None)
+            else:
+                visit(child, method)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_records_write_only_their_own_dict():
+    # a record's fields and cached properties are its own: only its
+    # methods write its __dict__, and _cached.__get__ stores a value there;
+    # a value written into another record would skip its constructor
+    assert dict_writers(
+        "class A:\n    def f(self, o):\n        self.__dict__['x'] = o\n"
+        "        o.__dict__.update(y=1)\n        def g(self): self.__dict__\n"
+        "class _cached:\n    def __get__(self, obj): obj.__dict__['z'] = 1\n"
+        "def h(obj):\n    d = obj.__dict__\n") == \
+        ["4 o.__dict__", "5 self.__dict__", "9 obj.__dict__"]
+    found = {p.name: dict_writers(p.read_text())
+             for p in sorted((ROOT / "src/gsembed").glob("*.py"))}
+    assert "__dict__" in (ROOT / "src/gsembed/seqdsl.py").read_text()
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def module_limits(path: Path) -> dict:

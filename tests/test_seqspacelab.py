@@ -309,7 +309,7 @@ def banach_sections(draw):
 
 
 class TestReciprocalRoute:
-    """The section's cached recips and gains against the public exponent
+    """The section's cached pair laws and gains against the public exponent
     laws, bit for bit."""
 
     @staticmethod
