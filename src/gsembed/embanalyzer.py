@@ -18,11 +18,12 @@ well.  A model holds the two laws as inner and outer, which is_banach()
 and every reader of a reciprocal exponent read.  A problem also derives,
 once each, weight_ratio = sigma^-1 tau, ratio_tail = decompose(weight_ratio),
 its two criteria (compact_criterion, nuclear_criterion), which
-criterion_sequence reads, compact_membership, the membership of its
-compact criterion, which compactness and entropy_rate both read, and
-b_sandwich, the fine indices of the two scale-B sides of scale F, which
-test the problem's own criteria against the targets of their pair laws.
-A criterion with tables is decided on its tail, ratio_tail with the
+criterion_sequence reads, sides, the outer laws of its (sufficient,
+necessary) sides, and compact_sides, the compact criterion decided on each,
+which compactness and entropy_rate both read.  A scale is a choice of
+sides, the outer law twice on B and the B-sandwich on F, so both scales
+take one path, and a law that is both sides is decided once.  A
+criterion with tables is decided on its tail, ratio_tail with the
 criterion's rate shift, and entropy_rate reads the same tail, so a problem
 strips its tables once.  These are cached properties, not fields: they
 take no part in equality or hashing, and a problem from _replace derives
@@ -322,7 +323,7 @@ class EmbeddingProblem(_Record, Exponents):
     def ratio_tail(self) -> SequenceExpr:
         """decompose(weight_ratio), the one table-stripping call of a
         problem with tables: each criterion's tail is this with the
-        criterion's rate shift (_tail)."""
+        criterion's rate shift."""
         return decompose(self.weight_ratio)
 
     @_cached
@@ -337,22 +338,23 @@ class EmbeddingProblem(_Record, Exponents):
         return _criterion(self, "nuclear")
 
     @_cached
-    def compact_membership(self) -> Verdict:
-        """ellr_membership of the compact criterion, which compactness and
-        entropy_rate's not-compact test both read."""
-        return _membership(self, "compact", self.outer)
+    def sides(self) -> tuple:
+        """The outer laws of the (sufficient, necessary) sides that the
+        criteria are tested against: outer twice on scale B.  On scale F,
+        B_{p,min(p,q)} embeds into F_{p,q} and F_{p,q} into B_{p,max(p,q)},
+        so id_F factors through the fine indices (max(p1, q1), min(p2, q2)),
+        and (min(p1, q1), max(p2, q2)) factors through id_F; compact and
+        nuclear maps form ideals, and e_k(R T S) <= |R| e_k(T) |S|."""
+        if self.scale == "B":
+            return self.outer, self.outer
+        p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
+        return _pair(max(p1, q1), min(p2, q2)), _pair(min(p1, q1), max(p2, q2))
 
     @_cached
-    def b_sandwich(self) -> tuple:
-        """The fine indices (q1, q2) of the (sufficient, necessary) scale-B
-        sides of a scale-F problem: B_{p,min(p,q)} embeds into F_{p,q} and
-        F_{p,q} into B_{p,max(p,q)}, so id_F factors through
-        (q1 -> max(p1, q1), q2 -> min(p2, q2)), and (q1 -> min, q2 -> max)
-        factors through id_F.  Compact and nuclear maps form ideals, and
-        e_k(R T S) <= |R| e_k(T) |S|.  A side has the problem's criteria,
-        tested against the targets of its pair law _pair(*side)."""
-        p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
-        return (max(p1, q1), min(p2, q2)), (min(p1, q1), max(p2, q2))
+    def compact_sides(self) -> tuple:
+        """_sides of the compact criterion, which compactness and
+        entropy_rate both read."""
+        return _sides(self, "compact")
 
 
 def _check_dim(dim) -> None:
@@ -418,9 +420,10 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
     d (1/p1 - 1/p2 + 1/p*); kind "nuclear": p* and q* replaced by the tong
     exponents of (p1,p2) and (q1,q2), which needs Banach exponents.  The
     shift is read off the pair law problem.inner and the target off
-    problem.outer, where a zero reciprocal target exponent means c0.  The
-    problem derives each criterion once (compact_criterion,
-    nuclear_criterion); this reads it.
+    problem.outer, where a zero reciprocal target exponent means c0.  On
+    scale F that is the problem's own (q1, q2) target, which decides
+    neither side of problem.sides.  The problem derives each criterion once
+    (compact_criterion, nuclear_criterion); this reads it.
     """
     if kind == "compact":
         return problem.compact_criterion
@@ -448,23 +451,23 @@ def _shifted(e: SequenceExpr, shift: Fraction) -> SequenceExpr:
                         e.iterlog, e.explog, e.osc, e.tables)
 
 
-def _tail(problem: EmbeddingProblem, expr: SequenceExpr) -> SequenceExpr:
-    """decompose(expr) of a criterion expr of problem, read off ratio_tail:
-    expr is weight_ratio with a shifted rate, and decompose leaves the
-    shift where it is."""
-    return _shifted(problem.ratio_tail, expr.rate - problem.weight_ratio.rate)
-
-
-def _membership(problem: EmbeddingProblem, kind: str, outer: _PairLaw) -> Verdict:
-    """ellr_membership of the criterion of kind against the target of the
-    outer law, problem.outer or a B-sandwich side's _pair(*side).  A
-    criterion with tables is decided on its tail, which has the same
-    membership, and its verdict carries the criterion itself."""
+def _sides(problem: EmbeddingProblem, kind: str) -> tuple:
+    """ellr_membership of the criterion of kind against the target of each
+    law of problem.sides, once when both are one law.  A criterion with
+    tables is decided on its tail, ratio_tail with the criterion's rate
+    shift, which has the same membership, and its verdicts carry the
+    criterion itself."""
     expr = criterion_sequence(problem, kind)[0]
-    target = outer.star_target if kind == "compact" else outer.tong_target
+    tail = _shifted(problem.ratio_tail, expr.rate - problem.weight_ratio.rate) \
+        if expr.tables else expr
+    suff, nec = problem.sides
+    compact = kind == "compact"
+    v = ellr_membership(tail, suff.star_target if compact else suff.tong_target)
+    w = v if nec == suff else \
+        ellr_membership(tail, nec.star_target if compact else nec.tong_target)
     if not expr.tables:
-        return ellr_membership(expr, target)
-    return ellr_membership(_tail(problem, expr), target)._replace(criterion=expr)
+        return v, w
+    return v._replace(criterion=expr), w._replace(criterion=expr)
 
 
 # ---------------------------------------------------------------------------
@@ -538,26 +541,15 @@ def ellr_membership(expr: SequenceExpr, target: Target) -> Verdict:
 # compactness / nuclearity
 
 def compactness(problem: EmbeddingProblem) -> Verdict:
-    """Compactness of the embedding; exact on scale B, transferred through
-    the B-sandwich on scale F (its two sides may fall apart)."""
-    if problem.scale == "F":
-        return _sandwich_verdict(problem, "compact")
-    return _criterion_verdict(problem.compact_membership, "compactness")
+    """Compactness of the embedding, from compact_sides: exact on scale B,
+    whose sides are one law; on scale F the two sides may fall apart."""
+    return _verdict(problem, problem.compact_sides, "compactness")
 
 
 def nuclearity(problem: EmbeddingProblem) -> Verdict:
-    """Nuclearity of the embedding.  Only Banach parameters admit the
-    criterion; scale F transfers it through the B-sandwich."""
-    if problem.scale == "F":
-        return _sandwich_verdict(problem, "nuclear")
-    return _criterion_verdict(_membership(problem, "nuclear", problem.outer), "nuclearity")
-
-
-def _criterion_verdict(v: Verdict, name: str) -> Verdict:
-    """Scale-B verdict of name from the membership v, which may be cached,
-    with a new evidence dict: v's and the criterion."""
-    return Verdict(v.status, v.criterion, v.target, f"sequence-{name}-criterion",
-                   dict(v.evidence, criterion=v.criterion))
+    """Nuclearity of the embedding, from _sides of the nuclear criterion.
+    Only Banach parameters admit the criterion."""
+    return _verdict(problem, _sides(problem, "nuclear"), "nuclearity")
 
 
 def _require_banach(model: Exponents) -> None:
@@ -567,18 +559,23 @@ def _require_banach(model: Exponents) -> None:
             "must lie in [1, inf]; quasi-Banach values below 1 are not covered")
 
 
-def _sandwich_verdict(problem: EmbeddingProblem, kind: str) -> Verdict:
-    """The scale-F verdict on the criterion of kind: holds if it holds
-    against the sufficient side's target, fails if it fails against the
-    necessary side's, else inconclusive.  The criterion comes first, so its
-    Banach check refuses before either side's law is read."""
-    crit = criterion_sequence(problem, kind)[0]
-    suff, nec = problem.b_sandwich
-    v_suff, v_nec = (_membership(problem, kind, _pair(*side)) for side in (suff, nec))
+def _verdict(problem: EmbeddingProblem, memberships: tuple, name: str) -> Verdict:
+    """The verdict of name from the (sufficient, necessary) memberships of
+    its criterion, with an evidence dict of its own.  On scale B the two
+    are one membership, whose evidence it copies with the criterion.  On
+    scale F it holds if the sufficient side holds, fails if the necessary
+    side fails, else is inconclusive."""
+    v_suff, v_nec = memberships
+    crit = v_suff.criterion
+    if problem.scale == "B":
+        return Verdict(v_suff.status, crit, v_suff.target,
+                       f"sequence-{name}-criterion",
+                       dict(v_suff.evidence, criterion=crit))
+    suff, nec = problem.sides
     ev = {
         "route": "via-B-sandwich",
-        "sufficient_fine_indices": (str(suff[0]), str(suff[1])),
-        "necessary_fine_indices": (str(nec[0]), str(nec[1])),
+        "sufficient_fine_indices": (str(_from_recip(suff.ra)), str(_from_recip(suff.rb))),
+        "necessary_fine_indices": (str(_from_recip(nec.ra)), str(_from_recip(nec.rb))),
         "sufficient_status": v_suff.status,
         "necessary_status": v_nec.status,
     }
@@ -628,34 +625,35 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
     negative): e_k behaves like the weight ratio at frequency k^(1/dim).
     Limiting regimes are matched against the catalog of sharp results:
     pure-log for equal p, the slowly-varying integral formula for q1 > q2,
-    and the three-branch coupled-log law for p1 < p2 with q2 <= q1.  Scale
-    F reads _entropy with the pair law of each B-sandwich side: not-compact
-    when the necessary side is not compact, the law of both sides when they
-    agree, else inconclusive.
+    and the three-branch coupled-log law for p1 < p2 with q2 <= q1, by
+    _entropy on each side with its compact membership (compact_sides).
+    Scale F is not-compact when the necessary side is not compact, the law
+    of both sides when they agree, else inconclusive.
     """
-    if problem.scale == "F":
-        suff, nec = problem.b_sandwich
-        law = _entropy(problem, _pair(*nec))
-        if law.kind != "not-compact" and law != _entropy(problem, _pair(*suff)):
-            law = RateFormula("inconclusive", None, None, None, None,
-                              "entropy-rate", ("sandwich entropy laws differ",))
-        return law._replace(notes=law.notes + ("via-B-sandwich",))
-    return _entropy(problem, problem.outer)
+    suff, nec = problem.sides
+    m_suff, m_nec = problem.compact_sides
+    law = _entropy(problem, nec, m_nec)
+    if problem.scale == "B":
+        return law
+    if law.kind != "not-compact" and law != _entropy(problem, suff, m_suff):
+        law = RateFormula("inconclusive", None, None, None, None,
+                          "entropy-rate", ("sandwich entropy laws differ",))
+    return law._replace(notes=law.notes + ("via-B-sandwich",))
 
 
-def _entropy(problem: EmbeddingProblem, outer: _PairLaw) -> RateFormula:
-    """The scale-B law of problem with the fine indices of the law outer:
-    1/p1 and 1/p2 from problem.inner, 1/q1, 1/q2, 1/q* and the compact
-    target from outer."""
-    membership = problem.compact_membership if outer == problem.outer else \
-        _membership(problem, "compact", outer)
+def _entropy(problem: EmbeddingProblem, outer: _PairLaw,
+             membership: Verdict) -> RateFormula:
+    """The scale-B law of problem with the fine indices of the law outer,
+    where the compact criterion has the given membership: 1/p1 and 1/p2
+    from problem.inner, 1/q1, 1/q2 and 1/q* from outer."""
     if membership.status == "fails":
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
 
-    crit, ratio = membership.criterion, problem.weight_ratio
-    if ratio.tables:
-        crit, ratio = _tail(problem, crit), problem.ratio_tail
+    ratio, crit = problem.weight_ratio, problem.compact_criterion[0]
+    if crit.tables:  # both are read on their tails
+        ratio = problem.ratio_tail
+        crit = _shifted(ratio, problem.dim * problem.inner.star_shift)
     if crit.rate_interval[1] < 0:
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
         if not ratio.osc:

@@ -245,7 +245,24 @@ class TestPairLaw:
         compactness(pr)
         entropy_rate(pr)
         assert len(calls) == 1
-        assert compactness(pr).criterion is pr.compact_membership.criterion
+        assert compactness(pr).criterion is pr.compact_sides[0].criterion
+        assert pr.compact_sides[0] is pr.compact_sides[1]
+
+    @pytest.mark.parametrize("scale, decided", [("B", 2), ("F", 4)])
+    def test_classify_decides_each_side_once(self, monkeypatch, scale, decided):
+        # compactness decides the compact criterion on each side, once, and
+        # entropy_rate reads those memberships; nuclearity decides its own
+        # criterion on each side; scale B has one side, scale F two
+        calls = []
+        decide = embanalyzer.ellr_membership
+        monkeypatch.setattr(embanalyzer, "ellr_membership",
+                            lambda *args: calls.append(args) or decide(*args))
+        pr = EmbeddingProblem("2^(2*j)*(1+j)", "(1+j)^3", 2, 1, 3, 4, 1, scale=scale)
+        compactness(pr), nuclearity(pr), entropy_rate(pr)
+        assert len(calls) == decided
+        sides = pr.sides[:1] if scale == "B" else pr.sides
+        assert [target for _, target in calls] == \
+            [law.star_target for law in sides] + [law.tong_target for law in sides]
 
     def test_weight_ratio_is_decomposed_once(self, monkeypatch):
         # each criterion's tail is the decomposed ratio with its rate shift,
@@ -283,7 +300,7 @@ class TestPairLaw:
                               2, 1, 3, 4, 1, scale="F")
         compactness(pr), nuclearity(pr), entropy_rate(pr)
         assert len(combined) == 1 and stripped == [pr.weight_ratio]
-        assert pr.b_sandwich == ((2, 3), (1, 4))
+        assert pr.sides == (embanalyzer._pair(2, 3), embanalyzer._pair(1, 4))
 
     def test_membership_reads_the_targets_reciprocal(self, monkeypatch):
         # a pair law's targets are shared, so each inverts its r once
@@ -635,15 +652,15 @@ class TestCompactness:
         # reads keeps its own, and an edit to one verdict reaches no other
         pr = EmbeddingProblem("2^(2*j)", "1", 1, 1, "inf", "inf", 1)
         v = compactness(pr)
-        assert "criterion" not in pr.compact_membership.evidence
-        assert v.evidence == dict(pr.compact_membership.evidence,
+        assert "criterion" not in pr.compact_sides[0].evidence
+        assert v.evidence == dict(pr.compact_sides[0].evidence,
                                   criterion=v.criterion)
         v.evidence["criterion"] = "edited"
         v.evidence["extra"] = 1
         again = compactness(pr)
         assert again.evidence["criterion"] is again.criterion
         assert "extra" not in again.evidence
-        assert "extra" not in pr.compact_membership.evidence
+        assert "extra" not in pr.compact_sides[0].evidence
 
     def test_deciding_renders_nothing(self, monkeypatch):
         # a verdict keeps its criterion and target as values; the CLI

@@ -204,6 +204,39 @@ def test_exponent_laws_have_one_source():
         ["src/gsembed/embanalyzer.py:_pair"]
 
 
+def attribute_readers(source: str, attr: str) -> list:
+    """The qualified name of the innermost function or class around each
+    read of the attribute attr, such as "A.f" in a method f of A, and
+    "<module>" for one outside every function and class."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == attr and \
+                    isinstance(child.ctx, ast.Load):
+                found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_sides_read_the_scale():
+    # a scale is a choice of sides: it decides which outer laws a problem's
+    # criteria are tested against, and every verdict takes one path on B
+    # and F; only the evidence of a verdict and the notes of an entropy law
+    # tell the scales apart
+    assert attribute_readers(
+        "class A:\n    def f(self): return self.scale\n"
+        "def g(p):\n    def h(): return p.scale\n    p.scale = 1\n    return h\n"
+        "x = y.scale\n", "scale") == ["A.f", "g.h", "<module>"]
+    readers = attribute_readers((ROOT / "src/gsembed/embanalyzer.py").read_text(), "scale")
+    assert sorted(set(readers)) == ["EmbeddingProblem.sides", "_verdict", "entropy_rate"]
+
+
 def dict_writers(source: str) -> list:
     """'line text' of each use of an object's __dict__, except self.__dict__
     in a method of a class, and obj.__dict__ in _cached.__get__.  A read
