@@ -10,27 +10,30 @@ arithmetic.  Exponents are validated in one place: the Exponents base of
 EmbeddingProblem and of the lab's FiniteSection normalises (p1, q1, p2,
 q2) with ext and rejects values that are not positive or inf; its
 from_dict is the one JSON decoder of both models.  The reciprocal laws of
-an exponent pair are derived in one place too: _pair gives 1/a, 1/b,
-whether both lie in [1, inf], 1/a* and 1/t(a, b), and what a criterion
-reads of them, for the inner pair (p1, p2) and the outer pair (q1, q2) of
-every model, and dual_star, tong and compact_not_nuclear_band read it as
-well.  A model holds the two laws as inner and outer, which is_banach()
-and every reader of a reciprocal exponent read.  A problem also derives,
-once each, weight_ratio = sigma^-1 tau, ratio_tail = decompose(weight_ratio),
-its two criteria (compact_criterion, nuclear_criterion), which
-criterion_sequence reads, sides, the outer laws of its (sufficient,
-necessary) sides, and compact_sides, the compact criterion decided on each,
-which compactness and entropy_rate both read.  A scale is a choice of
-sides, the outer law twice on B and the B-sandwich on F, so both scales
-take one path, and a law that is both sides is decided once.  A
-criterion with tables is decided on its tail, ratio_tail with the
-criterion's rate shift, and entropy_rate reads the same tail, so a problem
-strips its tables once.  These are cached properties, not fields: they
-take no part in equality or hashing, and a problem from _replace derives
-its own.  A verdict keeps its criterion and target as values, which the
-CLI renders when it prints, and an evidence dict of its own.
-EmbeddingProblem and Target are frozen records on seqdsl's _Record base,
-with hand-written constructors, so no command imports dataclasses.
+an exponent pair are derived in one place too: _pair gives 1/a, 1/b and,
+for each kind of criterion, one gap law (_Gap): 1/r for the gap exponent
+r, a* for compact and t(a, b) for nuclear (None unless a, b lie in
+[1, inf]), with the rate shift and target a criterion reads of it.  Every
+reader takes the gap of its kind as getattr(law, kind), for the inner pair
+(p1, p2) and the outer pair (q1, q2) of every model, and dual_star, tong
+and compact_not_nuclear_band read it as well.  A model holds the two laws
+as inner and outer, which is_banach() and every reader of a reciprocal
+exponent read.  criterion_sequence builds each criterion from them, and is
+the one place that tells the kinds apart.  A problem also derives, once
+each, weight_ratio = sigma^-1 tau, ratio_tail = decompose(weight_ratio),
+sides, the outer laws of its (sufficient, necessary) sides, and
+compact_sides, the compact criterion decided on each, which compactness
+and entropy_rate both read, so each classify builds each criterion once.
+A scale is a choice of sides, the outer law twice on B and the B-sandwich
+on F, so both scales take one path, and a law that is both sides is
+decided once.  A criterion with tables is decided on its tail, ratio_tail
+with the criterion's rate shift, and entropy_rate reads the same tail, so
+a problem strips its tables once.  These are cached properties, not
+fields: they take no part in equality or hashing, and a problem from
+_replace derives its own.  A verdict keeps its criterion and target as
+values, which the CLI renders when it prints, and an evidence dict of its
+own.  EmbeddingProblem and Target are frozen records on seqdsl's _Record
+base, with hand-written constructors, so no command imports dataclasses.
 
 ext keeps the values of the MAX_EXT_CACHE exponent strings of at most
 MAX_CACHED_TEXT characters that it read most recently, and returns the same
@@ -184,23 +187,32 @@ def _from_recip(r: Fraction) -> ExtReal:
     return INF if r == 0 else 1 / r
 
 
+class _Gap(NamedTuple):
+    """What a criterion reads of a gap exponent r of a pair (a, b): 1/r,
+    the coefficient 1/a - 1/b + 1/r of dim in its rate shift, when (a, b) =
+    (p1, p2), and its target, ell_r or c0 for 1/r = 0, when (a, b) =
+    (q1, q2)."""
+
+    recip: Fraction
+    shift: Fraction
+    target: Target
+
+
 class _PairLaw(NamedTuple):
-    """The reciprocal laws of an exponent pair (a, b), and what a criterion
-    reads of them for each gap exponent r, a* (compact) or t(a, b)
-    (nuclear): the coefficient 1/a - 1/b + 1/r of dim in its rate shift,
-    when (a, b) = (p1, p2), and its target, ell_r or c0 for 1/r = 0, when
-    (a, b) = (q1, q2).  The Tong fields are None unless the pair is
-    Banach."""
+    """The reciprocal laws of an exponent pair (a, b): 1/a, 1/b and one
+    _Gap per kind of criterion, read as getattr(law, kind).  compact is the
+    dual exponent a*, 1/a* = (1/b - 1/a)+; nuclear is Tong's t(a, b),
+    1/t = 1 - (1/a - 1/b)+, and None unless a and b lie in [1, inf]."""
 
     ra: Fraction  # 1/a
     rb: Fraction  # 1/b
-    banach: bool  # a and b in [1, inf]
-    star: Fraction  # 1/a* = (1/b - 1/a)+
-    star_shift: Fraction
-    star_target: Target
-    tong: Optional[Fraction] = None  # 1/t(a, b) = 1 - (1/a - 1/b)+
-    tong_shift: Optional[Fraction] = None
-    tong_target: Optional[Target] = None
+    compact: _Gap
+    nuclear: Optional[_Gap]
+
+
+def _gap(d: Fraction, r: Fraction) -> _Gap:
+    """The _Gap of 1/r for a pair with 1/a - 1/b = d."""
+    return _Gap(r, d + r, Target("c0") if r == 0 else Target("ell", 1 / r))
 
 
 @lru_cache(maxsize=MAX_PAIR_CACHE)
@@ -210,20 +222,16 @@ def _pair(a: ExtReal, b: ExtReal) -> _PairLaw:
     MAX_PAIR_CACHE pairs read most recently are kept, so equal pairs share
     one law and a sweep inverts each of its few pairs once."""
     ra, rb = recip(a), recip(b)
-    star = rb - ra if rb > ra else Fraction(0)
-    law = _PairLaw(ra, rb, ra <= 1 and rb <= 1, star, ra - rb + star,
-                   _target(star))
-    if not law.banach:
-        return law
-    tong = 1 - (ra - rb) if ra > rb else Fraction(1)
-    return law._replace(tong=tong, tong_shift=ra - rb + tong,
-                        tong_target=_target(tong))
+    d = ra - rb  # 1/a* = (-d)+ and 1/t(a, b) = 1 - d+
+    banach = ra <= 1 and rb <= 1
+    return _PairLaw(ra, rb, _gap(d, -d if d < 0 else Fraction(0)),
+                    _gap(d, 1 - d if d > 0 else Fraction(1)) if banach else None)
 
 
 def _tong_law(r1, r2) -> _PairLaw:
     """The law of the parameters of Tong's formula, which need [1, inf]."""
     law = _pair(_exponent("r1", r1), _exponent("r2", r2))
-    if not law.banach:
+    if law.nuclear is None:
         raise ValueError(
             f"tong exponent needs parameters in [1, inf], got ({r1}, {r2})")
     return law
@@ -232,7 +240,8 @@ def _tong_law(r1, r2) -> _PairLaw:
 def dual_star(r1, r2) -> ExtReal:
     """Exponent r* with 1/r* = (1/r2 - 1/r1)+; equals inf when r1 <= r2.
     Both parameters must be positive or inf."""
-    return _from_recip(_pair(_exponent("r1", r1), _exponent("r2", r2)).star)
+    law = _pair(_exponent("r1", r1), _exponent("r2", r2))
+    return _from_recip(law.compact.recip)
 
 
 def tong(r1, r2) -> ExtReal:
@@ -241,7 +250,7 @@ def tong(r1, r2) -> ExtReal:
     On reciprocals 1/t >= 1/r* always holds, i.e. t <= dual_star(r1, r2),
     with equality exactly when {r1, r2} = {1, inf}.
     """
-    return _from_recip(_tong_law(r1, r2).tong)
+    return _from_recip(_tong_law(r1, r2).nuclear.recip)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +296,7 @@ class Exponents:
 
     def is_banach(self) -> bool:
         """All four exponents in [1, inf], where Tong's formula applies."""
-        return self.inner.banach and self.outer.banach
+        return self.inner.nuclear is not None and self.outer.nuclear is not None
 
 
 class EmbeddingProblem(_Record, Exponents):
@@ -325,17 +334,6 @@ class EmbeddingProblem(_Record, Exponents):
         problem with tables: each criterion's tail is this with the
         criterion's rate shift."""
         return decompose(self.weight_ratio)
-
-    @_cached
-    def compact_criterion(self) -> tuple:
-        """(criterion sequence, Target) deciding compactness."""
-        return _criterion(self, "compact")
-
-    @_cached
-    def nuclear_criterion(self) -> tuple:
-        """(criterion sequence, Target) deciding nuclearity; ValueError
-        unless the exponents are Banach."""
-        return _criterion(self, "nuclear")
 
     @_cached
     def sides(self) -> tuple:
@@ -387,11 +385,6 @@ class Target(_Record):
         return recip(self.r) if self.kind == "ell" else Fraction(0)
 
 
-def _target(r: Fraction) -> Target:
-    """ell_{1/r}, or c0 for 1/r = 0."""
-    return Target("c0") if r == 0 else Target("ell", 1 / r)
-
-
 class Verdict(NamedTuple):
     status: str  # holds | fails | inconclusive
     criterion: Optional[SequenceExpr]
@@ -417,32 +410,24 @@ def criterion_sequence(problem: EmbeddingProblem, kind: str):
 
     kind "compact": weight_ratio 2^(j d (1/p1 - 1/p2)) 2^(j d / p*) in
     ell_{q*}, that is weight_ratio with its rate shifted by
-    d (1/p1 - 1/p2 + 1/p*); kind "nuclear": p* and q* replaced by the tong
-    exponents of (p1,p2) and (q1,q2), which needs Banach exponents.  The
-    shift is read off the pair law problem.inner and the target off
+    d (1/p1 - 1/p2 + 1/p*), the normal form of its product with the
+    geometric factor, and weight_ratio itself when the shift is 0; kind
+    "nuclear": p* and q* replaced by the tong exponents of (p1,p2) and
+    (q1,q2), which needs Banach exponents.  The shift is read off the gap
+    of kind of the pair law problem.inner and the target off that of
     problem.outer, where a zero reciprocal target exponent means c0.  On
     scale F that is the problem's own (q1, q2) target, which decides
-    neither side of problem.sides.  The problem derives each criterion once
-    (compact_criterion, nuclear_criterion); this reads it.
+    neither side of problem.sides.  This is the one builder of a criterion,
+    and the one place that tells the kinds apart.
     """
-    if kind == "compact":
-        return problem.compact_criterion
+    if kind not in ("compact", "nuclear"):
+        raise ValueError("kind must be 'compact' or 'nuclear'")
     if kind == "nuclear":
-        return problem.nuclear_criterion
-    raise ValueError("kind must be 'compact' or 'nuclear'")
-
-
-def _criterion(problem: EmbeddingProblem, kind: str) -> tuple:
-    """The criterion of kind: weight_ratio with its rate shifted, which is
-    the normal form of its product with the geometric factor, and
-    weight_ratio itself when the shift is 0."""
-    if kind == "compact":
-        shift, target = problem.inner.star_shift, problem.outer.star_target
-    else:
         _require_banach(problem)
-        shift, target = problem.inner.tong_shift, problem.outer.tong_target
+    shift = getattr(problem.inner, kind).shift
     ratio = problem.weight_ratio
-    return (_shifted(ratio, problem.dim * shift) if shift else ratio), target
+    return (_shifted(ratio, problem.dim * shift) if shift else ratio), \
+        getattr(problem.outer, kind).target
 
 
 def _shifted(e: SequenceExpr, shift: Fraction) -> SequenceExpr:
@@ -461,10 +446,8 @@ def _sides(problem: EmbeddingProblem, kind: str) -> tuple:
     tail = _shifted(problem.ratio_tail, expr.rate - problem.weight_ratio.rate) \
         if expr.tables else expr
     suff, nec = problem.sides
-    compact = kind == "compact"
-    v = ellr_membership(tail, suff.star_target if compact else suff.tong_target)
-    w = v if nec == suff else \
-        ellr_membership(tail, nec.star_target if compact else nec.tong_target)
+    v = ellr_membership(tail, getattr(suff, kind).target)
+    w = v if nec == suff else ellr_membership(tail, getattr(nec, kind).target)
     if not expr.tables:
         return v, w
     return v._replace(criterion=expr), w._replace(criterion=expr)
@@ -593,7 +576,7 @@ def compact_not_nuclear_band(p1, p2, dim: int) -> Band:
     when {p1, p2} = {1, inf}.  dim must be a positive int."""
     _check_dim(dim)
     law = _tong_law(p1, p2)
-    return Band(dim * law.star, dim * law.tong)
+    return Band(dim * law.compact.recip, dim * law.nuclear.recip)
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +627,17 @@ def entropy_rate(problem: EmbeddingProblem) -> RateFormula:
 def _entropy(problem: EmbeddingProblem, outer: _PairLaw,
              membership: Verdict) -> RateFormula:
     """The scale-B law of problem with the fine indices of the law outer,
-    where the compact criterion has the given membership: 1/p1 and 1/p2
-    from problem.inner, 1/q1, 1/q2 and 1/q* from outer."""
+    where the compact criterion has the given membership, which carries
+    the criterion: 1/p1 and 1/p2 from problem.inner, 1/q1, 1/q2 and 1/q*
+    from outer."""
     if membership.status == "fails":
         return RateFormula("not-compact", None, None, None, None,
                            "entropy-rate", ("embedding is not compact",))
 
-    ratio, crit = problem.weight_ratio, problem.compact_criterion[0]
+    ratio, crit = problem.weight_ratio, membership.criterion
     if crit.tables:  # both are read on their tails
         ratio = problem.ratio_tail
-        crit = _shifted(ratio, problem.dim * problem.inner.star_shift)
+        crit = _shifted(ratio, problem.dim * problem.inner.compact.shift)
     if crit.rate_interval[1] < 0:
         notes = ("value of the weight ratio at frequency k^(1/dim)",)
         if not ratio.osc:
@@ -670,7 +654,7 @@ def _entropy(problem: EmbeddingProblem, outer: _PairLaw,
                            "entropy-nonlimiting-ratio", notes)
 
     rp1, rp2 = problem.inner.ra, problem.inner.rb
-    rq1, rq2, qstar_recip = outer.ra, outer.rb, outer.star
+    rq1, rq2, qstar_recip = outer.ra, outer.rb, outer.compact.recip
     if not crit.osc and crit.rate == 0:
         pure_log = not crit.explog and crit.iterlog == 0
         beta = -crit.log_exp

@@ -19,7 +19,9 @@ derives everything that does not depend on an entropy index k once, as
 cached properties:
   - inner and outer, the engine's reciprocal laws of (p1, p2) and (q1, q2),
     which equal pairs share, and from which every routine here reads the
-    reciprocals of the exponents;
+    reciprocals of the exponents, and the gap exponents as the engine's
+    criteria do: 1/p* and 1/q* from the compact gaps, Tong's 1/t from the
+    nuclear ones;
   - gains = (beta_j^-1 M_j^(1/p*))_j, the norms of the diagonal blocks;
   - closed_norm, the exact operator norm that embedding_norm_closed returns;
   - cover_scales = ((M_j^(1/p2), 1/beta_j))_j and cover_radius, the ell_q2
@@ -100,13 +102,13 @@ class FiniteSection(_Record, Exponents):
         """Block norms beta_j^-1 M_j^(1/p*): beta_j^-1 times the norm of the
         ell_p1^M -> ell_p2^M identity, 1 for p1 <= p2 and M^(1/p2 - 1/p1)
         otherwise."""
-        excess = float(self.inner.star)
+        excess = float(self.inner.compact.recip)
         return tuple(float(m) ** excess / b for b, m in zip(self.beta, self.M))
 
     @_cached
     def closed_norm(self) -> float:
         """The exact operator norm that embedding_norm_closed returns."""
-        return _lp_norm(_from_recip(self.outer.star))(self.gains)
+        return _lp_norm(_from_recip(self.outer.compact.recip))(self.gains)
 
     @_cached
     def cover_scales(self) -> tuple:
@@ -129,10 +131,6 @@ class FiniteSection(_Record, Exponents):
         ball) in dimension n."""
         return (_log_ball_volume(self.M, self.p1, self.q1, self.beta),
                 _log_ball_volume(self.M, self.p2, self.q2))
-
-    @property
-    def levels(self) -> int:
-        return len(self.M) - 1
 
     @_cached
     def n(self) -> int:
@@ -241,9 +239,9 @@ def _search_winner(section: FiniteSection) -> tuple:
         s = outer1(src)
         return outer2(tgt) / s if s != 0.0 else 0.0
 
-    # extremal block vector: flat when the inner index shrinks (Hoelder
-    # equality), spike when it grows
-    flat = section.inner.rb > section.inner.ra
+    # extremal block vector: flat when the inner index shrinks, 1/p* > 0
+    # (Hoelder equality), spike when it grows
+    flat = section.inner.compact.recip > 0
     shapes = [[1.0] * m if flat else [1.0] + [0.0] * (m - 1)
               for m in section.M]
 
@@ -253,9 +251,10 @@ def _search_winner(section: FiniteSection) -> tuple:
     found = [(f"block {j}", ratio([beta[j] * inner1(x)], [inner2(x)]))
              for j, x in enumerate(shapes)]
 
-    # coupled weights matter when the outer index shrinks; with unit-p1
-    # block shapes the optimal source amplitudes follow a Hoelder pattern
-    gap = section.outer.rb - section.outer.ra
+    # coupled weights matter when the outer index shrinks, 1/q* > 0; with
+    # unit-p1 block shapes the optimal source amplitudes follow a Hoelder
+    # pattern
+    gap = section.outer.compact.recip
     if gap > 0:
         r = 1.0 / float(gap)
         w_exp = 0.0 if section.q1 == INF else r / float(section.q1)
@@ -303,9 +302,9 @@ def nuclear_norm_tong(section: FiniteSection) -> float:
     """Exact nuclear norm of the section for Banach parameters:
     || (beta_j^-1 M_j^(1/t(p1,p2)))_j ||_{t(q1,q2)}."""
     _require_banach(section)
-    tp = float(section.inner.tong)
+    tp = float(section.inner.nuclear.recip)
     terms = [float(m) ** tp / b for b, m in zip(section.beta, section.M)]
-    return _lp_norm(_from_recip(section.outer.tong))(terms)
+    return _lp_norm(_from_recip(section.outer.nuclear.recip))(terms)
 
 
 def nuclear_norm_oracle(section: FiniteSection) -> dict:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from gsembed import (
@@ -215,20 +215,21 @@ class TestPairLaw:
         law = embanalyzer._pair(a, b)
         ra, rb = recip(a), recip(b)
         assert (law.ra, law.rb) == (ra, rb)
-        assert law.banach == (a >= 1 and b >= 1)
         star = dual_star(a, b)
-        assert law.star == recip(star) == max(Fraction(0), rb - ra)
-        assert law.star_shift == ra - rb + law.star
-        assert law.star_target == (Target("c0") if star == INF else Target("ell", star))
-        if not law.banach:
-            assert law.tong is law.tong_shift is law.tong_target is None
+        assert law.compact.recip == recip(star) == max(Fraction(0), rb - ra)
+        assert law.compact.shift == ra - rb + law.compact.recip
+        assert law.compact.target == \
+            (Target("c0") if star == INF else Target("ell", star))
+        # the nuclear gap exists exactly when the pair is Banach
+        assert (law.nuclear is None) == (not (a >= 1 and b >= 1))
+        if law.nuclear is None:
             with pytest.raises(ValueError, match="tong exponent needs"):
                 tong(a, b)
             return
         t = tong(a, b)
-        assert law.tong == recip(t) == 1 - max(Fraction(0), ra - rb)
-        assert law.tong_shift == ra - rb + law.tong
-        assert law.tong_target == (Target("c0") if t == INF else Target("ell", t))
+        assert law.nuclear.recip == recip(t) == 1 - max(Fraction(0), ra - rb)
+        assert law.nuclear.shift == ra - rb + law.nuclear.recip
+        assert law.nuclear.target == (Target("c0") if t == INF else Target("ell", t))
 
     def test_equal_pairs_share_one_law(self):
         law = embanalyzer._pair(Fraction(2), INF)
@@ -262,7 +263,7 @@ class TestPairLaw:
         assert len(calls) == decided
         sides = pr.sides[:1] if scale == "B" else pr.sides
         assert [target for _, target in calls] == \
-            [law.star_target for law in sides] + [law.tong_target for law in sides]
+            [law.compact.target for law in sides] + [law.nuclear.target for law in sides]
 
     def test_weight_ratio_is_decomposed_once(self, monkeypatch):
         # each criterion's tail is the decomposed ratio with its rate shift,
@@ -277,7 +278,7 @@ class TestPairLaw:
         assert stripped == [pr.weight_ratio]
         for v, kind in ((c, "compact"), (n, "nuclear")):
             # the verdict carries the criterion itself, tables included
-            assert v.criterion is criterion_sequence(pr, kind)[0]
+            assert v.criterion == criterion_sequence(pr, kind)[0]
             assert v.criterion.tables
             assert v.evidence["criterion"] is v.criterion
             assert "table[1,5/2]" in render(v.evidence["criterion"])
@@ -393,8 +394,9 @@ class TestCriterionSequence:
 
     @given(banach_exponents, banach_exponents, banach_exponents, banach_exponents)
     def test_each_criterion_is_built_once(self, p1, q1, p2, q2):
+        # _sides calls criterion_sequence through the module, once per kind
         built = []
-        build = embanalyzer._criterion
+        build = embanalyzer.criterion_sequence
 
         def counted(problem, kind):
             built.append(kind)
@@ -402,11 +404,11 @@ class TestCriterionSequence:
 
         weights = ("2^(3/2*j)*(1+j)^-1", "(table[2] then (1+log(1+j)))*(3)^1/2")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embanalyzer, "_criterion", counted)
+            mp.setattr(embanalyzer, "criterion_sequence", counted)
             pr = EmbeddingProblem(*weights, p1, q1, p2, q2, 2)
             compactness(pr), nuclearity(pr), entropy_rate(pr)
             assert sorted(built) == ["compact", "nuclear"]
-            # a problem from _replace derives its own criteria
+            # a problem from _replace decides its own criteria
             other = pr._replace(p1=q2, q2=p1)
             fresh = EmbeddingProblem(*weights, q2, q1, p2, p1, 2)
             for kind in ("compact", "nuclear"):
@@ -415,7 +417,7 @@ class TestCriterionSequence:
             assert compactness(other) == compactness(fresh)
             assert nuclearity(other) == nuclearity(fresh)
             assert entropy_rate(other) == entropy_rate(fresh)
-        # the cached criteria stay out of equality, hashing and repr
+        # the cached memberships stay out of equality, hashing and repr
         twin = EmbeddingProblem(*weights, p1, q1, p2, q2, 2)
         assert pr == twin and hash(pr) == hash(twin) and repr(pr) == repr(twin)
 
@@ -427,7 +429,7 @@ class TestCriterionSequence:
         # one built, and it derives its compact and its nuclear criterion
         # once for both sides
         built, problems = [], []
-        build, init = embanalyzer._criterion, EmbeddingProblem.__init__
+        build, init = embanalyzer.criterion_sequence, EmbeddingProblem.__init__
 
         def counted(problem, kind):
             built.append((id(problem), kind))
@@ -438,7 +440,7 @@ class TestCriterionSequence:
             init(problem, *args, **kw)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embanalyzer, "_criterion", counted)
+            mp.setattr(embanalyzer, "criterion_sequence", counted)
             mp.setattr(EmbeddingProblem, "__init__", counted_init)
             pr = EmbeddingProblem("2^(2*j)*(1+j)", "(1+j)^3", p1, q1, p2, q2, 1,
                                   scale="F")
@@ -939,3 +941,58 @@ class TestEntropyRate:
             monkeypatch.setattr(embanalyzer, name, counted)
         embanalyzer.entropy_rate(EmbeddingProblem(sigma, tau, 1, "inf", 2, 2, 1))
         assert calls == {"criterion_sequence": 1, "compactness": 0}
+
+
+# the exponents of the answer laws: Banach and quasi-Banach, with inf
+LAW_EXPONENTS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3),
+                 Fraction(2), Fraction(3), Fraction(4), INF)
+
+
+class TestAnswerLaws:
+    """Laws that every answer obeys, whatever the formulas behind it:
+    nuclear maps are compact, scale B's entropy law is not-compact exactly
+    when compactness fails, and a smaller source or a larger target keeps
+    an embedding compact or nuclear.  Rich weights (tables, pw2, exp-log)
+    on both scales."""
+
+    @settings(max_examples=250)
+    @given(sigma=weights, tau=weights, data=st.data(), dim=st.integers(1, 3),
+           scale=st.sampled_from(["B", "F"]))
+    def test_laws_hold_on_decided_answers(self, sigma, tau, data, dim, scale):
+        exps = [data.draw(st.sampled_from(LAW_EXPONENTS)) for _ in range(4)]
+        pr = EmbeddingProblem(sigma, tau, *exps, dim, scale=scale)
+        # p1 or q2 grows, q1 or p2 shrinks: the source gets smaller or the
+        # target larger on a bounded domain
+        p1, q1, p2, q2 = exps
+        moved = pr._replace(**{
+            name: data.draw(st.sampled_from([e for e in LAW_EXPONENTS if keep(e)]))
+            for name, keep in (("p1", lambda e: e >= p1), ("q1", lambda e: e <= q1),
+                               ("p2", lambda e: e <= p2), ("q2", lambda e: e >= q2))})
+
+        def answers(problem):
+            found = {"compact": compactness(problem).status}
+            if problem.is_banach():
+                found["nuclear"] = nuclearity(problem).status
+            return found
+
+        got, after = answers(pr), answers(moved)
+        # the statuses that are decided: holds or fails
+        decided = {kind: s for kind, s in got.items() if s != "inconclusive"}
+        if len(decided) == 2:
+            # (a) nuclear holds => compact holds
+            if decided["nuclear"] == "holds":
+                assert decided["compact"] == "holds"
+            # (b) compact fails => nuclear fails
+            if decided["compact"] == "fails":
+                assert decided["nuclear"] == "fails"
+        law = entropy_rate(pr).kind
+        if scale == "B":
+            # (c) exact on scale B
+            assert (law == "not-compact") == (got["compact"] == "fails")
+        elif law == "not-compact":
+            # (d) on scale F the necessary side is not compact
+            assert got["compact"] == "fails"
+        # (e) on the answers that both problems decide
+        for kind, status in decided.items():
+            if status == "holds" and after.get(kind, "inconclusive") != "inconclusive":
+                assert after[kind] == "holds", (kind, moved)

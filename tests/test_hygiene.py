@@ -199,21 +199,26 @@ def test_exponent_laws_have_one_source():
         ["h", "g", "<module>"]
     sources = {p: p.read_text() for d in ("src/gsembed", "tests", "gsbench")
                for p in sorted((ROOT / d).glob("*.py"))}
-    assert [f"{p.relative_to(ROOT)}:{where}" for p, text in sources.items()
-            for where in calling_functions(text, "_PairLaw")] == \
-        ["src/gsembed/embanalyzer.py:_pair"]
+    for law, builder in (("_PairLaw", "_pair"), ("_Gap", "_gap")):
+        assert [f"{p.relative_to(ROOT)}:{where}" for p, text in sources.items()
+                for where in calling_functions(text, law)] == \
+            [f"src/gsembed/embanalyzer.py:{builder}"]
+    # a pair law holds one gap law per kind of criterion, read as
+    # getattr(law, kind), and no field of one kind alone
+    from gsembed.embanalyzer import _PairLaw
+
+    assert _PairLaw._fields == ("ra", "rb", "compact", "nuclear")
 
 
-def attribute_readers(source: str, attr: str) -> list:
+def node_sites(source: str, match) -> list:
     """The qualified name of the innermost function or class around each
-    read of the attribute attr, such as "A.f" in a method f of A, and
-    "<module>" for one outside every function and class."""
+    node for which match(node) holds, such as "A.f" in a method f of A,
+    and "<module>" for one outside every function and class."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == attr and \
-                    isinstance(child.ctx, ast.Load):
+            if match(child):
                 found.append(where)
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -222,6 +227,12 @@ def attribute_readers(source: str, attr: str) -> list:
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def attribute_readers(source: str, attr: str) -> list:
+    """node_sites of each read of the attribute attr."""
+    return node_sites(source, lambda n: isinstance(n, ast.Attribute) and
+                      n.attr == attr and isinstance(n.ctx, ast.Load))
 
 
 def test_only_the_sides_read_the_scale():
@@ -235,6 +246,38 @@ def test_only_the_sides_read_the_scale():
         "x = y.scale\n", "scale") == ["A.f", "g.h", "<module>"]
     readers = attribute_readers((ROOT / "src/gsembed/embanalyzer.py").read_text(), "scale")
     assert sorted(set(readers)) == ["EmbeddingProblem.sides", "_verdict", "entropy_rate"]
+
+
+def string_comparers(source: str, name: str) -> list:
+    """node_sites of each comparison of the variable name with a string
+    constant, or with a tuple, list or set of them."""
+    def is_text(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_text(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    def match(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return any(isinstance(o, ast.Name) and o.id == name for o in operands) \
+            and any(is_text(o) for o in operands)
+
+    return node_sites(source, match)
+
+
+def test_only_criterion_sequence_tells_the_kinds_apart():
+    # the kinds differ in their gap law alone, which every reader takes as
+    # getattr(law, kind); criterion_sequence checks kind and asks nuclear
+    # for Banach exponents.  Target's constructor checks its own field
+    # kind, "ell" or "c0", which is no kind of criterion
+    assert string_comparers(
+        "class A:\n    def f(self, kind): return kind in ('a', 'b')\n"
+        "def g(kind, x):\n    def h(): return 'a' != kind\n"
+        "    return x == 'a' or kind == 1 or x.kind == 'a'\n"
+        "y = kind == 'b'\n", "kind") == ["A.f", "g.h", "<module>"]
+    comparers = string_comparers((ROOT / "src/gsembed/embanalyzer.py").read_text(), "kind")
+    assert sorted(set(comparers)) == ["Target.__init__", "criterion_sequence"]
 
 
 def dict_writers(source: str) -> list:

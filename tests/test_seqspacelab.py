@@ -73,7 +73,7 @@ class TestFiniteSection:
         # beta_j = 2^(2j) * 2^(-j(1 - 1/2)) = 2^(3j/2)
         assert s.beta == pytest.approx((1.0, 2.0 ** 1.5, 8.0))
         assert s.M == (1, 2, 4)
-        assert s.n == 7 and s.levels == 2
+        assert s.n == 7
         with pytest.raises(ValueError, match="levels"):
             finite_section(pr, -1)
 
